@@ -39,7 +39,6 @@ _DEFAULTS = {
     "seed": 0,
     "trials": 1000,
     "format": "txt",
-    "threads": 1,
     "margin": None,
     "statistic": REACH_C,
     "origin": "0,0",
@@ -63,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", choices=["csv", "jsonl", "pgm", "svg", "txt"],
                         help="output format")
-    common.add_argument("--threads", type=int, help="worker threads for trials")
     common.add_argument("--config", help="flat key=value config file")
 
     parser = argparse.ArgumentParser(
@@ -284,7 +282,7 @@ def _cmd_estimate(opts: _Options) -> int:
     else:
         model = opts.require_model()
         plan = TrialPlan(model, radius, trials, seed, stat)
-        rec = estimate_theta(plan, threads=opts.get("threads", cast=int))
+        rec = estimate_theta(plan)
     print(f"# seed={seed}", file=sys.stderr)
     out, close = _open_out(opts)
     try:
@@ -310,7 +308,6 @@ def _cmd_bisect(opts: _Options) -> int:
         tol=opts.get("tol", cast=float),
         trials_per_probe=opts.get("trials", cast=int),
         master_seed=seed,
-        threads=opts.get("threads", cast=int),
     )
     print(f"# seed={seed}", file=sys.stderr)
     out, close = _open_out(opts)

@@ -127,7 +127,7 @@ class EnvironmentGrid:
 def _coordinate_grids(window: Window) -> list[np.ndarray]:
     axes = [np.arange(window.lo[i], window.hi[i] + 1, dtype=np.int64)
             for i in range(window.d)]
-    return list(np.meshgrid(*axes, indexing="ij"))
+    return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
 def sample_masks(measure: SupportMeasure, window: Window, seed: int) -> np.ndarray:

@@ -8,7 +8,7 @@ Design rules baked in:
 * Trials are pure functions of (master seed, trial index): the per-trial
   environment seed is spawn_seed(master_seed, trial), and the counter-based
   site hash makes nested windows agree, so estimates are bit-identical for
-  any thread count.
+  any batch size.
 * Every statistical verifier returns z-scores or confidence material,
   never a bare pass/fail.
 * Proportion estimates carry se = sqrt(p(1-p)/n); sample means carry the
@@ -27,14 +27,13 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .bitgrid import PackedGrid
+from .bitgrid import edge_mask, move_masks, mutual_stats, reach_batch, reversed_moves
 from .clusters import classify_b_shape
 from .env import EnvironmentGrid, Window, sample_environment, sample_masks
 from .errors import DimensionError, ValidationError
@@ -190,7 +189,7 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
         axes = np.arange(-radius, 1, dtype=np.int64)
     else:
         axes = np.arange(0, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(axes, axes, indexing="ij")
+    grids = np.meshgrid(axes, axes, indexing="ij", sparse=True)
     out = np.empty(trials, dtype=bool)
     full_mask = 0
     for m, _ in measure.atoms:
@@ -234,36 +233,50 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     return out
 
 
-def _trial_value(plan: TrialPlan, window: Window, measure: SupportMeasure,
-                 t: int) -> float:
-    seed = rng.spawn_seed(plan.master_seed, t)
-    arrows = sample_masks(measure, window, seed)
-    stat = plan.statistic
-    if callable(stat):
-        env = EnvironmentGrid(window=window, arrows=arrows, measure=measure,
-                              model=plan.model if isinstance(plan.model, ModelId) else None,
-                              seed=seed)
-        return float(stat(env))
-    pg = PackedGrid.from_arrows(arrows)
+# Trials per reach_batch call on the generic path.  Trials are sampled and
+# packed one at a time and only their packed masks are stacked, so a chunk
+# costs 4 * REACH_CHUNK packed grids of memory, not REACH_CHUNK hashed windows.
+REACH_CHUNK = 16
+
+
+def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
+                   trials: int, origin_mask: Optional[int] = None):
+    """Yield (4, B, ny, nwords) move masks of the trials, REACH_CHUNK at a time."""
     ix, iy = -window.lo[0], -window.lo[1]
-    if stat == REACH_C:
-        _, touched = pg.reach(ix, iy, backward=False, stop_at_edge=True)
-        return float(touched)
-    if stat == REACH_B:
-        _, touched = pg.reach(ix, iy, backward=True, stop_at_edge=True)
-        return float(touched)
-    rf, _ = pg.reach(ix, iy, backward=False)
-    rb, _ = pg.reach(ix, iy, backward=True)
-    m = rf & rb
-    if stat == REACH_M:
-        return float((m & pg.edge).any())
-    return float(PackedGrid.count(m))
+    for lo in range(0, trials, REACH_CHUNK):
+        masks = []
+        for t in range(lo, min(lo + REACH_CHUNK, trials)):
+            arrows = sample_masks(measure, window, rng.spawn_seed(master_seed, t))
+            if origin_mask is not None:
+                arrows[ix, iy] = origin_mask
+            masks.append(move_masks(arrows))
+        yield np.stack(masks, axis=1)
 
 
-def run_plan(plan: TrialPlan, threads: Optional[int] = None) -> EstimateRecord:
+def _packed_values(plan: TrialPlan, window: Window, measure: SupportMeasure,
+                   origin_mask: Optional[int] = None) -> np.ndarray:
+    """Named statistic of every trial, one reach_batch call per chunk.
+
+    origin_mask, when given, replaces the origin's draw (a live origin).
+    """
+    ix, iy = -window.lo[0], -window.lo[1]
+    edge = edge_mask(*window.shape)
+    values = []
+    for moves in _packed_chunks(measure, window, plan.master_seed, plan.trials, origin_mask):
+        if plan.statistic in (REACH_C, REACH_B):
+            if plan.statistic == REACH_B:
+                moves = reversed_moves(moves)
+            values.append(reach_batch(moves, ix, iy, edge, stop_at_edge=True)[1])
+        else:
+            sizes, touched = mutual_stats(moves, ix, iy, edge)
+            values.append(touched if plan.statistic == REACH_M else sizes)
+    return np.concatenate(values).astype(np.float64)
+
+
+def run_plan(plan: TrialPlan) -> EstimateRecord:
     """Run every trial of the plan and aggregate deterministically.
 
-    Results are reduced in trial-index order whatever the thread count, so
+    Results are reduced in trial-index order whatever the batch size, so
     a plan is a reproducible object: same plan, same record (modulo the
     wall-time field).
     """
@@ -272,23 +285,20 @@ def run_plan(plan: TrialPlan, threads: Optional[int] = None) -> EstimateRecord:
         raise DimensionError("the Monte Carlo engine runs on d=2 windows")
     window = Window.centered(plan.radius, 2)
     t0 = time.perf_counter()
-    if (isinstance(plan.statistic, str) and plan.statistic in (REACH_C, REACH_B)
-            and _is_ne_oriented(measure)):
+    if callable(plan.statistic):
+        model = plan.model if isinstance(plan.model, ModelId) else None
+        values = np.empty(plan.trials, dtype=np.float64)
+        for t in range(plan.trials):
+            seed = rng.spawn_seed(plan.master_seed, t)
+            values[t] = plan.statistic(EnvironmentGrid(
+                window, sample_masks(measure, window, seed), measure, model, seed))
+    elif plan.statistic in (REACH_C, REACH_B) and _is_ne_oriented(measure):
         values = _oriented_reach_trials(
             measure, plan.radius, plan.trials, plan.master_seed,
             backward=plan.statistic == REACH_B,
         ).astype(np.float64)
-    elif threads is None or threads <= 1:
-        values = np.empty(plan.trials, dtype=np.float64)
-        for t in range(plan.trials):
-            values[t] = _trial_value(plan, window, measure, t)
     else:
-        values = np.empty(plan.trials, dtype=np.float64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, v in zip(range(plan.trials),
-                            pool.map(lambda t: _trial_value(plan, window, measure, t),
-                                     range(plan.trials), chunksize=16)):
-                values[t] = v
+        values = _packed_values(plan, window, measure)
     est = float(values.mean())
     stat_name = plan.statistic if isinstance(plan.statistic, str) else "custom"
     if stat_name in _PROPORTIONS:
@@ -300,9 +310,9 @@ def run_plan(plan: TrialPlan, threads: Optional[int] = None) -> EstimateRecord:
                           time.perf_counter() - t0)
 
 
-def estimate_theta(plan: TrialPlan, threads: Optional[int] = None) -> EstimateRecord:
+def estimate_theta(plan: TrialPlan) -> EstimateRecord:
     """Boundary-reach estimate of the requested cluster probability."""
-    return run_plan(plan, threads)
+    return run_plan(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +344,7 @@ class IdentityReport:
 
 
 def check_theta_identity(model: ModelId, radius: int, trials: int,
-                         master_seed: int = 0,
-                         threads: Optional[int] = None) -> IdentityReport:
+                         master_seed: int = 0) -> IdentityReport:
     """Compare the forward-reach estimate against p times the backward one.
 
     Valid for models whose second atom is empty: on those the two reach
@@ -347,9 +356,9 @@ def check_theta_identity(model: ModelId, radius: int, trials: int,
     if 0 not in measure.support() or len(measure.atoms) != 2:
         raise ValidationError("the identity needs a two-valued model with an empty atom")
     plus = run_plan(TrialPlan(model, radius, trials,
-                              rng.spawn_seed(master_seed, 1), REACH_C), threads)
+                              rng.spawn_seed(master_seed, 1), REACH_C))
     minus = run_plan(TrialPlan(model, radius, trials,
-                               rng.spawn_seed(master_seed, 2), REACH_B), threads)
+                               rng.spawn_seed(master_seed, 2), REACH_B))
     return IdentityReport(plus, minus, model.p)
 
 
@@ -370,7 +379,7 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
     n = radius + 1
     gx = np.arange(-radius, 1, dtype=np.int64)
     gy = np.arange(0, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(gx, gy, indexing="ij")
+    grids = np.meshgrid(gx, gy, indexing="ij", sparse=True)
     out = np.empty(trials, dtype=bool)
     for lo in range(0, trials, batch):
         hi = min(lo + batch, trials)
@@ -402,25 +411,6 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
         touched |= row.any(axis=1)  # top row reached
         out[lo:hi] = touched
     return out
-
-
-def _site_perc_reach_trials(measure: SupportMeasure, radius: int, trials: int,
-                            master_seed: int) -> np.ndarray:
-    """Edge-reach trials with a live origin for non-oriented percolation models."""
-    window = Window.centered(radius, 2)
-    live = max(m for m, _ in measure.atoms)
-    out = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        arrows = sample_masks(measure, window, rng.spawn_seed(master_seed, t)).copy()
-        arrows[radius, radius] = live
-        pg = PackedGrid.from_arrows(arrows)
-        _, touched = pg.reach(radius, radius, backward=False, stop_at_edge=True)
-        out[t] = touched
-    return out
-
-
-def otsp_reach_trial(p: float, radius: int, seed: int) -> bool:
-    return bool(_otsp_reach_trials(p, radius, 1, seed)[0])
 
 
 def otsp_reach_estimate(p: float, radius: int, trials: int,
@@ -459,7 +449,6 @@ def bisect_pc(
     max_probes: int = 25,
     bracket: tuple[float, float] = (0.05, 0.95),
     master_seed: int = 0,
-    threads: Optional[int] = None,
 ) -> BisectResult:
     """Locate the p where the boundary-reach probability crosses the target.
 
@@ -504,8 +493,9 @@ def bisect_pc(
                                                   seed, backward=False,
                                                   origin_open=True)
                 else:
-                    vals = _site_perc_reach_trials(measure, radius,
-                                                   trials_per_probe, seed)
+                    vals = _packed_values(TrialPlan(measure, radius, trials_per_probe, seed),
+                                          Window.centered(radius, 2), measure,
+                                          origin_mask=max(m for m, _ in measure.atoms))
                 est = float(vals.mean())
                 se = math.sqrt(max(est * (1.0 - est), 0.0) / trials_per_probe)
                 rec = EstimateRecord(name, p, radius, trials_per_probe,
@@ -539,7 +529,6 @@ def survival_curve(
     trials: int,
     statistic: str = REACH_C,
     master_seed: int = 0,
-    threads: Optional[int] = None,
 ) -> list[EstimateRecord]:
     """Estimates along a strictly increasing grid of p values."""
     ps = list(p_values)
@@ -550,7 +539,7 @@ def survival_curve(
     for i, p in enumerate(ps):
         plan = TrialPlan(ModelId(name, p), radius, trials,
                          rng.spawn_seed(master_seed, i), statistic)
-        out.append(run_plan(plan, threads))
+        out.append(run_plan(plan))
     return out
 
 
@@ -861,17 +850,11 @@ def m_size_stats(model: ModelId, radii: Sequence[int], trials: int,
     rows = []
     for radius in radii:
         window = Window.centered(radius, 2)
-        sizes = np.empty(trials, dtype=np.float64)
-        touch = np.zeros(trials, dtype=bool)
-        for t in range(trials):
-            seed = rng.spawn_seed(master_seed, t)
-            arrows = sample_masks(measure, window, seed)
-            pg = PackedGrid.from_arrows(arrows)
-            rf, _ = pg.reach(radius, radius, backward=False)
-            rb, _ = pg.reach(radius, radius, backward=True)
-            m = rf & rb
-            sizes[t] = PackedGrid.count(m)
-            touch[t] = bool((m & pg.edge).any())
+        edge = edge_mask(*window.shape)
+        chunks = [mutual_stats(moves, radius, radius, edge)
+                  for moves in _packed_chunks(measure, window, master_seed, trials)]
+        sizes = np.concatenate([c[0] for c in chunks]).astype(np.float64)
+        touch = np.concatenate([c[1] for c in chunks])
         rows.append(MSizeRow(
             radius, trials, float(sizes.mean()),
             float(sizes.std(ddof=1) / math.sqrt(trials)),

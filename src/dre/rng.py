@@ -23,9 +23,6 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _INV_2_53 = float(2.0**-53)
 
-_OLD_ERR = np.seterr(over="ignore")
-np.seterr(**_OLD_ERR)
-
 
 def _finalize(z: np.ndarray) -> np.ndarray:
     # splitmix64 output stage: full avalanche on 64 bits

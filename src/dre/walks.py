@@ -784,7 +784,7 @@ def detect_gigantic_m(
     pg = PackedGrid.from_env(env)
     (x0, y0) = env.window.lo
     cyc_sites = list(dict.fromkeys(cycle.sites[:-1]))
-    packed_cycle = np.zeros_like(pg.valid)
+    packed_cycle = np.zeros_like(pg.edge)
     for (sx, sy) in cyc_sites:
         ix, iy = sx - x0, sy - y0
         packed_cycle[iy, ix // 64] |= np.uint64(1) << np.uint64(ix % 64)

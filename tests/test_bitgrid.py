@@ -1,8 +1,21 @@
+import re
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dre.bitgrid import PackedGrid, pack_bool, popcount, reach_stats, unpack_words
+from dre.bitgrid import (
+    PackedGrid,
+    edge_mask,
+    move_masks,
+    mutual_stats,
+    pack_bool,
+    popcount,
+    reach_batch,
+    reversed_moves,
+    unpack_words,
+)
 from dre.clusters import backward_cluster, communicating_cluster, forward_cluster
 from dre.env import Window, sample_environment
 from dre.models import ModelId
@@ -35,7 +48,8 @@ def test_reach_matches_bfs_on_models():
 
 def test_reach_stats_kinds():
     env = sample_environment(ModelId("EW-NS", 0.5), Window.centered(5), 9)
-    size, touched = reach_stats(env.arrows, (5, 5), "communicating")
+    pg = PackedGrid.from_env(env)
+    (size,), (touched,) = mutual_stats(pg.moves[:, None], 5, 5, pg.edge)
     ref = communicating_cluster(env, (0, 0))
     assert size == len(ref.sites)
     # the communicating flag tracks the set itself, not its factors
@@ -49,3 +63,40 @@ def test_stop_at_edge_agrees_on_touch():
         _, full = pg.reach(10, 10)
         _, early = pg.reach(10, 10, stop_at_edge=True)
         assert full == early
+
+
+def _sites(window, packed):
+    nx = window.shape[0]
+    return {(int(ix) + window.lo[0], int(iy) + window.lo[1])
+            for ix, iy in np.argwhere(unpack_words(packed, nx))}
+
+
+@given(model=st.sampled_from(MIXED_MEASURES), seed=st.integers(0, 2**32),
+       batch=st.integers(1, 5), lo_x=st.integers(-40, -1), hi_x=st.integers(1, 40),
+       lo_y=st.integers(-40, -1), hi_y=st.integers(1, 40))
+@settings(max_examples=30, deadline=None)
+def test_reach_batch_matches_bfs(model, seed, batch, lo_x, hi_x, lo_y, hi_y):
+    window = Window.box((lo_x, hi_x), (lo_y, hi_y))
+    envs = [sample_environment(model, window, seed + k) for k in range(batch)]
+    ix, iy = window.index((0, 0))
+    edge = edge_mask(*window.shape)
+    fwd = np.stack([move_masks(env.arrows) for env in envs], axis=1)
+    for moves, cluster in ((fwd, forward_cluster), (reversed_moves(fwd), backward_cluster)):
+        sets, touched = reach_batch(moves, ix, iy, edge)
+        _, early = reach_batch(moves, ix, iy, edge, stop_at_edge=True)
+        assert np.array_equal(early, touched)
+        for k, env in enumerate(envs):
+            ref = cluster(env, (0, 0))
+            assert _sites(window, sets[k]) == set(ref.sites)
+            assert popcount(sets[k]) == len(ref.sites)  # no stray padding bits
+            assert touched[k] == ref.touches_boundary
+            one_set, one_touched = reach_batch(moves[:, k:k + 1], ix, iy, edge)
+            assert np.array_equal(one_set[0], sets[k]) and one_touched[0] == touched[k]
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # popcount calls np.bitwise_count, which numpy added in 2.0
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject)
+    assert floor is not None
+    assert (int(floor[1]), int(floor[2])) >= (2, 0)

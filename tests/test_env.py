@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dre import rng
 from dre.directions import BIT_E, BIT_W, parse_token
 from dre.env import Window, reverse_environment, sample_environment, sample_masks, subgrid
 from dre.errors import ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
+from dre.montecarlo import _sample_batch_masks
 
+from conftest import MIXED_MEASURES
 from oracles import oracle_cluster_sets
 
 
@@ -60,6 +63,23 @@ def test_subwindow_consistency(seed, radius):
     big = sample_environment(model, Window.centered(radius + 3), seed)
     small = sample_environment(model, Window.centered(radius), seed)
     assert np.array_equal(small.arrows, subgrid(big, small.window).arrows)
+
+
+@given(model=st.sampled_from(MIXED_MEASURES), seed=st.integers(0, 2**63 - 1),
+       lo_x=st.integers(-40, -1), hi_x=st.integers(1, 40),
+       lo_y=st.integers(-40, -1), hi_y=st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_sparse_coordinate_grids_match_dense(model, seed, lo_x, hi_x, lo_y, hi_y):
+    window = Window.box((lo_x, hi_x), (lo_y, hi_y))
+    measure = measure_for(model)
+    axes = [np.arange(window.lo[i], window.hi[i] + 1, dtype=np.int64) for i in range(2)]
+    dense = np.meshgrid(*axes, indexing="ij")
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    u = rng.uniforms(seed, dense)
+    want = measure.masks[np.searchsorted(measure.cumulative(), u, side="right")]
+    assert np.array_equal(sample_masks(measure, window, seed), want)
+    assert np.array_equal(_sample_batch_masks(measure, seed, 0, 3, sparse),
+                          _sample_batch_masks(measure, seed, 0, 3, dense))
 
 
 def test_support_soundness():

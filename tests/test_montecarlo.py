@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dre import montecarlo
 from dre.directions import parse_token
 from dre.env import Window
 from dre.errors import ValidationError
@@ -20,7 +21,7 @@ from dre.montecarlo import (
     TrialPlan,
     _is_ne_oriented,
     _oriented_reach_trials,
-    _trial_value,
+    _packed_values,
     bisect_pc,
     check_theta_identity,
     classify_shapes,
@@ -54,11 +55,16 @@ def test_deterministic_measure_reaches_always():
     assert rec.estimate == 1.0 and rec.se == 0.0
 
 
-def test_thread_count_does_not_change_estimates():
-    plan = TrialPlan(ModelId("NE-SW", 0.6), 15, 40, 9, REACH_B)
-    a = run_plan(plan, threads=1)
-    b = run_plan(plan, threads=4)
-    assert a.estimate == b.estimate and a.se == b.se
+def test_batch_size_does_not_change_estimates(monkeypatch):
+    for stat in (REACH_B, SIZE_M):
+        plan = TrialPlan(ModelId("NE-SW", 0.6), 15, 40, 9, stat)
+        records = []
+        for chunk in (1, 3, plan.trials + 1):
+            monkeypatch.setattr(montecarlo, "REACH_CHUNK", chunk)
+            records.append(run_plan(plan))
+        a = records[0]
+        for b in records[1:]:
+            assert a.estimate == b.estimate and a.se == b.se
 
 
 def test_fast_oriented_path_matches_generic():
@@ -69,8 +75,7 @@ def test_fast_oriented_path_matches_generic():
     for stat, backward in ((REACH_C, False), (REACH_B, True)):
         fast = _oriented_reach_trials(measure, 20, 40, 13, backward=backward)
         plan = TrialPlan(model, 20, 40, 13, stat)
-        slow = np.array([_trial_value(plan, window, measure, t) for t in range(40)],
-                        dtype=bool)
+        slow = _packed_values(plan, window, measure).astype(bool)
         assert np.array_equal(fast, slow)
 
 
