@@ -22,8 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clusters import BlockingFunction, UPPER, verify_blocking_function
-from .directions import BIT_E, BIT_N, BIT_S, BIT_W
+from .clusters import BlockingFunction, UPPER, _require_2d, verify_blocking_function
+from .directions import (BIT_E, BIT_N, BIT_S, BIT_W, EW_MASK, N_MASK, NE_MASK, NS_MASK,
+                         SW_MASK, SWE_MASK)
 from .env import EnvironmentGrid
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure, theta_plus_is_one
@@ -31,13 +32,6 @@ from .models import ModelId, canonical_name, measure_for
 
 OTSP = "OTSP"
 FSOSP = "FSOSP"
-
-NE_MASK = BIT_N | BIT_E
-SW_MASK = BIT_S | BIT_W
-SWE_MASK = BIT_S | BIT_W | BIT_E
-EW_MASK = BIT_E | BIT_W
-NS_MASK = BIT_N | BIT_S
-N_MASK = BIT_N
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +336,7 @@ def verify_duality(
     """
     from .errors import ConsistencyError
 
-    if env.d != 2:
-        raise DimensionError("duality checks require d=2")
+    _require_2d(env)
     if env.measure is None or env.measure.support() != _DUAL_MODEL_ATOMS[lattice]:
         raise ValidationError(
             f"environment atoms do not match the {lattice} duality model"
@@ -521,7 +514,7 @@ def _rotate_mask(mask: int) -> int:
 
 
 def _reflect_mask(mask: int) -> int:
-    out = mask & (BIT_N | BIT_S)
+    out = mask & NS_MASK
     if mask & BIT_E:
         out |= BIT_W
     if mask & BIT_W:

@@ -24,8 +24,8 @@ from .montecarlo import (
     TrialPlan,
     bisect_pc,
     classify_shapes,
-    estimate_theta,
     otsp_reach_estimate,
+    run_plan,
     write_records_csv,
     write_records_jsonl,
 )
@@ -282,7 +282,7 @@ def _cmd_estimate(opts: _Options) -> int:
     else:
         model = opts.require_model()
         plan = TrialPlan(model, radius, trials, seed, stat)
-        rec = estimate_theta(plan)
+        rec = run_plan(plan)
     print(f"# seed={seed}", file=sys.stderr)
     out, close = _open_out(opts)
     try:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .directions import BIT_E, BIT_N, BIT_S, BIT_W, all_directions
-from .env import EnvironmentGrid, Site, Window, reverse_environment
+from .env import EnvironmentGrid, Site, Window
 from .errors import ConsistencyError, DimensionError, ValidationError
 
 FORWARD = "forward"
@@ -48,58 +48,56 @@ def _check_origin(env: EnvironmentGrid, x: Site) -> None:
         raise ValidationError(f"site {x} lies outside the window")
 
 
-def forward_cluster(env: EnvironmentGrid, x: Site) -> ClusterResult:
-    """All window sites reachable from x along open arrows."""
-    _check_origin(env, x)
+def bfs_parents(env: EnvironmentGrid, origin: Site, kind: str = FORWARD,
+                forbidden: Optional[Callable[[Site], bool]] = None) -> dict[Site, Optional[Site]]:
+    """Breadth-first search along (FORWARD) or against (BACKWARD) open arrows.
+
+    Returns the parent map of every window site found, in discovery order:
+    parents[z] is the site z was found from, which is the previous site on
+    an open path from origin (forward) or the next site on an open path
+    from z to origin (backward); origin maps to None.  Sites for which
+    forbidden(site) holds are never entered.
+    """
     window = env.window
     dirs = all_directions(env.d)
-    steps = [dn.step(env.d) for dn in dirs]
+    forward = kind == FORWARD
+    steps = [(dn if forward else dn.negate()).step(env.d) for dn in dirs]
     bits = [1 << dn.bit(env.d) for dn in dirs]
-    seen = {x}
-    queue = deque([x])
-    touched = window.on_edge(x)
+    parents: dict[Site, Optional[Site]] = {origin: None}
+    queue = deque([origin])
     while queue:
         site = queue.popleft()
-        mask = env.mask_at(site)
+        mask = env.mask_at(site) if forward else 0
         for step, bit in zip(steps, bits):
-            if not mask & bit:
+            if forward and not mask & bit:
                 continue
             nxt = tuple(c + s for c, s in zip(site, step))
-            if not window.contains(nxt):
+            if nxt in parents or not window.contains(nxt):
                 continue
-            if nxt not in seen:
-                seen.add(nxt)
-                if not touched and window.on_edge(nxt):
-                    touched = True
-                queue.append(nxt)
-    return ClusterResult(FORWARD, x, frozenset(seen), touched)
+            # a predecessor through arrow dn sits at site - dn and carries dn
+            if not forward and not env.mask_at(nxt) & bit:
+                continue
+            if forbidden is not None and forbidden(nxt):
+                continue
+            parents[nxt] = site
+            queue.append(nxt)
+    return parents
+
+
+def _cluster(env: EnvironmentGrid, x: Site, kind: str) -> ClusterResult:
+    _check_origin(env, x)
+    sites = bfs_parents(env, x, kind)
+    return ClusterResult(kind, x, frozenset(sites), any(map(env.window.on_edge, sites)))
+
+
+def forward_cluster(env: EnvironmentGrid, x: Site) -> ClusterResult:
+    """All window sites reachable from x along open arrows."""
+    return _cluster(env, x, FORWARD)
 
 
 def backward_cluster(env: EnvironmentGrid, y: Site) -> ClusterResult:
     """All window sites from which y is reachable along open arrows."""
-    _check_origin(env, y)
-    window = env.window
-    dirs = all_directions(env.d)
-    steps = [dn.step(env.d) for dn in dirs]
-    bits = [1 << dn.bit(env.d) for dn in dirs]
-    seen = {y}
-    queue = deque([y])
-    touched = window.on_edge(y)
-    while queue:
-        site = queue.popleft()
-        # predecessor through arrow dn sits at site - dn and carries dn
-        for step, bit in zip(steps, bits):
-            prev = tuple(c - s for c, s in zip(site, step))
-            if not window.contains(prev):
-                continue
-            if prev in seen:
-                continue
-            if env.mask_at(prev) & bit:
-                seen.add(prev)
-                if not touched and window.on_edge(prev):
-                    touched = True
-                queue.append(prev)
-    return ClusterResult(BACKWARD, y, frozenset(seen), touched)
+    return _cluster(env, y, BACKWARD)
 
 
 def communicating_cluster(env: EnvironmentGrid, x: Site) -> ClusterResult:
@@ -110,15 +108,6 @@ def communicating_cluster(env: EnvironmentGrid, x: Site) -> ClusterResult:
         COMMUNICATING, x, fwd.sites & bwd.sites,
         fwd.touches_boundary or bwd.touches_boundary,
     )
-
-
-def backward_via_reversal(env: EnvironmentGrid, y: Site) -> ClusterResult:
-    """Backward cluster computed as a forward search on the reversed graph.
-
-    Site sets agree exactly with backward_cluster; used as a cross-check.
-    """
-    res = forward_cluster(reverse_environment(env), y)
-    return ClusterResult(BACKWARD, y, res.sites, res.touches_boundary)
 
 
 # ---------------------------------------------------------------------------

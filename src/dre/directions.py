@@ -55,13 +55,6 @@ def all_directions(d: int) -> tuple[Direction, ...]:
     return plus + minus
 
 
-def mask_of(dirs, d: int) -> int:
-    mask = 0
-    for dn in dirs:
-        mask |= 1 << dn.bit(d)
-    return mask
-
-
 def dirs_of(mask: int, d: int) -> tuple[Direction, ...]:
     return tuple(dn for dn in all_directions(d) if mask & (1 << dn.bit(d)))
 
@@ -77,6 +70,14 @@ _DIR_TO_LETTER = {N: "N", E: "E", S: "S", W: "W"}
 
 # Bits in d=2 (fixed by the snapshot format).
 BIT_E, BIT_N, BIT_W, BIT_S = 1, 2, 4, 8
+
+# The arrow sets the two-valued models and their dual lattices are built from.
+NE_MASK = BIT_N | BIT_E
+SW_MASK = BIT_S | BIT_W
+SWE_MASK = BIT_S | BIT_W | BIT_E
+N_MASK = BIT_N
+EW_MASK = BIT_E | BIT_W
+NS_MASK = BIT_N | BIT_S
 
 # Quadrants list the vertical arrow first; a quadrant path prefers the
 # first listed arrow with its tiebreak probability.

@@ -80,13 +80,6 @@ class SupportMeasure:
         )
 
 
-def measure_from_dirsets(d: int, *atoms: tuple[frozenset | set | tuple, float]) -> SupportMeasure:
-    """Build a measure from (direction collection, probability) pairs."""
-    from .directions import mask_of
-
-    return SupportMeasure(d, tuple((mask_of(dirs, d), p) for dirs, p in atoms))
-
-
 def theta_plus_is_one(measure: SupportMeasure) -> tuple[bool, tuple[Direction, ...] | None]:
     """Decide whether every forward cluster is infinite almost surely.
 

@@ -24,6 +24,7 @@ in the second range.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -35,6 +36,7 @@ import numpy as np
 from . import rng
 from .bitgrid import edge_mask, move_masks, mutual_stats, reach_batch, reversed_moves
 from .clusters import classify_b_shape
+from .directions import BIT_E, BIT_N, N_MASK, NE_MASK, SW_MASK, SWE_MASK
 from .env import EnvironmentGrid, Window, sample_environment, sample_masks
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure
@@ -133,42 +135,63 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batched row dynamic programming for northeast-oriented measures
+# One batched row sweep for the oriented models
 # ---------------------------------------------------------------------------
 #
-# When every atom is a subset of {E, N}, reachability never leaves the
-# origin's quadrant and admits a single row sweep: a site is reached from
-# the row below through its N gate or along the row through E gates.  The
-# in-row recurrence R[i] = feed[i] | (R[i-1] & gate[i-1]) vectorizes with
-# two running maxima: R[i] is true iff the last feed position at or before
-# i is at or after the last gate break strictly before i.  Batching trials
-# into one array turns ~10ms per trial into ~0.1ms, and the per-site draws
-# stay bit-identical to the generic path because the per-trial seeds and
-# the site hash are unchanged.
+# When every atom is a subset of {E, N}, and on the oriented triangular
+# lattice, reachability never leaves one quadrant and a single row sweep
+# decides it.  Callers flip the quadrant into sweep order with numpy views,
+# so the source is corner (row 0, column 0) and every move goes right, up,
+# or (otsp) up-right.  The in-row recurrence R[i] = feed[i] | (R[i-1] &
+# gate[i-1]) vectorizes with two running maxima: R[i] is true iff the last
+# feed position at or before i is at or after the last gate break strictly
+# before i.  Batching trials into one array turns ~10ms per trial into
+# ~0.1ms, and the per-site draws stay bit-identical to the generic path
+# because the per-trial seeds and the site hash are unchanged.
 
-_NE_ORIENTED_MASKS = frozenset({0, 1 << 0, 1 << 1, (1 << 0) | (1 << 1)})
+_NE_ORIENTED_MASKS = frozenset({0, BIT_E, BIT_N, NE_MASK})
 
 
 def _is_ne_oriented(measure: SupportMeasure) -> bool:
     return measure.d == 2 and measure.support() <= _NE_ORIENTED_MASKS
 
 
-def _row_propagate(feed: np.ndarray, gate: np.ndarray, gate_at_source: bool) -> np.ndarray:
-    """Batched solve of R[i] = feed[i] | (R[i-1] & gate[..]) along axis 1.
+def _row_propagate(feed: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """Batched solve of R[i] = feed[i] | (R[i-1] & gate[i-1]) along axis 1.
 
-    gate_at_source: the gate consumed stepping i-1 -> i sits at i-1;
-    otherwise at i (the destination does the pulling).
+    feed is (B, n); gate is (B, n-1), gate[:, i] opening the step i -> i+1.
     """
-    b, n = feed.shape
+    n = feed.shape[1]
     idx = np.arange(n)
     last_feed = np.maximum.accumulate(np.where(feed, idx, -1), axis=1)
-    if gate_at_source:
-        brk = np.zeros_like(feed)
-        brk[:, 1:] = ~gate[:, :-1]
-        start = np.maximum.accumulate(np.where(brk, idx, 0), axis=1)
-    else:
-        start = np.maximum.accumulate(np.where(~gate, idx, 0), axis=1)
-    return last_feed >= start
+    start = np.zeros_like(last_feed)
+    start[:, 1:] = np.where(gate, 0, idx[1:])
+    return last_feed >= np.maximum.accumulate(start, axis=1)
+
+
+def _row_sweep(up: np.ndarray, right: np.ndarray, diagonal: bool) -> np.ndarray:
+    """Edge contact of the cluster of corner (row 0, column 0), per trial.
+
+    Axes are (trial, column i, row k), already in sweep order, and every
+    gate sits at its source: up[:, i, k] (shape (B, n, rows-1)) lets site i
+    of row k step to row k+1, right[:, i, k] (shape (B, n-1, rows)) lets it
+    step to column i+1, and with diagonal the up gate also opens the step
+    to (i+1, k+1).  Contact is meeting the last column or the last row.
+    """
+    b, n = up.shape[:2]
+    row = np.zeros((b, n), dtype=bool)
+    row[:, 0] = True
+    touched = np.zeros(b, dtype=bool)
+    for k in range(right.shape[2]):
+        if k > 0:
+            row = row & up[:, :, k - 1]
+            if diagonal:
+                row[:, 1:] = row[:, 1:] | row[:, :-1]
+        row = _row_propagate(row, right[:, :, k])
+        touched |= row[:, -1]
+        if not row.any():
+            break
+    return touched | row.any(axis=1)  # the last row reached
 
 
 def _sample_batch_masks(measure: SupportMeasure, master_seed: int,
@@ -184,11 +207,14 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
                            master_seed: int, backward: bool,
                            origin_open: bool = False,
                            batch: int = 256) -> np.ndarray:
-    n = radius + 1
-    if backward:
-        axes = np.arange(-radius, 1, dtype=np.int64)
-    else:
-        axes = np.arange(0, radius + 1, dtype=np.int64)
+    """Edge contact of the forward (or backward) cluster of a NE-oriented model.
+
+    The forward cluster lives in the quadrant [0, radius]^2, the backward
+    one in [-radius, 0]^2.  Backward reach is swept with both axes flipped:
+    a gate at the destination becomes a gate at the source one cell on.
+    """
+    lo_axis = -radius if backward else 0
+    axes = np.arange(lo_axis, lo_axis + radius + 1, dtype=np.int64)
     grids = np.meshgrid(axes, axes, indexing="ij", sparse=True)
     out = np.empty(trials, dtype=bool)
     full_mask = 0
@@ -199,37 +225,13 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
         masks = _sample_batch_masks(measure, master_seed, lo, hi, grids)
         if origin_open and not backward:
             masks[:, 0, 0] = full_mask  # condition on a live origin
-        has_e = (masks & np.uint16(1)).astype(bool)
-        has_n = (masks & np.uint16(2)).astype(bool)
-        b = hi - lo
-        touched = np.zeros(b, dtype=bool)
-        if not backward:
-            row = np.zeros((b, n), dtype=bool)
-            row[:, 0] = True  # origin at quadrant corner
-            feed = row
-            for iy in range(n):
-                if iy > 0:
-                    feed = row & has_n[:, :, iy - 1]
-                row = _row_propagate(feed, has_e[:, :, iy], gate_at_source=True)
-                touched |= row[:, -1]
-                if not row.any():
-                    break
-            touched |= row.any(axis=1)  # top row reached
+        has_e = (masks & np.uint16(BIT_E)).astype(bool)
+        has_n = (masks & np.uint16(BIT_N)).astype(bool)
+        if backward:
+            e_r, n_r = has_e[:, ::-1, ::-1], has_n[:, ::-1, ::-1]
+            out[lo:hi] = _row_sweep(n_r[:, :, 1:], e_r[:, 1:, :], False)
         else:
-            row = np.zeros((b, n), dtype=bool)
-            row[:, -1] = True
-            feed = row
-            for k, iy in enumerate(range(n - 1, -1, -1)):
-                if k > 0:
-                    feed = row & has_n[:, :, iy]
-                rev = _row_propagate(feed[:, ::-1], has_e[:, ::-1, iy],
-                                     gate_at_source=False)
-                row = rev[:, ::-1]
-                touched |= row[:, 0]
-                if not row.any():
-                    break
-            touched |= row.any(axis=1)  # bottom row reached
-        out[lo:hi] = touched
+            out[lo:hi] = _row_sweep(has_n[:, :, :-1], has_e[:, :-1, :], False)
     return out
 
 
@@ -310,11 +312,6 @@ def run_plan(plan: TrialPlan) -> EstimateRecord:
                           time.perf_counter() - t0)
 
 
-def estimate_theta(plan: TrialPlan) -> EstimateRecord:
-    """Boundary-reach estimate of the requested cluster probability."""
-    return run_plan(plan)
-
-
 # ---------------------------------------------------------------------------
 # The forward/backward identity for site-percolation-type models
 # ---------------------------------------------------------------------------
@@ -372,11 +369,10 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
 
     Sites are open with probability p; an open site points to its west,
     north, and northwest neighbors, so the cluster lives in the origin's
-    northwest quadrant and the same batched row sweep applies (reversed in
-    the first coordinate, with a diagonal feed).  Closed sites can be
-    reached but not left, matching the site-percolation convention.
+    northwest quadrant and the row sweep applies with the columns flipped
+    and a diagonal feed.  Closed sites can be reached but not left,
+    matching the site-percolation convention.
     """
-    n = radius + 1
     gx = np.arange(-radius, 1, dtype=np.int64)
     gy = np.arange(0, radius + 1, dtype=np.int64)
     grids = np.meshgrid(gx, gy, indexing="ij", sparse=True)
@@ -388,28 +384,8 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
         open_grid = rng.uniforms(seeds[:, None, None], grids) < p
         if origin_open:
             open_grid[:, -1, 0] = True
-        b = hi - lo
-        touched = np.zeros(b, dtype=bool)
-        row = np.zeros((b, n), dtype=bool)
-        row[:, -1] = True  # origin sits at the quadrant's SE corner
-        open_prev = open_grid[:, :, 0]
-        for iy in range(n):
-            open_row = open_grid[:, :, iy]
-            if iy == 0:
-                feed = row.copy()
-            else:
-                src = row & open_prev
-                feed = src.copy()
-                feed[:, :-1] |= src[:, 1:]  # northwest move
-            rev = _row_propagate(feed[:, ::-1], open_row[:, ::-1],
-                                 gate_at_source=True)
-            row = rev[:, ::-1]
-            open_prev = open_row
-            touched |= row[:, 0]
-            if not row.any():
-                break
-        touched |= row.any(axis=1)  # top row reached
-        out[lo:hi] = touched
+        g = open_grid[:, ::-1, :]  # origin at column 0, west is +1
+        out[lo:hi] = _row_sweep(g[:, :, :-1], g[:, :-1, :], True)
     return out
 
 
@@ -723,33 +699,30 @@ class MartingaleReport:
         return max(abs(z) for z in self.diff_zs)
 
 
-def _up_or_right_levels(p: float, radius: int, trials: int, master_seed: int,
-                        n_levels: int) -> np.ndarray:
-    """Level counts X_n of sites on the n-th antidiagonal reaching the origin.
+def _up_or_right_fronts(p: float, radius: int, trials: int, master_seed: int):
+    """Yield the antidiagonal fronts of the sites whose path reaches the origin.
 
-    Vectorized over trials; the site (-(n-i), -i), i = 0..n, is indexed by
-    its first offset.  Window masking keeps only sites with both
-    coordinates in [-radius, 0].
+    Front n (n = 0 .. 2*radius) is a (trials, n+1) boolean array over the
+    sites (-(n-i), -i), i = 0..n, indexed by their second offset; each site
+    steps up (to index i-1 of front n-1) or right (to index i).  Window
+    masking keeps only sites with both coordinates in [-radius, 0], so
+    fronts n <= radius do not depend on the radius.
     """
-    counts = np.empty((n_levels + 1, trials), dtype=np.int64)
     t_idx = np.arange(trials, dtype=np.int64)[:, None]
     b = np.ones((trials, 1), dtype=bool)
-    counts[0] = 1
-    for n in range(1, n_levels + 1):
+    yield b
+    for n in range(1, 2 * radius + 1):
         i = np.arange(n + 1, dtype=np.int64)[None, :]
         up = rng.uniforms(master_seed, (t_idx, np.int64(n), i)) < p
-        # site i on level n steps up to level n-1 index i-1, right to index i
         prev_up = np.zeros((trials, n + 1), dtype=bool)
         prev_up[:, 1:] = b
         prev_right = np.zeros((trials, n + 1), dtype=bool)
         prev_right[:, :n] = b
-        nb = np.where(up, prev_up, prev_right)
+        b = np.where(up, prev_up, prev_right)
         if n > radius:
-            nb[:, :n - radius] = False   # first coordinate below -radius
-            nb[:, radius + 1:] = False   # second coordinate below -radius
-        counts[n] = nb.sum(axis=1)
-        b = nb
-    return counts
+            b[:, :n - radius] = False   # first coordinate below -radius
+            b[:, radius + 1:] = False   # second coordinate below -radius
+        yield b
 
 
 def martingale_test(p: float, radius: int, trials: int, n_levels: int = 30,
@@ -762,7 +735,8 @@ def martingale_test(p: float, radius: int, trials: int, n_levels: int = 30,
     """
     if n_levels >= radius:
         raise ValidationError("keep n_levels < radius so no level is truncated")
-    counts = _up_or_right_levels(p, radius, trials, master_seed, n_levels)
+    fronts = _up_or_right_fronts(p, radius, trials, master_seed)
+    counts = np.array([front.sum(axis=1) for front in itertools.islice(fronts, n_levels + 1)])
     means = counts.mean(axis=1)
     diffs = counts[1:] - counts[:-1]
     ses = diffs.std(axis=1, ddof=1) / math.sqrt(trials)
@@ -779,41 +753,23 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
     nested realizations of one environment and the estimates are monotone
     trial-by-trial: reaching the larger edge implies reaching the smaller.
     """
+    if any(radius < 1 for radius in radii):
+        raise ValidationError("window radius must be >= 1")
     out = []
     for radius in radii:
         t0 = time.perf_counter()
-        touched = _up_or_right_edge_contact(p, radius, trials, master_seed)
+        touched = np.zeros(trials, dtype=bool)
+        for n, front in enumerate(_up_or_right_fronts(p, radius, trials, master_seed)):
+            if n >= radius:
+                # index radius is second coordinate -radius; n - radius is first
+                touched |= front[:, radius] | front[:, n - radius]
+            if not front.any():
+                break
         est = float(touched.mean())
         se = math.sqrt(max(est * (1.0 - est), 0.0) / trials)
         out.append(EstimateRecord("N-E", p, radius, trials, REACH_B, est, se,
                                   master_seed, time.perf_counter() - t0))
     return out
-
-
-def _up_or_right_edge_contact(p: float, radius: int, trials: int,
-                              master_seed: int) -> np.ndarray:
-    t_idx = np.arange(trials, dtype=np.int64)[:, None]
-    b = np.ones((trials, 1), dtype=bool)
-    touched = np.zeros(trials, dtype=bool)
-    for n in range(1, 2 * radius + 1):
-        i = np.arange(n + 1, dtype=np.int64)[None, :]
-        up = rng.uniforms(master_seed, (t_idx, np.int64(n), i)) < p
-        prev_up = np.zeros((trials, n + 1), dtype=bool)
-        prev_up[:, 1:] = b
-        prev_right = np.zeros((trials, n + 1), dtype=bool)
-        prev_right[:, :n] = b
-        nb = np.where(up, prev_up, prev_right)
-        if n > radius:
-            nb[:, :n - radius] = False
-            nb[:, radius + 1:] = False
-        if n >= radius:
-            # index radius is second coordinate -radius; n - radius is first
-            touched |= nb[:, radius]
-            touched |= nb[:, n - radius]
-        if not nb.any():
-            break
-        b = nb
-    return touched
 
 
 # ---------------------------------------------------------------------------
@@ -908,9 +864,9 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     verified = 0
     support = measure_for(model).support()
     lattice = None
-    if support == frozenset({bounds_mod.NE_MASK, bounds_mod.SW_MASK}):
+    if support == frozenset({NE_MASK, SW_MASK}):
         lattice = bounds_mod.OTSP
-    elif support == frozenset({bounds_mod.SWE_MASK, bounds_mod.N_MASK}):
+    elif support == frozenset({SWE_MASK, N_MASK}):
         lattice = bounds_mod.FSOSP
     for t in range(trials):
         env = sample_environment(model, outer, rng.spawn_seed(master_seed, t))

@@ -29,15 +29,12 @@ import numpy as np
 
 from . import rng
 from .bitgrid import PackedGrid
-from .directions import BIT_E, BIT_N, BIT_S, BIT_W, E, N, QUADRANTS, S, W
+from .clusters import BACKWARD, FORWARD, _require_2d, bfs_parents
+from .directions import (BIT_E, BIT_N, BIT_S, BIT_W, E, N, N_MASK, NE_MASK, QUADRANTS, S,
+                         SW_MASK, SWE_MASK, W)
 from .env import EnvironmentGrid, Site, Window
-from .errors import DimensionError, ModelAssumptionError, ValidationError
+from .errors import ModelAssumptionError, ValidationError
 from .measure import SupportMeasure, theta_plus_is_one
-
-NE_MASK = BIT_N | BIT_E
-SW_MASK = BIT_S | BIT_W
-SWE_MASK = BIT_S | BIT_W | BIT_E
-N_MASK = BIT_N
 
 EXIT_BOUNDARY = "HitBoundary"
 EXIT_COALESCED = "Coalesced"
@@ -68,11 +65,6 @@ def step_mask(delta: tuple[int, int]) -> int:
     if delta not in table:
         raise ValidationError(f"not a unit step: {delta}")
     return table[delta]
-
-
-def _require_2d(env: EnvironmentGrid) -> None:
-    if env.d != 2:
-        raise DimensionError("path construction requires d=2")
 
 
 def step_limit(window: Window) -> int:
@@ -357,54 +349,6 @@ def _verify_cycle(env, sites, m, strategy) -> Optional[OpenCycle]:
     return OpenCycle(tuple(sites), m, w, strategy)
 
 
-def _backward_bfs_avoiding(env: EnvironmentGrid, target: Site, forbidden) \
-        -> dict[Site, Optional[Site]]:
-    """Parents of every site that reaches target without entering forbidden.
-
-    parents[z] is the next site on an open path from z to target; the
-    target maps to None.
-    """
-    window = env.window
-    parents: dict[Site, Optional[Site]] = {target: None}
-    queue = deque([target])
-    dirs = ((BIT_E, (1, 0)), (BIT_N, (0, 1)), (BIT_W, (-1, 0)), (BIT_S, (0, -1)))
-    while queue:
-        site = queue.popleft()
-        for bit, (dx, dy) in dirs:
-            prev = (site[0] - dx, site[1] - dy)
-            if prev in parents or not window.contains(prev):
-                continue
-            if forbidden(prev):
-                continue
-            if env.mask_at(prev) & bit:
-                parents[prev] = site
-                queue.append(prev)
-    return parents
-
-
-def _forward_bfs_avoiding(env: EnvironmentGrid, source: Site, forbidden) \
-        -> dict[Site, Optional[Site]]:
-    """Predecessor tree of every site reachable from source avoiding forbidden."""
-    window = env.window
-    parents: dict[Site, Optional[Site]] = {source: None}
-    queue = deque([source])
-    dirs = ((BIT_E, (1, 0)), (BIT_N, (0, 1)), (BIT_W, (-1, 0)), (BIT_S, (0, -1)))
-    while queue:
-        site = queue.popleft()
-        mask = env.mask_at(site)
-        for bit, (dx, dy) in dirs:
-            if not mask & bit:
-                continue
-            nxt = (site[0] + dx, site[1] + dy)
-            if nxt in parents or not window.contains(nxt):
-                continue
-            if forbidden(nxt):
-                continue
-            parents[nxt] = site
-            queue.append(nxt)
-    return parents
-
-
 def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
                   max_z_per_anchor: int = 8) -> Optional[OpenCycle]:
     """Close a partial spiral through an open path that avoids the box.
@@ -427,7 +371,7 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
         anchor = trace[a_idx]
         if in_box(anchor):
             continue
-        into_anchor = _backward_bfs_avoiding(env, anchor, in_box)
+        into_anchor = bfs_parents(env, anchor, BACKWARD, in_box)
         if len(into_anchor) < 2:
             continue
         tried = 0
@@ -438,7 +382,7 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
             tried += 1
             if tried > max_z_per_anchor:
                 break
-            from_z = _forward_bfs_avoiding(env, z, in_box)
+            from_z = bfs_parents(env, z, FORWARD, in_box)
             waypoint = None
             best = None
             for site in from_z:

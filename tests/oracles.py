@@ -1,8 +1,10 @@
 """Independent reference implementations used only to check the library.
 
 Kept deliberately naive: transitive closure by boolean matrix powering for
-reachability, a direct recursive self-avoiding-walk count, and a
-brute-force witness search.  Nothing here shares code with the package.
+reachability, a site-by-site search of the oriented triangular lattice, a
+direct recursive self-avoiding-walk count, and a brute-force witness
+search.  Nothing here shares code with the package beyond the site hash
+that defines the environments.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from dre.directions import all_directions
 from dre.env import EnvironmentGrid
+from dre.rng import spawn_seed, uniform_one
 
 
 def window_sites(env: EnvironmentGrid) -> list[tuple]:
@@ -52,6 +55,33 @@ def oracle_cluster_sets(env: EnvironmentGrid, x: tuple):
 
 def oracle_touches(env: EnvironmentGrid, sites: set) -> bool:
     return any(env.window.on_edge(s) for s in sites)
+
+
+def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,
+                      origin_open: bool = False) -> list[bool]:
+    """Per trial: does the origin's open cluster on the oriented triangular
+    lattice meet x = -radius or y = radius?
+
+    Site (x, y) of trial t is open when the uniform keyed on
+    (spawn_seed(master_seed, t), x, y) is below p (the origin too, unless
+    origin_open).  An open site steps W, N and NW; a closed one is a dead
+    end.  The window is [-radius, 0] x [0, radius].
+    """
+    out = []
+    for t in range(trials):
+        seed = spawn_seed(master_seed, t)
+        seen = {(0, 0)}
+        stack = [(0, 0)]
+        while stack:
+            x, y = stack.pop()
+            if not ((origin_open and (x, y) == (0, 0)) or uniform_one(seed, x, y) < p):
+                continue
+            for nxt in ((x - 1, y), (x, y + 1), (x - 1, y + 1)):
+                if nxt[0] >= -radius and nxt[1] <= radius and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        out.append(any(x == -radius or y == radius for x, y in seen))
+    return out
 
 
 def naive_saw_count(n: int) -> int:

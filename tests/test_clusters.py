@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from dre.clusters import (
+    BACKWARD,
     BLOCKED_ABOVE,
     BLOCKED_BELOW,
     FINITE,
+    FORWARD,
     FULL_WINDOW,
     INDETERMINATE,
     BlockingFunction,
     backward_cluster,
-    backward_via_reversal,
+    bfs_parents,
     classify_b_shape,
     communicating_cluster,
     dn_trajectory,
@@ -18,7 +20,7 @@ from dre.clusters import (
     verify_blocking_function,
 )
 from dre.directions import BIT_E, BIT_N, BIT_S, BIT_W, parse_token
-from dre.env import EnvironmentGrid, Window, sample_environment
+from dre.env import EnvironmentGrid, Window, reverse_environment, sample_environment
 from dre.errors import DimensionError, ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId
@@ -71,7 +73,25 @@ def test_oracle_equivalence_sample():
         assert f.sites == fwd and b.sites == bwd and m.sites == comm
         assert f.touches_boundary == oracle_touches(env, fwd)
         assert b.touches_boundary == oracle_touches(env, bwd)
-        assert backward_via_reversal(env, (0, 0)).sites == bwd
+        assert forward_cluster(reverse_environment(env), (0, 0)).sites == bwd
+
+
+@pytest.mark.parametrize("kind", [FORWARD, BACKWARD])
+def test_bfs_parents_is_an_open_tree(kind):
+    bits = {(1, 0): BIT_E, (0, 1): BIT_N, (-1, 0): BIT_W, (0, -1): BIT_S}
+    cluster = forward_cluster if kind == FORWARD else backward_cluster
+    for i, model in enumerate(MIXED_MEASURES):
+        env = sample_environment(model, Window.centered(6), 2000 + i)
+        parents = bfs_parents(env, (0, 0), kind)
+        assert set(parents) == cluster(env, (0, 0)).sites and parents[(0, 0)] is None
+        avoiding = bfs_parents(env, (0, 0), kind, forbidden=lambda s: s[0] == 1)
+        assert set(avoiding) <= set(parents)
+        assert all(s[0] != 1 for s in avoiding)
+        for tree in (parents, avoiding):
+            for z, q in tree.items():
+                if q is not None:
+                    src, dst = (q, z) if kind == FORWARD else (z, q)
+                    assert env.mask_at(src) & bits[(dst[0] - src[0], dst[1] - src[1])]
 
 
 def test_communicating_symmetry_and_membership():

@@ -1,17 +1,20 @@
 import csv
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dre import montecarlo
 from dre.directions import parse_token
 from dre.env import Window
 from dre.errors import ValidationError
 from dre.measure import SupportMeasure
-from dre.models import ModelId, measure_for
+from dre.models import ModelId, measure_for, two_valued
 from dre.montecarlo import (
     CSV_HEADER,
     REACH_B,
@@ -21,12 +24,13 @@ from dre.montecarlo import (
     TrialPlan,
     _is_ne_oriented,
     _oriented_reach_trials,
+    _otsp_reach_trials,
     _packed_values,
+    _up_or_right_fronts,
     bisect_pc,
     check_theta_identity,
     classify_shapes,
     dn_transition_test,
-    estimate_theta,
     lu_walk_test,
     m_size_stats,
     martingale_test,
@@ -40,6 +44,10 @@ from dre.montecarlo import (
     write_records_csv,
     write_records_jsonl,
 )
+
+from oracles import otsp_reach_oracle
+
+OPEN_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def test_plan_validation():
@@ -79,14 +87,40 @@ def test_fast_oriented_path_matches_generic():
         assert np.array_equal(fast, slow)
 
 
+@given(tokens=st.permutations([".", "E", "N", "NE"]), p=OPEN_P, radius=st.integers(1, 12),
+       seed=st.integers(0, 2**32), batch=st.integers(1, 4),
+       mode=st.sampled_from(["forward", "backward", "live origin"]))
+@settings(max_examples=60, deadline=None)
+def test_oriented_sweep_matches_generic(tokens, p, radius, seed, batch, mode):
+    measure = two_valued(tokens[0], tokens[1], p)
+    assert _is_ne_oriented(measure)
+    trials = 9
+    live = mode == "live origin"
+    fast = _oriented_reach_trials(measure, radius, trials, seed, backward=mode == "backward",
+                                  origin_open=live, batch=batch)
+    plan = TrialPlan(measure, radius, trials, seed, REACH_B if mode == "backward" else REACH_C)
+    full_mask = parse_token(tokens[0]) | parse_token(tokens[1])
+    slow = _packed_values(plan, Window.centered(radius, 2), measure,
+                          origin_mask=full_mask if live else None).astype(bool)
+    assert np.array_equal(fast, slow)
+
+
+@given(p=OPEN_P, radius=st.integers(1, 12), trials=st.integers(1, 12),
+       seed=st.integers(0, 2**32), batch=st.integers(1, 5), origin_open=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_otsp_sweep_matches_oracle(p, radius, trials, seed, batch, origin_open):
+    got = _otsp_reach_trials(p, radius, trials, seed, origin_open=origin_open, batch=batch)
+    assert got.tolist() == otsp_reach_oracle(p, radius, trials, seed, origin_open)
+
+
 def test_size_statistic_full_communication():
     m = SupportMeasure(2, ((parse_token("NSEW"), 1.0),))
     rec = run_plan(TrialPlan(m, 5, 3, 0, SIZE_M))
     assert rec.estimate == 11 * 11
 
 
-def test_estimate_theta_record_fields():
-    rec = estimate_theta(TrialPlan(ModelId("NE-.", 0.75), 25, 200, 5, REACH_C))
+def test_run_plan_record_fields():
+    rec = run_plan(TrialPlan(ModelId("NE-.", 0.75), 25, 200, 5, REACH_C))
     assert rec.model == "NE-." and rec.radius == 25 and rec.trials == 200
     assert 0.0 <= rec.estimate <= 1.0
     assert rec.se == pytest.approx(
@@ -94,8 +128,8 @@ def test_estimate_theta_record_fields():
 
 
 def test_theta_plus_regimes_oriented_percolation():
-    sub = estimate_theta(TrialPlan(ModelId("NE-.", 0.5), 100, 2000, 21, REACH_C))
-    sup = estimate_theta(TrialPlan(ModelId("NE-.", 0.75), 100, 2000, 22, REACH_C))
+    sub = run_plan(TrialPlan(ModelId("NE-.", 0.5), 100, 2000, 21, REACH_C))
+    sup = run_plan(TrialPlan(ModelId("NE-.", 0.75), 100, 2000, 22, REACH_C))
     assert sub.estimate <= 0.05
     assert sup.estimate >= 0.1
     # separated by far more than the 3-sigma bands
@@ -185,6 +219,19 @@ def test_theta_minus_curve_decreasing():
     assert ests[0] > ests[1] > ests[2] > 0
 
 
+def test_up_or_right_nested_windows():
+    # one trial per master seed, so each estimate is that trial's edge contact
+    radii = (1, 2, 3, 5, 8, 13, 21)
+    for seed in range(60):
+        contact = [r.estimate for r in theta_minus_curve(0.5, radii, 1, master_seed=seed)]
+        assert contact == sorted(contact, reverse=True), (seed, contact)
+    # fronts inside the smallest window do not see the window
+    levels = [np.concatenate([f.sum(axis=1) for f in itertools.islice(
+                  _up_or_right_fronts(0.45, radius, 200, 3), 6)])
+              for radius in (5, 9, 14)]
+    assert all(np.array_equal(levels[0], other) for other in levels[1:])
+
+
 def test_m_size_stats_nested_stability():
     rows = m_size_stats(ModelId("NE-SW", 0.9), (15, 30), 300, master_seed=9)
     assert rows[0].boundary_rate >= rows[1].boundary_rate
@@ -219,7 +266,7 @@ def test_otsp_estimates_extremes():
 
 
 def test_record_serialization_roundtrip():
-    rec = estimate_theta(TrialPlan(ModelId("NE-.", 0.7), 12, 30, 1, REACH_C))
+    rec = run_plan(TrialPlan(ModelId("NE-.", 0.7), 12, 30, 1, REACH_C))
     buf = io.StringIO()
     write_records_csv([rec], buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
