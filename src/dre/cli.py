@@ -10,6 +10,7 @@ prints the effective seed so any run can be replayed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -20,7 +21,11 @@ from .env import Window, sample_environment
 from .errors import DreError, ValidationError
 from .models import ModelId, canonical_name, catalog_names
 from .montecarlo import (
+    REACH_B,
     REACH_C,
+    REACH_M,
+    REACH_OTSP,
+    SIZE_M,
     TrialPlan,
     bisect_pc,
     classify_shapes,
@@ -92,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", parents=[common],
                            help="Monte Carlo estimate of a reach statistic")
     p_est.add_argument("--statistic",
-                       choices=["reach_C", "reach_B", "reach_M", "size_M", "reach_otsp"])
+                       choices=[REACH_C, REACH_B, REACH_M, SIZE_M, REACH_OTSP])
 
     p_bis = sub.add_parser("bisect", parents=[common],
                            help="finite-window pseudo-critical point")
@@ -174,11 +179,15 @@ class _Options:
             raise UsageError(f"--origin must be x,y integers, got {raw!r}")
 
 
-def _open_out(opts: _Options):
+@contextlib.contextmanager
+def _output(opts: _Options):
+    """The --out file, or stdout when none is given."""
     path = opts.get("out")
-    if path:
-        return open(path, "w", encoding="utf-8", newline="\n"), True
-    return sys.stdout, False
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 def _env_from(opts: _Options, infile: Optional[str]):
@@ -192,12 +201,8 @@ def _env_from(opts: _Options, infile: Optional[str]):
 
 
 def _cmd_gen(opts: _Options) -> int:
-    model = opts.require_model()
-    radius = opts.get("radius", cast=int)
-    seed = opts.get("seed", cast=int)
-    env = sample_environment(model, Window.centered(radius, model.d), seed)
+    env = _env_from(opts, None)
     path = opts.get("out")
-    print(f"# model={model.label()} radius={radius} seed={seed}", file=sys.stderr)
     if path:
         save_snapshot(env, path)
     else:
@@ -212,20 +217,15 @@ def _cmd_cluster(opts: _Options, infile: Optional[str]) -> int:
     origin = opts.origin()
     fwd = forward_cluster(env, origin)
     bwd = backward_cluster(env, origin)
-    out, close = _open_out(opts)
-    try:
+    with _output(opts) as out:
         for site in sorted(set(fwd.sites) | set(bwd.sites)):
             coords = " ".join(str(c) for c in site)
             out.write(f"site {coords} {int(site in fwd.sites)} {int(site in bwd.sites)}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_classify(opts: _Options, infile: Optional[str]) -> int:
-    out, close = _open_out(opts)
-    try:
+    with _output(opts) as out:
         trials = opts.get("trials", cast=int)
         if infile or trials <= 1:
             env = _env_from(opts, infile)
@@ -246,9 +246,6 @@ def _cmd_classify(opts: _Options, infile: Optional[str]) -> int:
             for shape in sorted(census.counts):
                 out.write(f"count[{shape}]={census.counts[shape]}\n")
             out.write(f"blocked_above_monotone={census.blocked_above_monotone}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -274,7 +271,7 @@ def _cmd_estimate(opts: _Options) -> int:
     seed = opts.get("seed", cast=int)
     radius = opts.get("radius", cast=int)
     trials = opts.get("trials", cast=int)
-    if stat == "reach_otsp":
+    if stat == REACH_OTSP:
         p = opts.get("p", cast=float)
         if not 0.0 < p < 1.0:
             raise UsageError(f"--p must lie strictly in (0,1), got {p}")
@@ -284,15 +281,11 @@ def _cmd_estimate(opts: _Options) -> int:
         plan = TrialPlan(model, radius, trials, seed, stat)
         rec = run_plan(plan)
     print(f"# seed={seed}", file=sys.stderr)
-    out, close = _open_out(opts)
-    try:
+    with _output(opts) as out:
         if opts.get("format", cast=str) == "jsonl":
             write_records_jsonl([rec], out)
         else:
             write_records_csv([rec], out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -310,22 +303,17 @@ def _cmd_bisect(opts: _Options) -> int:
         master_seed=seed,
     )
     print(f"# seed={seed}", file=sys.stderr)
-    out, close = _open_out(opts)
-    try:
+    with _output(opts) as out:
         out.write(f"p_hat={result.p_hat:.5f}\n")
         out.write(f"bracket={result.bracket[0]:.5f},{result.bracket[1]:.5f}\n")
         for (p, est, se) in result.probes:
             out.write(f"probe p={p:.5f} estimate={est:.5f} se={se:.5f}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_bounds(opts: _Options) -> int:
     report = bounds_report()
-    out, close = _open_out(opts)
-    try:
+    with _output(opts) as out:
         if opts.get("format", cast=str) == "jsonl":
             import json
 
@@ -335,9 +323,6 @@ def _cmd_bounds(opts: _Options) -> int:
         else:
             for line in report.lines():
                 out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -351,20 +336,15 @@ def _cmd_verify(opts: _Options, what: str) -> int:
     )
     blocked = census.counts.get("BlockedAbove", 0)
     print(f"# seed={seed}", file=sys.stderr)
-    out, close = _open_out(opts)
-    try:
+    with _output(opts) as out:
         out.write(f"what={what} model={census.model} p={census.p!r}"
                   f" M={census.radius} trials={census.trials}\n")
         out.write(f"blocked_above={blocked} verified={census.blocked_above_verified}\n")
-    finally:
-        if close:
-            out.close()
     return 0 if census.blocked_above_verified == blocked else 1
 
 
 def _cmd_static_classify(opts: _Options, list_models: bool) -> int:
-    out, close = _open_out(opts)
-    try:
+    with _output(opts) as out:
         if list_models:
             for name in catalog_names():
                 out.write(name + "\n")
@@ -376,9 +356,6 @@ def _cmd_static_classify(opts: _Options, list_models: bool) -> int:
         out.write(f"theta_minus={cls.theta_minus}\n")
         out.write(f"theta={cls.theta}\n")
         out.write(f"notes={';'.join(cls.notes)}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -407,10 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if cmd == "static-classify":
             return _cmd_static_classify(opts, args.list)
         raise UsageError(f"unknown command {cmd!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (UsageError, ValidationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DreError as exc:

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .directions import BIT_E, BIT_N, BIT_S, BIT_W, all_directions
-from .env import EnvironmentGrid, Site, Window
+from .directions import BIT_W, EW_MASK, N_MASK, NE_MASK, all_directions
+from .env import EnvironmentGrid, Site, Window, subgrid
 from .errors import ConsistencyError, DimensionError, ValidationError
 
 FORWARD = "forward"
@@ -184,14 +184,6 @@ def _require_2d(env: EnvironmentGrid) -> None:
         raise DimensionError(f"operation requires d=2, got d={env.d}")
 
 
-def _bool_grid(env: EnvironmentGrid, sites) -> np.ndarray:
-    grid = np.zeros(env.window.shape, dtype=bool)
-    x0, y0 = env.window.lo
-    for (sx, sy) in sites:
-        grid[sx - x0, sy - y0] = True
-    return grid
-
-
 def verify_blocking_function(
     env: EnvironmentGrid, w: BlockingFunction
 ) -> tuple[bool, Optional[tuple[Site, Site]]]:
@@ -218,7 +210,9 @@ def verify_blocking_function(
         far = Y < wa
     arr = env.arrows
     violations = []
-    for bit, dx, dy in ((BIT_E, 1, 0), (BIT_N, 0, 1), (BIT_W, -1, 0), (BIT_S, 0, -1)):
+    for dn in all_directions(2):
+        bit = 1 << dn.bit(2)
+        dx, dy = dn.step(2)
         has = (arr & np.uint16(bit)).astype(bool) & far
         tx, ty = X + dx, Y + dy
         inside = (tx >= x0) & (tx <= x1) & (ty >= y0) & (ty <= y1)
@@ -294,7 +288,7 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
     intervals = tuple(complement_intervals)
 
     cluster_size = int(in_b.sum())
-    inner_env = env if inner is window else _restrict(env, inner)
+    inner_env = env if inner is window else subgrid(env, inner)
 
     def make(shape, blocking):
         return BShapeReport(shape, x, blocking, intervals, touched,
@@ -332,18 +326,12 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
     return make(INDETERMINATE, None)
 
 
-def _restrict(env: EnvironmentGrid, inner: Window) -> EnvironmentGrid:
-    from .env import subgrid
-
-    return subgrid(env, inner)
-
-
 # ---------------------------------------------------------------------------
 # Interval chains for the horizontal-or-up and NE-or-west models
 # ---------------------------------------------------------------------------
 
-EW_N_ATOMS = frozenset({BIT_E | BIT_W, BIT_N})
-NE_W_ATOMS = frozenset({BIT_N | BIT_E, BIT_W})
+EW_N_ATOMS = frozenset({EW_MASK, N_MASK})
+NE_W_ATOMS = frozenset({NE_MASK, BIT_W})
 
 
 @dataclass(frozen=True)
@@ -392,39 +380,35 @@ def interval_chain(env: EnvironmentGrid, x: Site) -> IntervalChain:
         return arr[:, y - wy0]
 
     if atoms == EW_N_ATOMS:
-        ew_mask = BIT_E | BIT_W
-
         def row0_interval():
             row = mask_row(oy)
             L = ox
-            while L - 1 >= wx0 and row[L - 1 - x_lo] == ew_mask:
+            while L - 1 >= wx0 and row[L - 1 - x_lo] == EW_MASK:
                 L -= 1
             U = ox
-            while U + 1 <= wx1 and row[U + 1 - x_lo] == ew_mask:
+            while U + 1 <= wx1 and row[U + 1 - x_lo] == EW_MASK:
                 U += 1
             return L, U
 
         def next_interval(L, U, y):
             row = mask_row(y)
             core = row[L - x_lo:U - x_lo + 1]
-            if not (core == BIT_N).any():
+            if not (core == N_MASK).any():
                 return None
             newL = L
-            while newL - 1 >= wx0 and row[newL - 1 - x_lo] == ew_mask:
+            while newL - 1 >= wx0 and row[newL - 1 - x_lo] == EW_MASK:
                 newL -= 1
             newU = U
-            while newU + 1 <= wx1 and row[newU + 1 - x_lo] == ew_mask:
+            while newU + 1 <= wx1 and row[newU + 1 - x_lo] == EW_MASK:
                 newU += 1
             return newL, newU
 
     else:  # NE or west
-        ne_mask = BIT_N | BIT_E
-
         def row0_interval():
             # NE sites chain rightward into x, west sites chain leftward into x
             row = mask_row(oy)
             L = ox
-            while L - 1 >= wx0 and row[L - 1 - x_lo] == ne_mask:
+            while L - 1 >= wx0 and row[L - 1 - x_lo] == NE_MASK:
                 L -= 1
             U = ox
             while U + 1 <= wx1 and row[U + 1 - x_lo] == BIT_W:
@@ -437,7 +421,7 @@ def interval_chain(env: EnvironmentGrid, x: Site) -> IntervalChain:
             # leftmost NE site of the core (west sites left of it walk away).
             # West sites immediately right of U chain back in.
             row = mask_row(y)
-            is_ne = row == ne_mask
+            is_ne = row == NE_MASK
             core = is_ne[L - x_lo:U - x_lo + 1]
             if not core.any():
                 return None

@@ -55,10 +55,6 @@ def all_directions(d: int) -> tuple[Direction, ...]:
     return plus + minus
 
 
-def dirs_of(mask: int, d: int) -> tuple[Direction, ...]:
-    return tuple(dn for dn in all_directions(d) if mask & (1 << dn.bit(d)))
-
-
 # Two-dimensional compass letters.
 E = Direction(0, +1)
 N = Direction(1, +1)
@@ -66,7 +62,6 @@ W = Direction(0, -1)
 S = Direction(1, -1)
 
 _LETTER_TO_DIR = {"N": N, "E": E, "S": S, "W": W}
-_DIR_TO_LETTER = {N: "N", E: "E", S: "S", W: "W"}
 
 # Bits in d=2 (fixed by the snapshot format).
 BIT_E, BIT_N, BIT_W, BIT_S = 1, 2, 4, 8
@@ -112,11 +107,3 @@ def token_of(mask: int, d: int = 2) -> str:
     if mask == 0:
         return "."
     return "".join(ch for ch in "NSEW" if mask & (1 << _LETTER_TO_DIR[ch].bit(2)))
-
-
-def pretty_mask(mask: int, d: int) -> str:
-    if d == 2:
-        return token_of(mask)
-    return "{" + ",".join(
-        ("+" if dn.sign > 0 else "-") + f"e{dn.axis + 1}" for dn in dirs_of(mask, d)
-    ) + "}"

@@ -86,9 +86,6 @@ class Window:
         return all(oa <= a and b <= ob
                    for a, b, oa, ob in zip(self.lo, self.hi, other.lo, other.hi))
 
-    def axis_range(self, axis: int) -> range:
-        return range(self.lo[axis], self.hi[axis] + 1)
-
 
 @dataclass(frozen=True)
 class EnvironmentGrid:
@@ -117,11 +114,6 @@ class EnvironmentGrid:
 
     def mask_at(self, site: Site) -> int:
         return int(self.arrows[self.window.index(site)])
-
-    def arrows_at(self, site: Site):
-        from .directions import dirs_of
-
-        return dirs_of(self.mask_at(site), self.d)
 
 
 def _coordinate_grids(window: Window) -> list[np.ndarray]:

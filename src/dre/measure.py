@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .directions import MAX_DIM, Direction, pretty_mask
+from .directions import MAX_DIM, Direction
 from .errors import ValidationError
 
 PROB_TOL = 1e-12
@@ -73,11 +73,6 @@ class SupportMeasure:
     def prob_mask_superset(self, mask: int) -> float:
         """mu({A : A >= mask})."""
         return float(sum(p for m, p in self.atoms if (m & mask) == mask))
-
-    def describe(self) -> str:
-        return " ".join(
-            f"{pretty_mask(m, self.d)}:{p:g}" for m, p in self.atoms
-        )
 
 
 def theta_plus_is_one(measure: SupportMeasure) -> tuple[bool, tuple[Direction, ...] | None]:

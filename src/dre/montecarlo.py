@@ -46,9 +46,10 @@ REACH_C = "reach_C"
 REACH_B = "reach_B"
 REACH_M = "reach_M"
 SIZE_M = "size_M"
+REACH_OTSP = "reach_otsp"  # the oriented triangular lattice, simulated directly
 _STATISTICS = (REACH_C, REACH_B, REACH_M, SIZE_M)
 
-_PROPORTIONS = (REACH_C, REACH_B, REACH_M)
+_PROPORTIONS = (REACH_C, REACH_B, REACH_M, REACH_OTSP)
 
 # Models whose boundary-reach statistic is monotone in p; only these may be
 # bisected.  The two-sided models get survival curves instead.
@@ -205,26 +206,24 @@ def _sample_batch_masks(measure: SupportMeasure, master_seed: int,
 
 def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
                            master_seed: int, backward: bool,
-                           origin_open: bool = False,
+                           origin: Optional[int] = None,
                            batch: int = 256) -> np.ndarray:
     """Edge contact of the forward (or backward) cluster of a NE-oriented model.
 
     The forward cluster lives in the quadrant [0, radius]^2, the backward
     one in [-radius, 0]^2.  Backward reach is swept with both axes flipped:
     a gate at the destination becomes a gate at the source one cell on.
+    origin, when given, replaces the origin's draw.
     """
     lo_axis = -radius if backward else 0
     axes = np.arange(lo_axis, lo_axis + radius + 1, dtype=np.int64)
     grids = np.meshgrid(axes, axes, indexing="ij", sparse=True)
     out = np.empty(trials, dtype=bool)
-    full_mask = 0
-    for m, _ in measure.atoms:
-        full_mask |= m
     for lo in range(0, trials, batch):
         hi = min(lo + batch, trials)
         masks = _sample_batch_masks(measure, master_seed, lo, hi, grids)
-        if origin_open and not backward:
-            masks[:, 0, 0] = full_mask  # condition on a live origin
+        if origin is not None:
+            masks[:, -lo_axis, -lo_axis] = origin
         has_e = (masks & np.uint16(BIT_E)).astype(bool)
         has_n = (masks & np.uint16(BIT_N)).astype(bool)
         if backward:
@@ -242,37 +241,65 @@ REACH_CHUNK = 16
 
 
 def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
-                   trials: int, origin_mask: Optional[int] = None):
+                   trials: int, origin: Optional[int] = None):
     """Yield (4, B, ny, nwords) move masks of the trials, REACH_CHUNK at a time."""
     ix, iy = -window.lo[0], -window.lo[1]
     for lo in range(0, trials, REACH_CHUNK):
         masks = []
         for t in range(lo, min(lo + REACH_CHUNK, trials)):
             arrows = sample_masks(measure, window, rng.spawn_seed(master_seed, t))
-            if origin_mask is not None:
-                arrows[ix, iy] = origin_mask
+            if origin is not None:
+                arrows[ix, iy] = origin
             masks.append(move_masks(arrows))
         yield np.stack(masks, axis=1)
 
 
-def _packed_values(plan: TrialPlan, window: Window, measure: SupportMeasure,
-                   origin_mask: Optional[int] = None) -> np.ndarray:
+def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_seed: int,
+                   statistic: str, origin: Optional[int] = None) -> np.ndarray:
     """Named statistic of every trial, one reach_batch call per chunk.
 
-    origin_mask, when given, replaces the origin's draw (a live origin).
+    origin, when given, replaces the origin's draw.
     """
-    ix, iy = -window.lo[0], -window.lo[1]
+    window = Window.centered(radius, 2)
     edge = edge_mask(*window.shape)
     values = []
-    for moves in _packed_chunks(measure, window, plan.master_seed, plan.trials, origin_mask):
-        if plan.statistic in (REACH_C, REACH_B):
-            if plan.statistic == REACH_B:
+    for moves in _packed_chunks(measure, window, master_seed, trials, origin):
+        if statistic in (REACH_C, REACH_B):
+            if statistic == REACH_B:
                 moves = reversed_moves(moves)
-            values.append(reach_batch(moves, ix, iy, edge, stop_at_edge=True)[1])
+            values.append(reach_batch(moves, radius, radius, edge, stop_at_edge=True)[1])
         else:
-            sizes, touched = mutual_stats(moves, ix, iy, edge)
-            values.append(touched if plan.statistic == REACH_M else sizes)
+            sizes, touched = mutual_stats(moves, radius, radius, edge)
+            values.append(touched if statistic == REACH_M else sizes)
     return np.concatenate(values).astype(np.float64)
+
+
+def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
+                      master_seed: int, statistic: str,
+                      live_origin: bool = False) -> np.ndarray:
+    """Per-trial values of a named statistic, on the simulator that fits it.
+
+    A live origin carries every arrow of the support, the usual survival
+    convention for oriented growth.
+    """
+    origin = int(np.bitwise_or.reduce(measure.masks)) if live_origin else None
+    if statistic in (REACH_C, REACH_B) and _is_ne_oriented(measure):
+        return _oriented_reach_trials(measure, radius, trials, master_seed,
+                                      statistic == REACH_B, origin)
+    return _packed_values(measure, radius, trials, master_seed, statistic, origin)
+
+
+def _record(model: str, p: float, radius: int, statistic: str, values: np.ndarray,
+            seed: int, t0: float) -> EstimateRecord:
+    """Mean of the per-trial values with its standard error."""
+    trials = len(values)
+    est = float(values.mean())
+    if statistic in _PROPORTIONS:
+        se = math.sqrt(max(est * (1.0 - est), 0.0) / trials)
+    else:
+        se = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return EstimateRecord(model, p, radius, trials, statistic, est, se, seed,
+                          time.perf_counter() - t0)
 
 
 def run_plan(plan: TrialPlan) -> EstimateRecord:
@@ -285,31 +312,22 @@ def run_plan(plan: TrialPlan) -> EstimateRecord:
     measure = plan.measure
     if measure.d != 2:
         raise DimensionError("the Monte Carlo engine runs on d=2 windows")
-    window = Window.centered(plan.radius, 2)
     t0 = time.perf_counter()
     if callable(plan.statistic):
+        window = Window.centered(plan.radius, 2)
         model = plan.model if isinstance(plan.model, ModelId) else None
         values = np.empty(plan.trials, dtype=np.float64)
         for t in range(plan.trials):
             seed = rng.spawn_seed(plan.master_seed, t)
             values[t] = plan.statistic(EnvironmentGrid(
                 window, sample_masks(measure, window, seed), measure, model, seed))
-    elif plan.statistic in (REACH_C, REACH_B) and _is_ne_oriented(measure):
-        values = _oriented_reach_trials(
-            measure, plan.radius, plan.trials, plan.master_seed,
-            backward=plan.statistic == REACH_B,
-        ).astype(np.float64)
+        stat_name = "custom"
     else:
-        values = _packed_values(plan, window, measure)
-    est = float(values.mean())
-    stat_name = plan.statistic if isinstance(plan.statistic, str) else "custom"
-    if stat_name in _PROPORTIONS:
-        se = math.sqrt(max(est * (1.0 - est), 0.0) / plan.trials)
-    else:
-        se = float(values.std(ddof=1) / math.sqrt(plan.trials)) if plan.trials > 1 else 0.0
-    return EstimateRecord(plan.model_label, plan.p_label, plan.radius,
-                          plan.trials, stat_name, est, se, plan.master_seed,
-                          time.perf_counter() - t0)
+        values = _statistic_values(measure, plan.radius, plan.trials, plan.master_seed,
+                                   plan.statistic)
+        stat_name = plan.statistic
+    return _record(plan.model_label, plan.p_label, plan.radius, stat_name, values,
+                   plan.master_seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +362,15 @@ def check_theta_identity(model: ModelId, radius: int, trials: int,
                          master_seed: int = 0) -> IdentityReport:
     """Compare the forward-reach estimate against p times the backward one.
 
-    Valid for models whose second atom is empty: on those the two reach
-    events are in exact point-reflection bijection even at finite M, so
-    the difference is pure Monte Carlo noise.  Independent seed streams
-    feed the two estimates, making the pooled standard error honest.
+    Valid for models whose second atom is empty, and exact only as M grows.
+    At finite M the identity holds one way: if the origin's backward
+    cluster meets the edge ring in an environment, its forward cluster
+    meets it in the point-reflected environment with a live origin, so
+    theta_plus >= p * theta_minus.  Equality fails at finite M: on NE-.
+    at M=1, theta_plus = p but p * theta_minus = 2p^2 - p^3.  The
+    gap shrinks with M (at p=0.75: 0.046 at M=1, about 0.004 at M=10).
+    Independent seed streams feed the two estimates, making the pooled
+    standard error honest.
     """
     measure = measure_for(model)
     if 0 not in measure.support() or len(measure.atoms) != 2:
@@ -395,10 +418,7 @@ def otsp_reach_estimate(p: float, radius: int, trials: int,
     t0 = time.perf_counter()
     hits = _otsp_reach_trials(p, radius, trials, master_seed,
                               origin_open=origin_open)
-    est = float(hits.mean())
-    se = math.sqrt(max(est * (1.0 - est), 0.0) / trials)
-    return EstimateRecord("otsp", p, radius, trials, "reach_otsp", est, se,
-                          master_seed, time.perf_counter() - t0)
+    return _record("otsp", p, radius, REACH_OTSP, hits, master_seed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +454,8 @@ def bisect_pc(
     survival_curve instead.  A callable estimator p -> estimate is trusted
     as-is.
 
-    Probes for named models condition on a live origin (its atom forced to
-    the nonempty one), the usual survival convention for oriented growth:
+    Probes for named models condition on a live origin (it carries every
+    arrow of the support), the usual survival convention for oriented growth:
     without it the dead-origin mass inflates the crossing point by a factor
     the finite-size literature numbers do not carry.
     """
@@ -458,25 +478,14 @@ def bisect_pc(
 
         def probe(p: float, idx: int) -> float:
             seed = rng.spawn_seed(master_seed, idx)
-            t0 = time.perf_counter()
             if direct_otsp:
                 rec = otsp_reach_estimate(p, radius, trials_per_probe, seed,
                                           origin_open=True)
             else:
-                measure = measure_for(ModelId(name, p))
-                if _is_ne_oriented(measure):
-                    vals = _oriented_reach_trials(measure, radius, trials_per_probe,
-                                                  seed, backward=False,
-                                                  origin_open=True)
-                else:
-                    vals = _packed_values(TrialPlan(measure, radius, trials_per_probe, seed),
-                                          Window.centered(radius, 2), measure,
-                                          origin_mask=max(m for m, _ in measure.atoms))
-                est = float(vals.mean())
-                se = math.sqrt(max(est * (1.0 - est), 0.0) / trials_per_probe)
-                rec = EstimateRecord(name, p, radius, trials_per_probe,
-                                     REACH_C, est, se, seed,
-                                     time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                vals = _statistic_values(measure_for(ModelId(name, p)), radius,
+                                         trials_per_probe, seed, REACH_C, live_origin=True)
+                rec = _record(name, p, radius, REACH_C, vals, seed, t0)
             probes.append((p, rec.estimate, rec.se))
             return rec.estimate
 
@@ -765,10 +774,7 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
                 touched |= front[:, radius] | front[:, n - radius]
             if not front.any():
                 break
-        est = float(touched.mean())
-        se = math.sqrt(max(est * (1.0 - est), 0.0) / trials)
-        out.append(EstimateRecord("N-E", p, radius, trials, REACH_B, est, se,
-                                  master_seed, time.perf_counter() - t0))
+        out.append(_record("N-E", p, radius, REACH_B, touched, master_seed, t0))
     return out
 
 
@@ -785,11 +791,6 @@ class MSizeRow:
     median_size: float
     q90_size: float
     boundary_rate: float
-
-    @property
-    def boundary_se(self) -> float:
-        return math.sqrt(max(self.boundary_rate * (1 - self.boundary_rate), 0.0)
-                         / self.trials)
 
 
 def m_size_stats(model: ModelId, radii: Sequence[int], trials: int,
@@ -898,11 +899,6 @@ class WnCrossingReport:
     crossing_rate: float
     w_cells: tuple[dict, ...]
     mean_dw: float
-
-    @property
-    def crossing_se(self) -> float:
-        return math.sqrt(max(self.crossing_rate * (1 - self.crossing_rate), 0.0)
-                         / self.trials)
 
 
 def wn_crossing_test(p: float, trials: int, levels: int, start_gap: int = 10,

@@ -30,8 +30,8 @@ import numpy as np
 from . import rng
 from .bitgrid import PackedGrid
 from .clusters import BACKWARD, FORWARD, _require_2d, bfs_parents
-from .directions import (BIT_E, BIT_N, BIT_S, BIT_W, E, N, N_MASK, NE_MASK, QUADRANTS, S,
-                         SW_MASK, SWE_MASK, W)
+from .directions import (BIT_N, BIT_S, N_MASK, NE_MASK, QUADRANTS, SW_MASK, SWE_MASK,
+                         all_directions, token_of)
 from .env import EnvironmentGrid, Site, Window
 from .errors import ModelAssumptionError, ValidationError
 from .measure import SupportMeasure, theta_plus_is_one
@@ -41,7 +41,8 @@ EXIT_COALESCED = "Coalesced"
 EXIT_CYCLE = "ClosedCycle"
 EXIT_STEP_LIMIT = "StepLimit"
 
-_STEP = {E: (1, 0), N: (0, 1), W: (-1, 0), S: (0, -1)}
+# Arrow bit of each unit step, in the fixed E, N, W, S neighbor order.
+_STEP_BIT = {dn.step(2): 1 << dn.bit(2) for dn in all_directions(2)}
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,9 @@ class PathTrace:
 
 
 def step_mask(delta: tuple[int, int]) -> int:
-    table = {(1, 0): BIT_E, (0, 1): BIT_N, (-1, 0): BIT_W, (0, -1): BIT_S}
-    if delta not in table:
+    if delta not in _STEP_BIT:
         raise ValidationError(f"not a unit step: {delta}")
-    return table[delta]
+    return _STEP_BIT[delta]
 
 
 def step_limit(window: Window) -> int:
@@ -100,7 +100,7 @@ def quadrant_path(
 def _quadrant_mover(env, first, second, q, gen) -> Callable[[Site], Site]:
     b1 = 1 << first.bit(2)
     b2 = 1 << second.bit(2)
-    s1, s2 = _STEP[first], _STEP[second]
+    s1, s2 = first.step(2), second.step(2)
 
     def mover(site: Site) -> Site:
         mask = env.mask_at(site)
@@ -120,8 +120,8 @@ def _quadrant_mover(env, first, second, q, gen) -> Callable[[Site], Site]:
     return mover
 
 
-def _follow(env, start, mover, collect_excursions=False,
-            sideways_bits=(BIT_E, BIT_W)) -> PathTrace | tuple[PathTrace, list[int]]:
+def _follow(env, start, mover,
+            collect_excursions=False) -> PathTrace | tuple[PathTrace, list[int]]:
     window = env.window
     limit = step_limit(window)
     sites = [start]
@@ -349,6 +349,14 @@ def _verify_cycle(env, sites, m, strategy) -> Optional[OpenCycle]:
     return OpenCycle(tuple(sites), m, w, strategy)
 
 
+def _path_to_root(parents: dict[Site, Optional[Site]], site: Site) -> list[Site]:
+    """site, parents[site], ... up to the root of a parent map."""
+    path = [site]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path
+
+
 def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
                   max_z_per_anchor: int = 8) -> Optional[OpenCycle]:
     """Close a partial spiral through an open path that avoids the box.
@@ -393,23 +401,10 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
                         waypoint = site
             candidates = []
             if waypoint is not None:
-                out = []
-                cur: Optional[Site] = waypoint
-                while cur is not None:
-                    out.append(cur)
-                    cur = from_z[cur]
-                out.reverse()  # z ... waypoint
-                back = []
-                cur = into_anchor[waypoint]
-                while cur is not None:
-                    back.append(cur)
-                    cur = into_anchor[cur]
+                out = _path_to_root(from_z, waypoint)[::-1]  # z ... waypoint
+                back = _path_to_root(into_anchor, waypoint)[1:]
                 candidates.append(list(trace[a_idx:j + 1]) + out[1:] + back)
-            direct = []
-            cur = z
-            while cur is not None:
-                direct.append(cur)
-                cur = into_anchor[cur]
+            direct = _path_to_root(into_anchor, z)
             candidates.append(list(trace[a_idx:j + 1]) + direct[1:])
             for cand in candidates:
                 cycle = _verify_cycle(env, cand, m, strategy)
@@ -558,8 +553,13 @@ def _orthant_cycle(env, m, mc) -> Optional[OpenCycle]:
     window = env.window
     (wx0, wy0), (wx1, wy1) = window.lo, window.hi
 
+    # The BFS stays here rather than in clusters.bfs_parents: it stops at the
+    # first site that enters the strip beside the box, and most candidate
+    # columns fail that way early.  The shared BFS on an arrow-filtered grid
+    # gives the same cycles but explores each failing cluster in full, which
+    # makes the construction over ten times slower.
     def find_cluster(upward: bool) -> Optional[tuple[Site, dict]]:
-        allowed = BIT_N | BIT_W | BIT_E if upward else BIT_S | BIT_W | BIT_E
+        excluded = BIT_S if upward else BIT_N
         far_edge = wy0 if upward else wy1
         col_range = (range(mc + 1, wx1) if upward else range(-mc - 1, wx0, -1))
         y_anchor = mc if upward else -mc
@@ -569,11 +569,10 @@ def _orthant_cycle(env, m, mc) -> Optional[OpenCycle]:
             queue = deque([target])
             reached_far = False
             spilled = False
-            dirs = ((BIT_E, (1, 0)), (BIT_N, (0, 1)), (BIT_W, (-1, 0)), (BIT_S, (0, -1)))
             while queue and not spilled:
                 site = queue.popleft()
-                for bit, (dx, dy) in dirs:
-                    if not bit & allowed:
+                for (dx, dy), bit in _STEP_BIT.items():
+                    if bit == excluded:
                         continue
                     prev = (site[0] - dx, site[1] - dy)
                     if prev in parents or not window.contains(prev):
@@ -630,36 +629,27 @@ def _orthant_cycle(env, m, mc) -> Optional[OpenCycle]:
             site = nxt
         return None
 
-    def chain(parents, frm) -> list[Site]:
-        out = [frm]
-        cur = parents[frm]
-        while cur is not None:
-            out.append(cur)
-            cur = parents[cur]
-        return out
-
     start = (j_dn, -mc)
     se_leg = run_until(se_mover, start, parents_up)
     if se_leg is None:
         return None
-    up_chain = chain(parents_up, se_leg[-1])
+    up_chain = _path_to_root(parents_up, se_leg[-1])
     nw_leg = run_until(nw_mover, (j_up, mc), parents_dn)
     if nw_leg is None:
         return None
-    dn_chain = chain(parents_dn, nw_leg[-1])
+    dn_chain = _path_to_root(parents_dn, nw_leg[-1])
     candidate = se_leg + up_chain[1:] + nw_leg[1:] + dn_chain[1:]
     return _verify_cycle(env, candidate, m, ORTHANT)
 
 
-_DIR_LETTER = {(1, 0): "E", (0, 1): "N", (-1, 0): "W", (0, -1): "S"}
+def _step_lines(sites) -> list[str]:
+    return [f"step {i} {a[0]} {a[1]} {token_of(step_mask((b[0] - a[0], b[1] - a[1])))}"
+            for i, (a, b) in enumerate(zip(sites, sites[1:]))]
 
 
 def trace_dump_lines(trace: PathTrace) -> list[str]:
     """Wire format: one `step <i> <x> <y> <dir>` line per step, then the exit."""
-    out = []
-    for i, (a, b) in enumerate(zip(trace.sites, trace.sites[1:])):
-        d = _DIR_LETTER[(b[0] - a[0], b[1] - a[1])]
-        out.append(f"step {i} {a[0]} {a[1]} {d}")
+    out = _step_lines(trace.sites)
     out.append(f"exit {len(trace.sites) - 1} "
                f"{trace.sites[-1][0]} {trace.sites[-1][1]} {trace.exit_reason}")
     return out
@@ -667,10 +657,7 @@ def trace_dump_lines(trace: PathTrace) -> list[str]:
 
 def cycle_dump_lines(cycle: OpenCycle) -> list[str]:
     """Trace lines of the closed path plus a closing record with the box."""
-    out = []
-    for i, (a, b) in enumerate(zip(cycle.sites, cycle.sites[1:])):
-        d = _DIR_LETTER[(b[0] - a[0], b[1] - a[1])]
-        out.append(f"step {i} {a[0]} {a[1]} {d}")
+    out = _step_lines(cycle.sites)
     out.append(f"cycle {len(cycle.sites) - 1} winding {cycle.winding} "
                f"box -{cycle.box_radius}:{cycle.box_radius}")
     return out

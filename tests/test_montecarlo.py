@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dre import montecarlo
+from dre.clusters import backward_cluster, forward_cluster
 from dre.directions import parse_token
-from dre.env import Window
+from dre.env import EnvironmentGrid, Window, sample_environment
 from dre.errors import ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for, two_valued
@@ -79,11 +80,9 @@ def test_fast_oriented_path_matches_generic():
     model = ModelId("NE-.", 0.7)
     measure = measure_for(model)
     assert _is_ne_oriented(measure)
-    window = Window.centered(20, 2)
     for stat, backward in ((REACH_C, False), (REACH_B, True)):
         fast = _oriented_reach_trials(measure, 20, 40, 13, backward=backward)
-        plan = TrialPlan(model, 20, 40, 13, stat)
-        slow = _packed_values(plan, window, measure).astype(bool)
+        slow = _packed_values(measure, 20, 40, 13, stat).astype(bool)
         assert np.array_equal(fast, slow)
 
 
@@ -95,13 +94,11 @@ def test_oriented_sweep_matches_generic(tokens, p, radius, seed, batch, mode):
     measure = two_valued(tokens[0], tokens[1], p)
     assert _is_ne_oriented(measure)
     trials = 9
-    live = mode == "live origin"
+    origin = parse_token(tokens[0]) | parse_token(tokens[1]) if mode == "live origin" else None
     fast = _oriented_reach_trials(measure, radius, trials, seed, backward=mode == "backward",
-                                  origin_open=live, batch=batch)
-    plan = TrialPlan(measure, radius, trials, seed, REACH_B if mode == "backward" else REACH_C)
-    full_mask = parse_token(tokens[0]) | parse_token(tokens[1])
-    slow = _packed_values(plan, Window.centered(radius, 2), measure,
-                          origin_mask=full_mask if live else None).astype(bool)
+                                  origin=origin, batch=batch)
+    slow = _packed_values(measure, radius, trials, seed,
+                          REACH_B if mode == "backward" else REACH_C, origin).astype(bool)
     assert np.array_equal(fast, slow)
 
 
@@ -146,6 +143,42 @@ def test_identity_small_scale():
 def test_identity_site_percolation_model():
     rep = check_theta_identity(ModelId("NSEW-.", 0.65), 30, 2000, 23)
     assert abs(rep.z) <= 4.0
+
+
+def _identity_sides(env: EnvironmentGrid, live: int) -> tuple[bool, bool]:
+    """Edge contact of the origin's backward cluster in env, and of its forward
+    cluster in the point reflection of env with the origin set to live."""
+    arrows = env.arrows[::-1, ::-1].copy()
+    centre = env.window.index((0, 0))
+    arrows[centre] = live
+    reflected = EnvironmentGrid(env.window, arrows)
+    return (backward_cluster(env, (0, 0)).touches_boundary,
+            forward_cluster(reflected, (0, 0)).touches_boundary)
+
+
+@pytest.mark.parametrize("name, forward_only", [("NE-.", 128), ("SWE-.", 64), ("NSEW-.", 32)])
+def test_identity_implication_exhaustive(name, forward_only):
+    # backward contact implies reflected live-origin forward contact, which gives
+    # theta_plus >= p * theta_minus at every M; the converse fails when every
+    # neighbor that could step into the origin is empty
+    live = parse_token(name.split("-")[0])
+    window = Window.centered(1, 2)
+    seen = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
+    for bits in range(512):
+        arrows = np.array([live * (bits >> i & 1) for i in range(9)],
+                          dtype=np.uint16).reshape(window.shape)
+        seen[_identity_sides(EnvironmentGrid(window, arrows), live)] += 1
+    assert seen[(True, False)] == 0
+    assert seen[(False, True)] == forward_only
+
+
+@given(name=st.sampled_from(["NE-.", "SWE-.", "NSEW-."]), p=OPEN_P,
+       radius=st.integers(1, 8), seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_identity_implication_random_windows(name, p, radius, seed):
+    env = sample_environment(ModelId(name, p), Window.centered(radius, 2), seed)
+    backward, forward = _identity_sides(env, parse_token(name.split("-")[0]))
+    assert forward or not backward
 
 
 def test_bisect_synthetic_step():
@@ -230,6 +263,17 @@ def test_up_or_right_nested_windows():
                   _up_or_right_fronts(0.45, radius, 200, 3), 6)])
               for radius in (5, 9, 14)]
     assert all(np.array_equal(levels[0], other) for other in levels[1:])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the se of a single trial is nan
+def test_m_size_stats_nested_windows():
+    # one trial per master seed, so each mean is that trial's communicating-cluster
+    # size; nested windows only add paths.  Edge contact is not monotone in M.
+    radii = (3, 5, 8, 13)
+    for model in (ModelId("NE-SW", 0.9), ModelId("EW-NS", 0.5)):
+        for seed in range(40):
+            sizes = [row.mean_size for row in m_size_stats(model, radii, 1, master_seed=seed)]
+            assert sizes == sorted(sizes), (model, seed, sizes)
 
 
 def test_m_size_stats_nested_stability():
