@@ -28,7 +28,7 @@ from .directions import (BIT_E, BIT_N, BIT_S, BIT_W, EW_MASK, N_MASK, NE_MASK, N
 from .env import EnvironmentGrid
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure, theta_plus_is_one
-from .models import ModelId, canonical_name, measure_for
+from .models import ModelId, canonical_name, measure_for, require_p
 
 OTSP = "OTSP"
 FSOSP = "FSOSP"
@@ -138,8 +138,7 @@ def saw_counts(d: int, n_max: int) -> list[int]:
 
 def drift_formulas(model: str, p: float) -> dict[str, float]:
     """Closed-form walk drifts for the named model at parameter p."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p={p} must lie strictly in (0, 1)")
+    require_p(p)
     name = canonical_name(model)
     q = 1.0 - p
     delta_l0 = q / p - p * p / q

@@ -161,14 +161,7 @@ class _Options:
         if not name:
             raise UsageError("a --model is required; known models: "
                              + ", ".join(catalog_names()))
-        p = self.get("p", cast=float)
-        if not 0.0 < p < 1.0:
-            raise UsageError(f"--p must lie strictly in (0,1), got {p}")
-        d = self.get("d", cast=int)
-        try:
-            return ModelId(canonical_name(name), p, d)
-        except ValidationError as exc:
-            raise UsageError(str(exc))
+        return ModelId(canonical_name(name), self.get("p", cast=float), self.get("d", cast=int))
 
     def origin(self) -> tuple[int, int]:
         raw = self.get("origin", cast=str)
@@ -272,10 +265,7 @@ def _cmd_estimate(opts: _Options) -> int:
     radius = opts.get("radius", cast=int)
     trials = opts.get("trials", cast=int)
     if stat == REACH_OTSP:
-        p = opts.get("p", cast=float)
-        if not 0.0 < p < 1.0:
-            raise UsageError(f"--p must lie strictly in (0,1), got {p}")
-        rec = otsp_reach_estimate(p, radius, trials, seed)
+        rec = otsp_reach_estimate(opts.get("p", cast=float), radius, trials, seed)
     else:
         model = opts.require_model()
         plan = TrialPlan(model, radius, trials, seed, stat)

@@ -116,22 +116,13 @@ class EnvironmentGrid:
         return int(self.arrows[self.window.index(site)])
 
 
-def _coordinate_grids(window: Window) -> list[np.ndarray]:
-    axes = [np.arange(window.lo[i], window.hi[i] + 1, dtype=np.int64)
-            for i in range(window.d)]
-    return list(np.meshgrid(*axes, indexing="ij", sparse=True))
-
-
 def sample_masks(measure: SupportMeasure, window: Window, seed: int) -> np.ndarray:
     """Raw mask array for a window; the per-site draw is hash(seed, coords)."""
     if measure.d != window.d:
-        raise ValidationError(
-            f"measure dimension {measure.d} != window dimension {window.d}"
-        )
-    grids = _coordinate_grids(window)
-    u = rng.uniforms(seed, grids)
-    idx = np.searchsorted(measure.cumulative(), u, side="right")
-    return measure.masks[idx]
+        raise ValidationError(f"measure dimension {measure.d} != window dimension {window.d}")
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(window.lo, window.hi)]
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return measure.masks[rng.atoms(seed, grids, measure.thresholds)]
 
 
 def sample_environment(

@@ -13,6 +13,7 @@ from itertools import product
 
 import numpy as np
 
+from . import rng
 from .directions import MAX_DIM, Direction
 from .errors import ValidationError
 
@@ -57,10 +58,10 @@ class SupportMeasure:
     def probs(self) -> np.ndarray:
         return np.array([p for _, p in self.atoms], dtype=np.float64)
 
-    def cumulative(self) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0  # guard searchsorted against float dust at the top
-        return cum
+    @property
+    def thresholds(self) -> tuple[int, ...]:
+        """Integer draw thresholds of the atoms, in atom order (see rng)."""
+        return rng.thresholds(self.probs)
 
     def support(self) -> frozenset[int]:
         return frozenset(m for m, _ in self.atoms)

@@ -39,6 +39,12 @@ ALIASES = {
 }
 
 
+def require_p(p: float) -> None:
+    """Reject a model parameter outside the open interval (0, 1), nan included."""
+    if not 0.0 < p < 1.0:
+        raise ValidationError(f"p={p} must lie strictly in (0, 1)")
+
+
 @dataclass(frozen=True)
 class ModelId:
     """A catalog model at a parameter value p strictly inside (0, 1)."""
@@ -48,8 +54,7 @@ class ModelId:
     d: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValidationError(f"model parameter p={self.p} must lie strictly in (0, 1)")
+        require_p(self.p)
         canonical = canonical_name(self.name)
         if canonical != self.name:
             object.__setattr__(self, "name", canonical)
@@ -109,8 +114,7 @@ def measure_for(model: ModelId) -> SupportMeasure:
 
 def two_valued(token_a: str, token_b: str, p: float) -> SupportMeasure:
     """Ad-hoc d=2 two-valued measure from compass tokens (need not be cataloged)."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p={p} must lie strictly in (0, 1)")
+    require_p(p)
     a, b = parse_token(token_a), parse_token(token_b)
     if a == b:
         raise ValidationError("the two atoms must be distinct")

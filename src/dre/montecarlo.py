@@ -40,7 +40,7 @@ from .directions import BIT_E, BIT_N, N_MASK, NE_MASK, SW_MASK, SWE_MASK
 from .env import EnvironmentGrid, Window, sample_environment, sample_masks
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure
-from .models import ModelId, canonical_name, measure_for
+from .models import ModelId, canonical_name, measure_for, require_p
 
 REACH_C = "reach_C"
 REACH_B = "reach_B"
@@ -195,15 +195,6 @@ def _row_sweep(up: np.ndarray, right: np.ndarray, diagonal: bool) -> np.ndarray:
     return touched | row.any(axis=1)  # the last row reached
 
 
-def _sample_batch_masks(measure: SupportMeasure, master_seed: int,
-                        t_lo: int, t_hi: int, grids) -> np.ndarray:
-    t_idx = np.arange(t_lo, t_hi, dtype=np.int64)
-    seeds = rng.hash_parts(master_seed, (t_idx,))  # == spawn_seed per trial
-    u = rng.uniforms(seeds[:, None, None], grids)
-    idx = np.searchsorted(measure.cumulative(), u, side="right")
-    return measure.masks[idx]
-
-
 def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
                            master_seed: int, backward: bool,
                            origin: Optional[int] = None,
@@ -221,7 +212,8 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     out = np.empty(trials, dtype=bool)
     for lo in range(0, trials, batch):
         hi = min(lo + batch, trials)
-        masks = _sample_batch_masks(measure, master_seed, lo, hi, grids)
+        seeds = rng.hash_parts(master_seed, (np.arange(lo, hi, dtype=np.int64),))
+        masks = measure.masks[rng.atoms(seeds[:, None, None], grids, measure.thresholds)]
         if origin is not None:
             masks[:, -lo_axis, -lo_axis] = origin
         has_e = (masks & np.uint16(BIT_E)).astype(bool)
@@ -289,15 +281,19 @@ def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
     return _packed_values(measure, radius, trials, master_seed, statistic, origin)
 
 
+def _mean_se(values: np.ndarray) -> float:
+    """Standard error of a sample mean; 0.0 for a single value."""
+    n = len(values)
+    return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def _record(model: str, p: float, radius: int, statistic: str, values: np.ndarray,
             seed: int, t0: float) -> EstimateRecord:
     """Mean of the per-trial values with its standard error."""
     trials = len(values)
     est = float(values.mean())
-    if statistic in _PROPORTIONS:
-        se = math.sqrt(max(est * (1.0 - est), 0.0) / trials)
-    else:
-        se = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se = (math.sqrt(max(est * (1.0 - est), 0.0) / trials) if statistic in _PROPORTIONS
+          else _mean_se(values))
     return EstimateRecord(model, p, radius, trials, statistic, est, se, seed,
                           time.perf_counter() - t0)
 
@@ -399,12 +395,12 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
     gx = np.arange(-radius, 1, dtype=np.int64)
     gy = np.arange(0, radius + 1, dtype=np.int64)
     grids = np.meshgrid(gx, gy, indexing="ij", sparse=True)
+    thresholds = rng.thresholds((p, 1.0 - p))
     out = np.empty(trials, dtype=bool)
     for lo in range(0, trials, batch):
         hi = min(lo + batch, trials)
-        t_idx = np.arange(lo, hi, dtype=np.int64)
-        seeds = rng.hash_parts(master_seed, (t_idx,))
-        open_grid = rng.uniforms(seeds[:, None, None], grids) < p
+        seeds = rng.hash_parts(master_seed, (np.arange(lo, hi, dtype=np.int64),))
+        open_grid = rng.atoms(seeds[:, None, None], grids, thresholds) == 0
         if origin_open:
             open_grid[:, -1, 0] = True
         g = open_grid[:, ::-1, :]  # origin at column 0, west is +1
@@ -415,6 +411,7 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
 def otsp_reach_estimate(p: float, radius: int, trials: int,
                         master_seed: int = 0,
                         origin_open: bool = False) -> EstimateRecord:
+    require_p(p)
     t0 = time.perf_counter()
     hits = _otsp_reach_trials(p, radius, trials, master_seed,
                               origin_open=origin_open)
@@ -561,8 +558,7 @@ def dn_transition_test(p: float, samples: int, k_max: int = 6,
     """
     from .bounds import dn_transition_probs
 
-    if not 0.0 < p < 1.0:
-        raise ValidationError("p must lie in (0, 1)")
+    require_p(p)
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0xD7))
     rows = []
     for k in range(1, k_max + 1):
@@ -718,11 +714,12 @@ def _up_or_right_fronts(p: float, radius: int, trials: int, master_seed: int):
     fronts n <= radius do not depend on the radius.
     """
     t_idx = np.arange(trials, dtype=np.int64)[:, None]
+    thresholds = rng.thresholds((p, 1.0 - p))
     b = np.ones((trials, 1), dtype=bool)
     yield b
     for n in range(1, 2 * radius + 1):
         i = np.arange(n + 1, dtype=np.int64)[None, :]
-        up = rng.uniforms(master_seed, (t_idx, np.int64(n), i)) < p
+        up = rng.atoms(master_seed, (t_idx, np.int64(n), i), thresholds) == 0
         prev_up = np.zeros((trials, n + 1), dtype=bool)
         prev_up[:, 1:] = b
         prev_right = np.zeros((trials, n + 1), dtype=bool)
@@ -742,6 +739,7 @@ def martingale_test(p: float, radius: int, trials: int, n_levels: int = 30,
     up-or-right path passes through the origin.  Differences are paired
     per trial, so the reported z is mean(X_{n+1}-X_n) / se(diff).
     """
+    require_p(p)
     if n_levels >= radius:
         raise ValidationError("keep n_levels < radius so no level is truncated")
     fronts = _up_or_right_fronts(p, radius, trials, master_seed)
@@ -762,6 +760,7 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
     nested realizations of one environment and the estimates are monotone
     trial-by-trial: reaching the larger edge implies reaching the smaller.
     """
+    require_p(p)
     if any(radius < 1 for radius in radii):
         raise ValidationError("window radius must be >= 1")
     out = []
@@ -813,8 +812,7 @@ def m_size_stats(model: ModelId, radii: Sequence[int], trials: int,
         sizes = np.concatenate([c[0] for c in chunks]).astype(np.float64)
         touch = np.concatenate([c[1] for c in chunks])
         rows.append(MSizeRow(
-            radius, trials, float(sizes.mean()),
-            float(sizes.std(ddof=1) / math.sqrt(trials)),
+            radius, trials, float(sizes.mean()), _mean_se(sizes),
             float(np.median(sizes)), float(np.quantile(sizes, 0.9)),
             float(touch.mean()),
         ))
@@ -911,13 +909,13 @@ def wn_crossing_test(p: float, trials: int, levels: int, start_gap: int = 10,
     lower-edge walk.  Crossing is the first level where the SE column is
     at or right of the edge.
     """
-    if not 0.0 < p < 1.0:
-        raise ValidationError("p must lie in (0, 1)")
+    require_p(p)
     crossings = 0
     dw_counts: dict[int, int] = {}
     dw_total = 0
     dw_sum = 0
-    uniform = rng.uniform_one
+    thresholds = rng.thresholds((p, 1.0 - p))
+    atom = rng.atom_one
     for t in range(trials):
         w = -start_gap
         l = 0
@@ -928,7 +926,7 @@ def wn_crossing_test(p: float, trials: int, levels: int, start_gap: int = 10,
             def is_ne(col: int, _t=t, _lvl=level, _row=row) -> bool:
                 v = _row.get(col)
                 if v is None:
-                    v = uniform(master_seed, _t, _lvl, col) < p
+                    v = atom(thresholds, master_seed, _t, _lvl, col) == 0
                     _row[col] = v
                 return v
 

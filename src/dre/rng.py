@@ -6,11 +6,20 @@ site-for-site, and parallel trials safe without coordination.  Sequential
 generators cannot give that, so sites are hashed instead: a splitmix64-style
 finalizer chained over the seed and the integer coordinates, evaluated
 vectorially with wrapping uint64 arithmetic.
+
+This is the one place where a hash h becomes a draw.  With cumulative sums
+c_1..c_{K-1} of the atom probabilities, the draw is atom
+#{k : (h >> 11) >= ceil(c_k 2^53)}: exactly the atom the uniform
+u = (h >> 11) 2^-53 falls in, since c <= u iff (h >> 11) >= ceil(c 2^53).
+No float is made, and the last atom needs no threshold, so float dust at
+the top of the sums cannot lose it.  Bernoulli(p) is atom 0 of (p, 1 - p).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from bisect import bisect_right
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +30,7 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
-_INV_2_53 = float(2.0**-53)
+_M64 = (1 << 64) - 1
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -31,13 +40,10 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-_M64_INT = (1 << 64) - 1
-
-
 def _as_u64(value) -> np.ndarray:
     # negative values wrap via two's complement, deterministically
     if isinstance(value, (int, np.integer)):
-        return np.uint64(int(value) & _M64_INT)
+        return np.uint64(int(value) & _M64)
     arr = np.asarray(value)
     if arr.dtype == np.uint64:
         return arr
@@ -53,10 +59,19 @@ def hash_parts(seed: int, parts: Iterable) -> np.ndarray:
     return h
 
 
-def uniforms(seed: int, parts: Iterable) -> np.ndarray:
-    """Uniform [0, 1) floats keyed on (seed, parts); 53-bit mantissas."""
-    h = hash_parts(seed, parts)
-    return (h >> _S11).astype(np.float64) * _INV_2_53
+def thresholds(probs: Sequence[float]) -> tuple[int, ...]:
+    """Integer thresholds ceil(c 2^53) of all cumulative sums but the last."""
+    return tuple(math.ceil(c * 2.0**53) for c in np.cumsum(probs, dtype=np.float64)[:-1])
+
+
+def atoms(seed, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
+    """Atom index of every draw keyed on (seed, parts), broadcasting array parts."""
+    m = hash_parts(seed, parts)
+    m >>= _S11
+    idx = np.zeros(m.shape, dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
+    for t in thresholds:
+        idx += m >= t
+    return idx
 
 
 def spawn_seed(master_seed: int, *indices: int) -> int:
@@ -72,7 +87,6 @@ def spawn_seed(master_seed: int, *indices: int) -> int:
 # simulators draw single sites millions of times and the numpy call
 # overhead dominates there.  Must stay bit-identical to hash_parts.
 
-_M64 = _M64_INT
 _GOLDEN_I = int(_GOLDEN)
 _MUL1_I = int(_MUL1)
 _MUL2_I = int(_MUL2)
@@ -84,10 +98,10 @@ def _finalize_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def uniform_one(seed: int, *parts: int) -> float:
-    """Scalar uniform [0, 1) equal to uniforms(seed, parts) elementwise."""
+def atom_one(thresholds: Sequence[int], seed: int, *parts: int) -> int:
+    """Scalar atom index equal to atoms(seed, parts, thresholds) elementwise."""
     h = _finalize_int((seed + _GOLDEN_I) & _M64)
     for part in parts:
         pm = _finalize_int((part * _MUL1_I + _GOLDEN_I) & _M64)
         h = _finalize_int(((h + _GOLDEN_I) & _M64) ^ pm)
-    return (h >> 11) * _INV_2_53
+    return bisect_right(thresholds, h >> 11)  # thresholds never decrease

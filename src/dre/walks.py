@@ -35,6 +35,7 @@ from .directions import (BIT_N, BIT_S, N_MASK, NE_MASK, QUADRANTS, SW_MASK, SWE_
 from .env import EnvironmentGrid, Site, Window
 from .errors import ModelAssumptionError, ValidationError
 from .measure import SupportMeasure, theta_plus_is_one
+from .models import require_p
 
 EXIT_BOUNDARY = "HitBoundary"
 EXIT_COALESCED = "Coalesced"
@@ -249,15 +250,15 @@ def coalescence_stats(
     difference moves +1 or -1 with probability p(1-p) each while the paths
     are apart; its empirical step law is returned.
     """
-    if not 0.0 < p < 1.0:
-        raise ValidationError("p must lie in (0, 1)")
+    require_p(p)
+    thresholds = rng.thresholds((p, 1.0 - p))
     met = 0
     meeting_levels: dict[int, int] = {}
     diff_counts = {-1: 0, 0: 0, 1: 0}
     diff_steps = 0
 
     def arrow_up(trial: int, site: Site) -> bool:
-        return rng.uniform_one(master_seed, trial, site[0], site[1]) < p
+        return rng.atom_one(thresholds, master_seed, trial, site[0], site[1]) == 0
 
     for t in range(trials):
         a, b = tuple(x), tuple(y)

@@ -1,10 +1,10 @@
 """Independent reference implementations used only to check the library.
 
-Kept deliberately naive: transitive closure by boolean matrix powering for
-reachability, a site-by-site search of the oriented triangular lattice, a
-direct recursive self-avoiding-walk count, and a brute-force witness
-search.  Nothing here shares code with the package beyond the site hash
-that defines the environments.
+Kept deliberately naive: the float definition of a site draw, transitive
+closure by boolean matrix powering for reachability, a site-by-site search
+of the oriented triangular lattice, a direct recursive self-avoiding-walk
+count, and a brute-force witness search.  Nothing here shares code with
+the package beyond the site hash that defines the environments.
 """
 
 from __future__ import annotations
@@ -15,7 +15,20 @@ import numpy as np
 
 from dre.directions import all_directions
 from dre.env import EnvironmentGrid
-from dre.rng import spawn_seed, uniform_one
+from dre.rng import hash_parts, spawn_seed
+
+
+def float_atoms(probs, seed, parts):
+    """Atom index of the draws keyed on (seed, parts), by the float definition.
+
+    The uniform is u = (h >> 11) 2^-53 for the site hash h, and the atom is
+    the number of cumulative sums at or below u, with the last sum pinned
+    to 1 so that float dust at the top cannot lose the last atom.
+    """
+    u = (hash_parts(seed, parts) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    cum = np.cumsum(np.asarray(probs, dtype=np.float64))
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
 
 
 def window_sites(env: EnvironmentGrid) -> list[tuple]:
@@ -62,10 +75,10 @@ def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,
     """Per trial: does the origin's open cluster on the oriented triangular
     lattice meet x = -radius or y = radius?
 
-    Site (x, y) of trial t is open when the uniform keyed on
-    (spawn_seed(master_seed, t), x, y) is below p (the origin too, unless
-    origin_open).  An open site steps W, N and NW; a closed one is a dead
-    end.  The window is [-radius, 0] x [0, radius].
+    Site (x, y) of trial t is open when the draw keyed on
+    (spawn_seed(master_seed, t), x, y) is atom 0 of (p, 1 - p) (the origin
+    too, unless origin_open).  An open site steps W, N and NW; a closed
+    one is a dead end.  The window is [-radius, 0] x [0, radius].
     """
     out = []
     for t in range(trials):
@@ -74,7 +87,8 @@ def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,
         stack = [(0, 0)]
         while stack:
             x, y = stack.pop()
-            if not ((origin_open and (x, y) == (0, 0)) or uniform_one(seed, x, y) < p):
+            if not ((origin_open and (x, y) == (0, 0))
+                    or float_atoms((p, 1.0 - p), seed, (x, y)) == 0):
                 continue
             for nxt in ((x - 1, y), (x, y + 1), (x - 1, y + 1)):
                 if nxt[0] >= -radius and nxt[1] <= radius and nxt not in seen:

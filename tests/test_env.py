@@ -11,10 +11,9 @@ from dre.env import Window, reverse_environment, sample_environment, sample_mask
 from dre.errors import ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
-from dre.montecarlo import _sample_batch_masks
 
 from conftest import MIXED_MEASURES
-from oracles import oracle_cluster_sets
+from oracles import float_atoms, oracle_cluster_sets
 
 
 def test_window_validation():
@@ -75,11 +74,12 @@ def test_sparse_coordinate_grids_match_dense(model, seed, lo_x, hi_x, lo_y, hi_y
     axes = [np.arange(window.lo[i], window.hi[i] + 1, dtype=np.int64) for i in range(2)]
     dense = np.meshgrid(*axes, indexing="ij")
     sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
-    u = rng.uniforms(seed, dense)
-    want = measure.masks[np.searchsorted(measure.cumulative(), u, side="right")]
+    want = measure.masks[float_atoms(measure.probs, seed, dense)]
     assert np.array_equal(sample_masks(measure, window, seed), want)
-    assert np.array_equal(_sample_batch_masks(measure, seed, 0, 3, sparse),
-                          _sample_batch_masks(measure, seed, 0, 3, dense))
+    # the batched draw of the oriented sweeps: one seed per trial on a new axis
+    seeds = rng.hash_parts(seed, (np.arange(3, dtype=np.int64),))[:, None, None]
+    assert np.array_equal(rng.atoms(seeds, sparse, measure.thresholds),
+                          rng.atoms(seeds, dense, measure.thresholds))
 
 
 def test_support_soundness():

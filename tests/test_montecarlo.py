@@ -265,15 +265,26 @@ def test_up_or_right_nested_windows():
     assert all(np.array_equal(levels[0], other) for other in levels[1:])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the se of a single trial is nan
 def test_m_size_stats_nested_windows():
     # one trial per master seed, so each mean is that trial's communicating-cluster
     # size; nested windows only add paths.  Edge contact is not monotone in M.
     radii = (3, 5, 8, 13)
     for model in (ModelId("NE-SW", 0.9), ModelId("EW-NS", 0.5)):
         for seed in range(40):
-            sizes = [row.mean_size for row in m_size_stats(model, radii, 1, master_seed=seed)]
+            rows = m_size_stats(model, radii, 1, master_seed=seed)
+            sizes = [row.mean_size for row in rows]
             assert sizes == sorted(sizes), (model, seed, sizes)
+            assert all(row.se_size == 0.0 for row in rows)  # one trial, as in run_plan
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.0, 1.0, 1.5, -0.1])
+def test_p_outside_unit_interval_is_rejected(p):
+    with pytest.raises(ValidationError):
+        otsp_reach_estimate(p, 5, 50)
+    with pytest.raises(ValidationError):
+        martingale_test(p, 10, 20, n_levels=5)
+    with pytest.raises(ValidationError):
+        theta_minus_curve(p, [5], 20)
 
 
 def test_m_size_stats_nested_stability():
