@@ -35,18 +35,18 @@ _MOVE_BITS = np.array([BIT_E, BIT_N, BIT_W, BIT_S], dtype=np.uint16)
 _CHECK_EVERY = 4
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
+def pack_rows(bits: np.ndarray) -> np.ndarray:
     """(..., n) bool -> (..., ceil(n/64)) uint64, bit i of a word row = bits[..., i]."""
     packed8 = np.packbits(bits, axis=-1, bitorder="little")
-    pad = (-packed8.shape[-1]) % 8
-    if pad:
-        packed8 = np.pad(packed8, [(0, 0)] * (bits.ndim - 1) + [(0, pad)])
-    return np.ascontiguousarray(packed8).view(np.uint64)
+    nbytes = packed8.shape[-1]
+    words = np.zeros(packed8.shape[:-1] + (-(-nbytes // 8),), dtype=np.uint64)
+    words.view(np.uint8)[..., :nbytes] = packed8
+    return words
 
 
 def pack_bool(grid: np.ndarray) -> np.ndarray:
     """(nx, ny) bool -> (ny, nwords) uint64, bit index = x index."""
-    return _pack_rows(grid.T)
+    return pack_rows(grid.T)
 
 
 def unpack_words(words: np.ndarray, nx: int) -> np.ndarray:
@@ -80,7 +80,7 @@ def move_masks(arrows: np.ndarray) -> np.ndarray:
     bits = (arrows.T[None] & _MOVE_BITS[:, None, None]) != 0  # (4, ny, nx)
     bits[0, :, -1] = bits[2, :, 0] = False
     bits[1, -1] = bits[3, 0] = False
-    return _pack_rows(bits)
+    return pack_rows(bits)
 
 
 def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int) -> None:

@@ -34,7 +34,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .bitgrid import edge_mask, move_masks, mutual_stats, reach_batch, reversed_moves
+from .bitgrid import (edge_mask, move_masks, mutual_stats, pack_rows, reach_batch,
+                      reversed_moves)
 from .clusters import classify_b_shape
 from .directions import BIT_E, BIT_N, N_MASK, NE_MASK, SW_MASK, SWE_MASK
 from .env import EnvironmentGrid, Window, sample_environment, sample_masks
@@ -136,19 +137,21 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 
 
 # ---------------------------------------------------------------------------
-# One batched row sweep for the oriented models
+# One lazy, bit-packed row sweep for the oriented models
 # ---------------------------------------------------------------------------
 #
 # When every atom is a subset of {E, N}, and on the oriented triangular
 # lattice, reachability never leaves one quadrant and a single row sweep
-# decides it.  Callers flip the quadrant into sweep order with numpy views,
-# so the source is corner (row 0, column 0) and every move goes right, up,
-# or (otsp) up-right.  The in-row recurrence R[i] = feed[i] | (R[i-1] &
-# gate[i-1]) vectorizes with two running maxima: R[i] is true iff the last
-# feed position at or before i is at or after the last gate break strictly
-# before i.  Batching trials into one array turns ~10ms per trial into
-# ~0.1ms, and the per-site draws stay bit-identical to the generic path
-# because the per-trial seeds and the site hash are unchanged.
+# decides it.  The quadrant is taken in sweep order: the source is corner
+# (row 0, column 0) and every move goes right, up, or (otsp) up-right.
+# Row k is hashed only for the trials still alive when the sweep gets
+# there: a draw is a pure hash of (seed, coords), so
+# rng.atoms(seeds[:, None], (cols, k), ...) is row k of the full-grid draw,
+# and a trial whose cluster dies after a few rows costs a few rows of hash.
+# A row is a (B, nwords) uint64 bit set; its right gates close it in one
+# carry pass (_row_propagate) and its up gates (plus, on otsp, a one-bit
+# shift) carry it to the next row.  A trial leaves the sweep once its row
+# is empty or meets the last column, and the sweep stops when none is left.
 
 _NE_ORIENTED_MASKS = frozenset({0, BIT_E, BIT_N, NE_MASK})
 
@@ -157,42 +160,72 @@ def _is_ne_oriented(measure: SupportMeasure) -> bool:
     return measure.d == 2 and measure.support() <= _NE_ORIENTED_MASKS
 
 
-def _row_propagate(feed: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """Batched solve of R[i] = feed[i] | (R[i-1] & gate[i-1]) along axis 1.
+def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """Close packed rows under their gates: R[i] = row[i] | (R[i-1] & gate[i-1]).
 
-    feed is (B, n); gate is (B, n-1), gate[:, i] opening the step i -> i+1.
+    row and gate are (B, nwords) uint64 with bit i of a row in bit i % 64
+    of word i // 64; gate bit i opens the step from i to i + 1.  Adding
+    gate to row & gate runs a carry from each reached gate to the end of
+    its run of gates, and ^ gate leaves that stretch set; the carry passes
+    from word to word as in a long addition.  An open gate at the last
+    column of a row carries past it; the sweep drops a row once it reaches
+    that column, so those bits are never read.
     """
-    n = feed.shape[1]
-    idx = np.arange(n)
-    last_feed = np.maximum.accumulate(np.where(feed, idx, -1), axis=1)
-    start = np.zeros_like(last_feed)
-    start[:, 1:] = np.where(gate, 0, idx[1:])
-    return last_feed >= np.maximum.accumulate(start, axis=1)
+    out = np.empty_like(row)
+    fed = row & gate
+    carry = np.zeros(row.shape[0], dtype=np.uint64)
+    for w in range(row.shape[1]):
+        g = gate[:, w]
+        s = fed[:, w] + g
+        over = s < g
+        s += carry
+        over |= s < carry
+        out[:, w] = row[:, w] | (s ^ g)
+        carry = over.astype(np.uint64)
+    return out
 
 
-def _row_sweep(up: np.ndarray, right: np.ndarray, diagonal: bool) -> np.ndarray:
-    """Edge contact of the cluster of corner (row 0, column 0), per trial.
+def _lazy_sweep(master_seed: int, trials: int, batch: int, n: int,
+                gates: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
+                up_at_source: bool, diagonal: bool) -> np.ndarray:
+    """Edge contact of the corner's cluster on an n x n quadrant, per trial.
 
-    Axes are (trial, column i, row k), already in sweep order, and every
-    gate sits at its source: up[:, i, k] (shape (B, n, rows-1)) lets site i
-    of row k step to row k+1, right[:, i, k] (shape (B, n-1, rows)) lets it
-    step to column i+1, and with diagonal the up gate also opens the step
-    to (i+1, k+1).  Contact is meeting the last column or the last row.
+    Trials run batch at a time.  gates(seeds, k) draws row k of the trials
+    with the given seeds and returns its packed (up, right) gates: right
+    bit i opens the step from column i to i + 1 in row k; up bit i opens
+    the step from column i of row k to row k + 1 (up_at_source) or into
+    column i of row k from row k - 1 (otherwise), and with diagonal the up
+    gate also opens the step to column i + 1 of row k + 1.  Contact is
+    meeting the last column or the last row.
     """
-    b, n = up.shape[:2]
-    row = np.zeros((b, n), dtype=bool)
-    row[:, 0] = True
-    touched = np.zeros(b, dtype=bool)
-    for k in range(right.shape[2]):
-        if k > 0:
-            row = row & up[:, :, k - 1]
-            if diagonal:
-                row[:, 1:] = row[:, 1:] | row[:, :-1]
-        row = _row_propagate(row, right[:, :, k])
-        touched |= row[:, -1]
-        if not row.any():
-            break
-    return touched | row.any(axis=1)  # the last row reached
+    word, bit = divmod(n - 1, 64)
+    last = np.uint64(1 << bit)
+    out = np.zeros(trials, dtype=bool)
+    for lo in range(0, trials, batch):
+        live = np.arange(lo, min(lo + batch, trials), dtype=np.int64)
+        seeds = rng.hash_parts(master_seed, (live,))
+        row = np.zeros((len(live), word + 1), dtype=np.uint64)
+        row[:, 0] = 1
+        for k in range(n):
+            up, right = gates(seeds, k)
+            if k:
+                row &= up_prev if up_at_source else up
+                if diagonal:  # bit n - 1 of a live row is clear, so nothing falls off
+                    shifted = row << np.uint64(1)
+                    shifted[:, 1:] |= row[:, :-1] >> np.uint64(63)
+                    row |= shifted
+            row = _row_propagate(row, right)
+            alive = row.any(axis=1)
+            if k == n - 1:
+                out[live] = alive
+                break
+            hit = (row[:, word] & last) != 0
+            out[live[hit]] = True
+            keep = alive & ~hit
+            if not keep.any():
+                break
+            live, seeds, row, up_prev = live[keep], seeds[keep], row[keep], up[keep]
+    return out
 
 
 def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
@@ -202,28 +235,29 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     """Edge contact of the forward (or backward) cluster of a NE-oriented model.
 
     The forward cluster lives in the quadrant [0, radius]^2, the backward
-    one in [-radius, 0]^2.  Backward reach is swept with both axes flipped:
-    a gate at the destination becomes a gate at the source one cell on.
-    origin, when given, replaces the origin's draw.
+    one in [-radius, 0]^2.  Backward reach is swept in the reflected
+    coordinates (-column, -row): there a gate sits at the destination, so
+    an E gate moves one column back and a row's N gate opens the step into
+    it.  origin, when given, replaces the origin's draw.  batch bounds the
+    trials hashed per row.
     """
-    lo_axis = -radius if backward else 0
-    axes = np.arange(lo_axis, lo_axis + radius + 1, dtype=np.int64)
-    grids = np.meshgrid(axes, axes, indexing="ij", sparse=True)
-    out = np.empty(trials, dtype=bool)
-    for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        seeds = rng.hash_parts(master_seed, (np.arange(lo, hi, dtype=np.int64),))
-        masks = measure.masks[rng.atoms(seeds[:, None, None], grids, measure.thresholds)]
-        if origin is not None:
-            masks[:, -lo_axis, -lo_axis] = origin
-        has_e = (masks & np.uint16(BIT_E)).astype(bool)
-        has_n = (masks & np.uint16(BIT_N)).astype(bool)
+    n = radius + 1
+    sign = -1 if backward else 1
+    xs = sign * np.arange(n, dtype=np.int64)
+    has_e = (measure.masks & BIT_E) != 0
+    has_n = (measure.masks & BIT_N) != 0
+
+    def gates(seeds: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        drawn = rng.atoms(seeds[:, None], (xs, sign * k), measure.thresholds)
+        e, up = has_e[drawn], has_n[drawn]
+        if k == 0 and origin is not None:
+            e[:, 0], up[:, 0] = bool(origin & BIT_E), bool(origin & BIT_N)
         if backward:
-            e_r, n_r = has_e[:, ::-1, ::-1], has_n[:, ::-1, ::-1]
-            out[lo:hi] = _row_sweep(n_r[:, :, 1:], e_r[:, 1:, :], False)
-        else:
-            out[lo:hi] = _row_sweep(has_n[:, :, :-1], has_e[:, :-1, :], False)
-    return out
+            e[:, :-1] = e[:, 1:]
+        return pack_rows(up), pack_rows(e)
+
+    return _lazy_sweep(master_seed, trials, batch, n, gates,
+                       up_at_source=not backward, diagonal=False)
 
 
 # Trials per reach_batch call on the generic path.  Trials are sampled and
@@ -388,24 +422,24 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
 
     Sites are open with probability p; an open site points to its west,
     north, and northwest neighbors, so the cluster lives in the origin's
-    northwest quadrant and the row sweep applies with the columns flipped
-    and a diagonal feed.  Closed sites can be reached but not left,
-    matching the site-percolation convention.
+    northwest quadrant and the row sweep runs on columns x = -i with the
+    open sites as gates and a diagonal step.  Closed sites can be reached
+    but not left, matching the site-percolation convention.  batch bounds
+    the trials hashed per row.
     """
-    gx = np.arange(-radius, 1, dtype=np.int64)
-    gy = np.arange(0, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(gx, gy, indexing="ij", sparse=True)
+    n = radius + 1
+    xs = -np.arange(n, dtype=np.int64)  # origin at column 0, west is +1
     thresholds = rng.thresholds((p, 1.0 - p))
-    out = np.empty(trials, dtype=bool)
-    for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        seeds = rng.hash_parts(master_seed, (np.arange(lo, hi, dtype=np.int64),))
-        open_grid = rng.atoms(seeds[:, None, None], grids, thresholds) == 0
-        if origin_open:
-            open_grid[:, -1, 0] = True
-        g = open_grid[:, ::-1, :]  # origin at column 0, west is +1
-        out[lo:hi] = _row_sweep(g[:, :, :-1], g[:, :-1, :], True)
-    return out
+
+    def gates(seeds: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        is_open = rng.atoms(seeds[:, None], (xs, k), thresholds) == 0
+        if k == 0 and origin_open:
+            is_open[:, 0] = True
+        gate = pack_rows(is_open)
+        return gate, gate
+
+    return _lazy_sweep(master_seed, trials, batch, n, gates,
+                       up_at_source=True, diagonal=True)
 
 
 def otsp_reach_estimate(p: float, radius: int, trials: int,
@@ -529,6 +563,12 @@ def survival_curve(
 # Transition-law verifiers
 # ---------------------------------------------------------------------------
 
+def _require_two(n: int, what: str) -> None:
+    """A sample standard error needs two values; one would give nan."""
+    if n < 2:
+        raise ValidationError(f"need at least 2 {what} for a standard error, got {n}")
+
+
 def _z(freq: float, prob: float, n: int) -> float:
     se = math.sqrt(prob * (1.0 - prob) / n)
     return (freq - prob) / se if se > 0 else float("inf")
@@ -615,6 +655,7 @@ def lu_walk_test(p: float, samples: int, master_seed: int = 0,
     """
     from .bounds import drift_formulas, lu_step_prob
 
+    _require_two(samples, "samples")
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0x10))
     at_l_is_ne = gen.random(samples) < p
     ne_run = gen.geometric(1.0 - p, samples) - 1      # extra NE sites going left
@@ -665,6 +706,7 @@ def seoa_excursion_test(p: float, samples: int, master_seed: int = 0) -> Excursi
     """
     from .bounds import drift_formulas
 
+    _require_two(samples, "samples")
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0x5E0A))
     starts_swe = gen.random(samples) < p
     down = gen.geometric(1.0 - p, samples) - 1  # extra three-arrow sites below
@@ -679,6 +721,7 @@ def w_walk_drift_test(p: float, samples: int, master_seed: int = 0) -> Excursion
     """Down-step column increments of the SE path in the orthant model."""
     from .bounds import drift_formulas
 
+    _require_two(samples, "samples")
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0xDE1F))
     dw = gen.geometric(1.0 - p, samples) - 1   # NE sites passed before the SW drop
     theory = drift_formulas("NE-SW", p)["delta_W"]
@@ -740,6 +783,7 @@ def martingale_test(p: float, radius: int, trials: int, n_levels: int = 30,
     per trial, so the reported z is mean(X_{n+1}-X_n) / se(diff).
     """
     require_p(p)
+    _require_two(trials, "trials")
     if n_levels >= radius:
         raise ValidationError("keep n_levels < radius so no level is truncated")
     fronts = _up_or_right_fronts(p, radius, trials, master_seed)
@@ -747,7 +791,10 @@ def martingale_test(p: float, radius: int, trials: int, n_levels: int = 30,
     means = counts.mean(axis=1)
     diffs = counts[1:] - counts[:-1]
     ses = diffs.std(axis=1, ddof=1) / math.sqrt(trials)
-    zs = np.where(ses > 0, diffs.mean(axis=1) / ses, 0.0)
+    mean_diffs = diffs.mean(axis=1)
+    # a difference with no spread is exact: its z is 0 if it is 0, infinite if not
+    exact = np.where(mean_diffs == 0, 0.0, np.copysign(np.inf, mean_diffs))
+    zs = np.divide(mean_diffs, ses, out=exact, where=ses > 0)
     return MartingaleReport(p, radius, trials, tuple(map(float, means)),
                             tuple(map(float, ses)), tuple(map(float, zs)))
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dre import montecarlo
+from dre import montecarlo, rng
+from dre.bitgrid import pack_rows
 from dre.clusters import backward_cluster, forward_cluster
-from dre.directions import parse_token
+from dre.directions import NE_MASK, parse_token
 from dre.env import EnvironmentGrid, Window, sample_environment
 from dre.errors import ValidationError
 from dre.measure import SupportMeasure
@@ -24,9 +25,11 @@ from dre.montecarlo import (
     SIZE_M,
     TrialPlan,
     _is_ne_oriented,
+    _lazy_sweep,
     _oriented_reach_trials,
     _otsp_reach_trials,
     _packed_values,
+    _row_propagate,
     _up_or_right_fronts,
     bisect_pc,
     check_theta_identity,
@@ -108,6 +111,62 @@ def test_oriented_sweep_matches_generic(tokens, p, radius, seed, batch, mode):
 def test_otsp_sweep_matches_oracle(p, radius, trials, seed, batch, origin_open):
     got = _otsp_reach_trials(p, radius, trials, seed, origin_open=origin_open, batch=batch)
     assert got.tolist() == otsp_reach_oracle(p, radius, trials, seed, origin_open)
+
+
+def _naive_closure(row, gate):
+    out = row.copy()
+    for i in range(1, row.shape[1]):
+        out[:, i] |= out[:, i - 1] & gate[:, i - 1]
+    return out
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_row_propagate_matches_naive_loop(n):
+    gen = np.random.default_rng(n)
+    rows, gates = [], []
+    for density in (0.5, 0.9, 0.99, 1.0):  # dense gates carry across words
+        rows.append(gen.random((32, n)) < 0.05)
+        gates.append(gen.random((32, n)) < density)
+    one = np.zeros((1, n), dtype=bool)
+    one[0, 0] = True
+    rows.append(one)                               # the corner alone ...
+    gates.append(np.ones((1, n), dtype=bool))      # ... runs the whole row
+    row, gate = np.concatenate(rows), np.concatenate(gates)
+    gate[:, -1] = False
+    got = _row_propagate(pack_rows(row), pack_rows(gate))
+    bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    assert not bits[:, n:].any()
+    assert np.array_equal(bits[:, :n], _naive_closure(row, gate))
+    assert bits[-1].sum() == n
+
+
+@pytest.mark.parametrize("radius", [62, 63, 64, 65, 127, 128])
+def test_sweeps_at_word_boundaries(radius):
+    # rows of radius + 1 bits end at, or just past, a 64-bit word
+    measure = measure_for(ModelId("NE-.", 0.75))
+    for stat, backward, origin in ((REACH_C, False, None), (REACH_B, True, None),
+                                   (REACH_C, False, NE_MASK)):
+        fast = _oriented_reach_trials(measure, radius, 8, radius, backward, origin, batch=3)
+        slow = _packed_values(measure, radius, 8, radius, stat, origin).astype(bool)
+        assert np.array_equal(fast, slow)
+    got = _otsp_reach_trials(0.65, radius, 6, radius, origin_open=True, batch=4)
+    assert got.tolist() == otsp_reach_oracle(0.65, radius, 6, radius, origin_open=True)
+
+
+@pytest.mark.parametrize("n", [66, 129, 130])
+def test_diagonal_step_carries_across_words(n):
+    # sites open on the diagonal only: the cluster climbs it by diagonal
+    # steps alone, through bit 63 -> 64; trial 1's stair is closed at row 64
+    broken = rng.hash_parts(0, (np.arange(2, dtype=np.int64),))[1]
+
+    def gates(seeds, k):
+        is_open = np.zeros((len(seeds), n), dtype=bool)
+        is_open[:, k] = (seeds != broken) | (k != 64)
+        gate = pack_rows(is_open)
+        return gate, gate
+
+    got = _lazy_sweep(0, 2, 256, n, gates, up_at_source=True, diagonal=True)
+    assert got.tolist() == [True, False]
 
 
 def test_size_statistic_full_communication():
@@ -244,6 +303,19 @@ def test_martingale_small():
     assert rep.max_abs_z <= 4.0
     with pytest.raises(ValidationError):
         martingale_test(0.5, 10, 100, n_levels=10)
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: martingale_test(0.5, 10, n, n_levels=5),
+    lambda n: lu_walk_test(0.5, n),
+    lambda n: seoa_excursion_test(0.5, n),
+    lambda n: w_walk_drift_test(0.5, n),
+], ids=["martingale", "lu_walk", "seoa_excursion", "w_walk_drift"])
+def test_one_sample_has_no_standard_error(check):
+    for n in (0, 1):
+        with pytest.raises(ValidationError):
+            check(n)
+    check(2)  # no nan, no RuntimeWarning
 
 
 def test_theta_minus_curve_decreasing():

@@ -43,6 +43,22 @@ def test_scalar_matches_vector(seed, parts, cuts, shift):
     assert rng.atom_one(thresholds, seed, *parts) == int(rng.atoms(seed, arrays, thresholds))
 
 
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (-1, 1)],
+                         ids=["forward NE", "backward NE", "otsp"])
+def test_row_draw_equals_full_grid_row(signs):
+    # the lazy oriented sweep hashes one row at a time, for the live trials only
+    sx, sy = signs
+    seeds = rng.hash_parts(11, (np.arange(5, dtype=np.int64),))
+    cols = sx * np.arange(70, dtype=np.int64)
+    rows = sy * np.arange(70, dtype=np.int64)
+    grid = rng.atoms(seeds[:, None, None], (cols[:, None], rows[None, :]), THREE_ATOMS)
+    for k in (0, 1, 63, 64, 69):
+        row = rng.atoms(seeds[:, None], (cols, sy * k), THREE_ATOMS)
+        assert np.array_equal(row, grid[:, :, k])
+        assert np.array_equal(rng.atoms(seeds[[3, 1], None], (cols, sy * k), THREE_ATOMS),
+                              grid[[3, 1], :, k])
+
+
 def test_spawn_seed_injective_sample():
     seen = {rng.spawn_seed(7, i, j) for i in range(40) for j in range(40)}
     assert len(seen) == 1600
