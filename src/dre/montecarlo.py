@@ -57,6 +57,14 @@ _PROPORTIONS = (REACH_C, REACH_B, REACH_M, REACH_OTSP)
 BISECTABLE = ("NE-.", "SWE-.", "NSEW-.", "otsp")
 
 
+def _require_run(radius: int, trials: int) -> None:
+    """Reject fewer than one trial or a window radius below 1."""
+    if trials < 1:
+        raise ValidationError("need at least one trial")
+    if radius < 1:
+        raise ValidationError("window radius must be >= 1")
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     model: ModelId | SupportMeasure
@@ -66,10 +74,7 @@ class TrialPlan:
     statistic: str | Callable[[EnvironmentGrid], float] = REACH_C
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("need at least one trial")
-        if self.radius < 1:
-            raise ValidationError("window radius must be >= 1")
+        _require_run(self.radius, self.trials)
         if isinstance(self.statistic, str) and self.statistic not in _STATISTICS:
             raise ValidationError(
                 f"statistic must be one of {_STATISTICS} or a callable"
@@ -144,10 +149,9 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # lattice, reachability never leaves one quadrant and a single row sweep
 # decides it.  The quadrant is taken in sweep order: the source is corner
 # (row 0, column 0) and every move goes right, up, or (otsp) up-right.
-# Row k is hashed only for the trials still alive when the sweep gets
-# there: a draw is a pure hash of (seed, coords), so
-# rng.atoms(seeds[:, None], (cols, k), ...) is row k of the full-grid draw,
-# and a trial whose cluster dies after a few rows costs a few rows of hash.
+# Row k is drawn only for the trials still alive when the sweep gets there,
+# by the caller's row draw, which owns the key: a draw is a pure hash of its
+# key, so a trial whose cluster dies after a few rows costs a few rows of hash.
 # A row is a (B, nwords) uint64 bit set; its right gates close it in one
 # carry pass (_row_propagate) and its up gates (plus, on otsp, a one-bit
 # shift) carry it to the next row.  A trial leaves the sweep once its row
@@ -185,13 +189,13 @@ def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lazy_sweep(master_seed: int, trials: int, batch: int, n: int,
+def _lazy_sweep(trials: int, batch: int, n: int,
                 gates: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
                 up_at_source: bool, diagonal: bool) -> np.ndarray:
     """Edge contact of the corner's cluster on an n x n quadrant, per trial.
 
-    Trials run batch at a time.  gates(seeds, k) draws row k of the trials
-    with the given seeds and returns its packed (up, right) gates: right
+    Trials run batch at a time.  gates(live, k) draws row k of the trials
+    with indices live and returns its packed (up, right) gates: right
     bit i opens the step from column i to i + 1 in row k; up bit i opens
     the step from column i of row k to row k + 1 (up_at_source) or into
     column i of row k from row k - 1 (otherwise), and with diagonal the up
@@ -203,11 +207,10 @@ def _lazy_sweep(master_seed: int, trials: int, batch: int, n: int,
     out = np.zeros(trials, dtype=bool)
     for lo in range(0, trials, batch):
         live = np.arange(lo, min(lo + batch, trials), dtype=np.int64)
-        seeds = rng.hash_parts(master_seed, (live,))
         row = np.zeros((len(live), word + 1), dtype=np.uint64)
         row[:, 0] = 1
         for k in range(n):
-            up, right = gates(seeds, k)
+            up, right = gates(live, k)
             if k:
                 row &= up_prev if up_at_source else up
                 if diagonal:  # bit n - 1 of a live row is clear, so nothing falls off
@@ -224,12 +227,33 @@ def _lazy_sweep(master_seed: int, trials: int, batch: int, n: int,
             keep = alive & ~hit
             if not keep.any():
                 break
-            live, seeds, row, up_prev = live[keep], seeds[keep], row[keep], up[keep]
+            live, row, up_prev = live[keep], row[keep], up[keep]
     return out
 
 
+RowDraw = Callable[[np.ndarray, np.ndarray, int], np.ndarray]  # (trials, xs, y) -> atoms
+
+
+def _site_draw(thresholds: Sequence[int], master_seed: int, trials: int) -> RowDraw:
+    """The package rule: site (x, y) of trial t keyed on (spawn_seed(master_seed, t), x, y)."""
+    seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
+
+    def draw(live: np.ndarray, xs: np.ndarray, y: int) -> np.ndarray:
+        return rng.atoms(seeds[live][:, None], (xs, y), thresholds)
+
+    return draw
+
+
+def _up_or_right_draw(thresholds: Sequence[int], master_seed: int) -> RowDraw:
+    """Site (x, y) of trial t keyed on (master_seed, t, -(x + y), -y), as in the fronts."""
+    def draw(live: np.ndarray, xs: np.ndarray, y) -> np.ndarray:
+        return rng.atoms(master_seed, (live[:, None], -(xs + y), -y), thresholds)
+
+    return draw
+
+
 def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
-                           master_seed: int, backward: bool,
+                           draw: RowDraw, backward: bool,
                            origin: Optional[int] = None,
                            batch: int = 256) -> np.ndarray:
     """Edge contact of the forward (or backward) cluster of a NE-oriented model.
@@ -238,8 +262,8 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     one in [-radius, 0]^2.  Backward reach is swept in the reflected
     coordinates (-column, -row): there a gate sits at the destination, so
     an E gate moves one column back and a row's N gate opens the step into
-    it.  origin, when given, replaces the origin's draw.  batch bounds the
-    trials hashed per row.
+    it.  draw gives the sites' atoms of measure; origin, when given,
+    replaces the origin's draw.  batch bounds the trials hashed per row.
     """
     n = radius + 1
     sign = -1 if backward else 1
@@ -247,8 +271,8 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     has_e = (measure.masks & BIT_E) != 0
     has_n = (measure.masks & BIT_N) != 0
 
-    def gates(seeds: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        drawn = rng.atoms(seeds[:, None], (xs, sign * k), measure.thresholds)
+    def gates(live: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        drawn = draw(live, xs, sign * k)
         e, up = has_e[drawn], has_n[drawn]
         if k == 0 and origin is not None:
             e[:, 0], up[:, 0] = bool(origin & BIT_E), bool(origin & BIT_N)
@@ -256,8 +280,7 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
             e[:, :-1] = e[:, 1:]
         return pack_rows(up), pack_rows(e)
 
-    return _lazy_sweep(master_seed, trials, batch, n, gates,
-                       up_at_source=not backward, diagonal=False)
+    return _lazy_sweep(trials, batch, n, gates, up_at_source=not backward, diagonal=False)
 
 
 # Trials per reach_batch call on the generic path.  Trials are sampled and
@@ -310,8 +333,9 @@ def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
     """
     origin = int(np.bitwise_or.reduce(measure.masks)) if live_origin else None
     if statistic in (REACH_C, REACH_B) and _is_ne_oriented(measure):
-        return _oriented_reach_trials(measure, radius, trials, master_seed,
-                                      statistic == REACH_B, origin)
+        draw = _site_draw(measure.thresholds, master_seed, trials)
+        return _oriented_reach_trials(measure, radius, trials, draw, statistic == REACH_B,
+                                      origin)
     return _packed_values(measure, radius, trials, master_seed, statistic, origin)
 
 
@@ -319,6 +343,13 @@ def _mean_se(values: np.ndarray) -> float:
     """Standard error of a sample mean; 0.0 for a single value."""
     n = len(values)
     return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
+def _zscore(diff: float, se: float) -> float:
+    """diff / se; with no spread the difference is exact: z is 0 if it is 0, else signed inf."""
+    if se > 0:
+        return diff / se
+    return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
 def _record(model: str, p: float, radius: int, statistic: str, values: np.ndarray,
@@ -384,8 +415,7 @@ class IdentityReport:
 
     @property
     def z(self) -> float:
-        se = self.pooled_se
-        return (self.lhs - self.rhs) / se if se > 0 else float("inf")
+        return _zscore(self.lhs - self.rhs, self.pooled_se)
 
 
 def check_theta_identity(model: ModelId, radius: int, trials: int,
@@ -429,23 +459,23 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
     """
     n = radius + 1
     xs = -np.arange(n, dtype=np.int64)  # origin at column 0, west is +1
-    thresholds = rng.thresholds((p, 1.0 - p))
+    draw = _site_draw(rng.thresholds((p, 1.0 - p)), master_seed, trials)
 
-    def gates(seeds: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        is_open = rng.atoms(seeds[:, None], (xs, k), thresholds) == 0
+    def gates(live: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        is_open = draw(live, xs, k) == 0
         if k == 0 and origin_open:
             is_open[:, 0] = True
         gate = pack_rows(is_open)
         return gate, gate
 
-    return _lazy_sweep(master_seed, trials, batch, n, gates,
-                       up_at_source=True, diagonal=True)
+    return _lazy_sweep(trials, batch, n, gates, up_at_source=True, diagonal=True)
 
 
 def otsp_reach_estimate(p: float, radius: int, trials: int,
                         master_seed: int = 0,
                         origin_open: bool = False) -> EstimateRecord:
     require_p(p)
+    _require_run(radius, trials)
     t0 = time.perf_counter()
     hits = _otsp_reach_trials(p, radius, trials, master_seed,
                               origin_open=origin_open)
@@ -506,6 +536,7 @@ def bisect_pc(
                     f"{name!r} is not on the monotone allowlist {BISECTABLE};"
                     " chart a survival curve instead"
                 )
+        _require_run(radius, trials_per_probe)
 
         def probe(p: float, idx: int) -> float:
             seed = rng.spawn_seed(master_seed, idx)
@@ -570,8 +601,7 @@ def _require_two(n: int, what: str) -> None:
 
 
 def _z(freq: float, prob: float, n: int) -> float:
-    se = math.sqrt(prob * (1.0 - prob) / n)
-    return (freq - prob) / se if se > 0 else float("inf")
+    return _zscore(freq - prob, math.sqrt(prob * (1.0 - prob) / n))
 
 
 @dataclass(frozen=True)
@@ -638,8 +668,8 @@ class LuWalkReport:
     @property
     def max_abs_z(self) -> float:
         zs = [abs(c["z"]) for c in self.l_cells + self.u_cells]
-        zs.append(abs((self.mean_dl - self.drift_dl) / self.se_dl))
-        zs.append(abs((self.mean_du - self.drift_du) / self.se_du))
+        zs.append(abs(_zscore(self.mean_dl - self.drift_dl, self.se_dl)))
+        zs.append(abs(_zscore(self.mean_du - self.drift_du, self.se_du)))
         return max(zs)
 
 
@@ -678,8 +708,8 @@ def lu_walk_test(p: float, samples: int, master_seed: int = 0,
                         "z": _z(freq, prob, samples)})
     return LuWalkReport(
         p, samples,
-        float(dl.mean()), float(dl.std(ddof=1) / math.sqrt(samples)), drifts["delta_L0"],
-        float(du.mean()), float(du.std(ddof=1) / math.sqrt(samples)), drifts["delta_U0"],
+        float(dl.mean()), _mean_se(dl), drifts["delta_L0"],
+        float(du.mean()), _mean_se(du), drifts["delta_U0"],
         tuple(l_cells), tuple(u_cells),
     )
 
@@ -694,7 +724,7 @@ class ExcursionReport:
 
     @property
     def z(self) -> float:
-        return (self.mean - self.theory) / self.se
+        return _zscore(self.mean - self.theory, self.se)
 
 
 def seoa_excursion_test(p: float, samples: int, master_seed: int = 0) -> ExcursionReport:
@@ -713,8 +743,7 @@ def seoa_excursion_test(p: float, samples: int, master_seed: int = 0) -> Excursi
     up = gen.geometric(p, samples)              # up sites climbed, >= 1
     w = np.where(starts_swe, -down, up)
     theory = drift_formulas("SWE-N", p)["seoa_mean_excursion"]
-    return ExcursionReport(p, samples, float(w.mean()),
-                           float(w.std(ddof=1) / math.sqrt(samples)), theory)
+    return ExcursionReport(p, samples, float(w.mean()), _mean_se(w), theory)
 
 
 def w_walk_drift_test(p: float, samples: int, master_seed: int = 0) -> ExcursionReport:
@@ -725,8 +754,7 @@ def w_walk_drift_test(p: float, samples: int, master_seed: int = 0) -> Excursion
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0xDE1F))
     dw = gen.geometric(1.0 - p, samples) - 1   # NE sites passed before the SW drop
     theory = drift_formulas("NE-SW", p)["delta_W"]
-    return ExcursionReport(p, samples, float(dw.mean()),
-                           float(dw.std(ddof=1) / math.sqrt(samples)), theory)
+    return ExcursionReport(p, samples, float(dw.mean()), _mean_se(dw), theory)
 
 
 # ---------------------------------------------------------------------------
@@ -747,30 +775,23 @@ class MartingaleReport:
         return max(abs(z) for z in self.diff_zs)
 
 
-def _up_or_right_fronts(p: float, radius: int, trials: int, master_seed: int):
+def _up_or_right_fronts(p: float, trials: int, master_seed: int):
     """Yield the antidiagonal fronts of the sites whose path reaches the origin.
 
-    Front n (n = 0 .. 2*radius) is a (trials, n+1) boolean array over the
+    Front n (n = 0, 1, ...) is a (trials, n+1) boolean array over the
     sites (-(n-i), -i), i = 0..n, indexed by their second offset; each site
-    steps up (to index i-1 of front n-1) or right (to index i).  Window
-    masking keeps only sites with both coordinates in [-radius, 0], so
-    fronts n <= radius do not depend on the radius.
+    steps up (to index i-1 of front n-1) or right (to index i).
     """
-    t_idx = np.arange(trials, dtype=np.int64)[:, None]
-    thresholds = rng.thresholds((p, 1.0 - p))
+    live = np.arange(trials, dtype=np.int64)
+    draw = _up_or_right_draw(rng.thresholds((p, 1.0 - p)), master_seed)
     b = np.ones((trials, 1), dtype=bool)
     yield b
-    for n in range(1, 2 * radius + 1):
-        i = np.arange(n + 1, dtype=np.int64)[None, :]
-        up = rng.atoms(master_seed, (t_idx, np.int64(n), i), thresholds) == 0
-        prev_up = np.zeros((trials, n + 1), dtype=bool)
-        prev_up[:, 1:] = b
-        prev_right = np.zeros((trials, n + 1), dtype=bool)
-        prev_right[:, :n] = b
-        b = np.where(up, prev_up, prev_right)
-        if n > radius:
-            b[:, :n - radius] = False   # first coordinate below -radius
-            b[:, radius + 1:] = False   # second coordinate below -radius
+    for n in itertools.count(1):
+        i = np.arange(n + 1, dtype=np.int64)
+        up = draw(live, i - n, -i) == 0
+        padded = np.zeros((trials, n + 2), dtype=bool)
+        padded[:, 1:-1] = b
+        b = np.where(up, padded[:, :-1], padded[:, 1:])
         yield b
 
 
@@ -786,17 +807,14 @@ def martingale_test(p: float, radius: int, trials: int, n_levels: int = 30,
     _require_two(trials, "trials")
     if n_levels >= radius:
         raise ValidationError("keep n_levels < radius so no level is truncated")
-    fronts = _up_or_right_fronts(p, radius, trials, master_seed)
+    fronts = _up_or_right_fronts(p, trials, master_seed)
     counts = np.array([front.sum(axis=1) for front in itertools.islice(fronts, n_levels + 1)])
     means = counts.mean(axis=1)
     diffs = counts[1:] - counts[:-1]
     ses = diffs.std(axis=1, ddof=1) / math.sqrt(trials)
-    mean_diffs = diffs.mean(axis=1)
-    # a difference with no spread is exact: its z is 0 if it is 0, infinite if not
-    exact = np.where(mean_diffs == 0, 0.0, np.copysign(np.inf, mean_diffs))
-    zs = np.divide(mean_diffs, ses, out=exact, where=ses > 0)
+    zs = tuple(_zscore(float(d), float(se)) for d, se in zip(diffs.mean(axis=1), ses))
     return MartingaleReport(p, radius, trials, tuple(map(float, means)),
-                            tuple(map(float, ses)), tuple(map(float, zs)))
+                            tuple(map(float, ses)), zs)
 
 
 def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
@@ -806,20 +824,16 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
     The site draws are keyed on coordinates alone, so the windows are
     nested realizations of one environment and the estimates are monotone
     trial-by-trial: reaching the larger edge implies reaching the smaller.
+    N-E is NE-oriented, so the backward row sweep decides each trial.
     """
-    require_p(p)
-    if any(radius < 1 for radius in radii):
-        raise ValidationError("window radius must be >= 1")
+    measure = measure_for(ModelId("N-E", p))
+    for radius in radii:
+        _require_run(radius, trials)
+    draw = _up_or_right_draw(measure.thresholds, master_seed)
     out = []
     for radius in radii:
         t0 = time.perf_counter()
-        touched = np.zeros(trials, dtype=bool)
-        for n, front in enumerate(_up_or_right_fronts(p, radius, trials, master_seed)):
-            if n >= radius:
-                # index radius is second coordinate -radius; n - radius is first
-                touched |= front[:, radius] | front[:, n - radius]
-            if not front.any():
-                break
+        touched = _oriented_reach_trials(measure, radius, trials, draw, backward=True)
         out.append(_record("N-E", p, radius, REACH_B, touched, master_seed, t0))
     return out
 

@@ -121,51 +121,33 @@ def _quadrant_mover(env, first, second, q, gen) -> Callable[[Site], Site]:
     return mover
 
 
-def _follow(env, start, mover,
-            collect_excursions=False) -> PathTrace | tuple[PathTrace, list[int]]:
+def _follow(env, start, mover) -> PathTrace:
     window = env.window
     limit = step_limit(window)
     sites = [start]
     seen = {start}
-    excursions: list[int] = []
-    vertical = 0
     site = start
     exit_reason = EXIT_STEP_LIMIT
     for _ in range(limit):
-        try:
-            nxt = mover(site)
-        except _LeaveWindow:
-            exit_reason = EXIT_BOUNDARY
-            break
+        nxt = mover(site)
         if not window.contains(nxt):
             exit_reason = EXIT_BOUNDARY
             break
-        if collect_excursions:
-            dy = nxt[1] - site[1]
-            if dy:
-                vertical += dy
-            else:
-                excursions.append(vertical)
-                vertical = 0
         sites.append(nxt)
         if nxt in seen:
             exit_reason = EXIT_CYCLE
-            site = nxt
             break
         seen.add(nxt)
         site = nxt
-    trace = PathTrace(tuple(sites), exit_reason)
-    if collect_excursions:
-        return trace, excursions
-    return trace
-
-
-class _LeaveWindow(Exception):
-    pass
+    return PathTrace(tuple(sites), exit_reason)
 
 
 def _seoa_mover(env: EnvironmentGrid, eastward: bool) -> Callable[[Site], Site]:
-    """Down if that lands on another three-arrow site, else sideways; up sites go up."""
+    """Down if that lands on another three-arrow site, else sideways; up sites go up.
+
+    On the window's bottom row the down step leaves the window, which ends
+    the path.
+    """
     window = env.window
     side = (1, 0) if eastward else (-1, 0)
 
@@ -175,9 +157,7 @@ def _seoa_mover(env: EnvironmentGrid, eastward: bool) -> Callable[[Site], Site]:
             return (site[0], site[1] + 1)
         if mask == SWE_MASK:
             below = (site[0], site[1] - 1)
-            if not window.contains(below):
-                raise _LeaveWindow
-            if env.mask_at(below) == SWE_MASK:
+            if not window.contains(below) or env.mask_at(below) == SWE_MASK:
                 return below
             return (site[0] + side[0], site[1] + side[1])
         raise ModelAssumptionError(
@@ -187,9 +167,23 @@ def _seoa_mover(env: EnvironmentGrid, eastward: bool) -> Callable[[Site], Site]:
     return mover
 
 
-def _check_swe_n(env: EnvironmentGrid) -> None:
+def _on_average_path(env: EnvironmentGrid, start: Site,
+                     eastward: bool) -> tuple[PathTrace, list[int]]:
+    _require_2d(env)
     if env.measure is None or env.measure.support() != frozenset({SWE_MASK, N_MASK}):
         raise ModelAssumptionError("path family needs the three-or-up model")
+    if not env.window.contains(start):
+        raise ValidationError(f"start {start} outside the window")
+    trace = _follow(env, start, _seoa_mover(env, eastward))
+    excursions: list[int] = []
+    vertical = 0
+    for a, b in zip(trace.sites, trace.sites[1:]):
+        if b[1] != a[1]:
+            vertical += b[1] - a[1]
+        else:
+            excursions.append(vertical)
+            vertical = 0
+    return trace, excursions
 
 
 def seoa_path(env: EnvironmentGrid, start: Site) -> tuple[PathTrace, list[int]]:
@@ -200,20 +194,12 @@ def seoa_path(env: EnvironmentGrid, start: Site) -> tuple[PathTrace, list[int]]:
     -(p^3 - p^2 + 2p - 1) / (p(1-p)) with p the three-arrow probability.
     Never steps west.
     """
-    _require_2d(env)
-    _check_swe_n(env)
-    if not env.window.contains(start):
-        raise ValidationError(f"start {start} outside the window")
-    return _follow(env, start, _seoa_mover(env, eastward=True), collect_excursions=True)
+    return _on_average_path(env, start, eastward=True)
 
 
 def swoa_path(env: EnvironmentGrid, start: Site) -> tuple[PathTrace, list[int]]:
     """Mirror image of seoa_path; never steps east."""
-    _require_2d(env)
-    _check_swe_n(env)
-    if not env.window.contains(start):
-        raise ValidationError(f"start {start} outside the window")
-    return _follow(env, start, _seoa_mover(env, eastward=False), collect_excursions=True)
+    return _on_average_path(env, start, eastward=False)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +418,7 @@ def _trace_legs(env, start, legs, movers) -> tuple[list[Site], list[int], Option
         mover = movers[mover_name]
         steps = 0
         while not stop(site):
-            try:
-                nxt = mover(site)
-            except _LeaveWindow:
-                return trace, anchors, None
+            nxt = mover(site)
             if not window.contains(nxt):
                 return trace, anchors, None
             trace.append(nxt)

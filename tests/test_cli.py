@@ -41,6 +41,11 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli("estimate", "--model", "not-a-model", "--p", "0.5",
                    "--radius", "5", "--trials", "5") == 2
     assert run_cli("classify", "--p", "0.5", "--radius", "5", "--trials", "5") == 2
+    assert run_cli("estimate", "--statistic", "reach_otsp", "--p", "0.5",
+                   "--radius", "-3", "--trials", "5") == 2
+    assert run_cli("estimate", "--statistic", "reach_otsp", "--p", "0.5",
+                   "--radius", "5", "--trials", "0") == 2
+    assert run_cli("bisect", "--model", "otsp", "--radius", "0", "--trials", "5") == 2
 
 
 def test_estimate_csv(tmp_path):

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import math
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dre import montecarlo, rng
+from dre import montecarlo
 from dre.bitgrid import pack_rows
 from dre.clusters import backward_cluster, forward_cluster
 from dre.directions import NE_MASK, parse_token
@@ -19,6 +18,9 @@ from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for, two_valued
 from dre.montecarlo import (
     CSV_HEADER,
+    EstimateRecord,
+    ExcursionReport,
+    IdentityReport,
     REACH_B,
     REACH_C,
     REACH_M,
@@ -30,7 +32,8 @@ from dre.montecarlo import (
     _otsp_reach_trials,
     _packed_values,
     _row_propagate,
-    _up_or_right_fronts,
+    _site_draw,
+    _up_or_right_draw,
     bisect_pc,
     check_theta_identity,
     classify_shapes,
@@ -49,7 +52,7 @@ from dre.montecarlo import (
     write_records_jsonl,
 )
 
-from oracles import otsp_reach_oracle
+from oracles import float_atoms, otsp_reach_oracle
 
 OPEN_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
@@ -84,7 +87,8 @@ def test_fast_oriented_path_matches_generic():
     measure = measure_for(model)
     assert _is_ne_oriented(measure)
     for stat, backward in ((REACH_C, False), (REACH_B, True)):
-        fast = _oriented_reach_trials(measure, 20, 40, 13, backward=backward)
+        fast = _oriented_reach_trials(measure, 20, 40, _site_draw(measure.thresholds, 13, 40),
+                                      backward=backward)
         slow = _packed_values(measure, 20, 40, 13, stat).astype(bool)
         assert np.array_equal(fast, slow)
 
@@ -98,8 +102,9 @@ def test_oriented_sweep_matches_generic(tokens, p, radius, seed, batch, mode):
     assert _is_ne_oriented(measure)
     trials = 9
     origin = parse_token(tokens[0]) | parse_token(tokens[1]) if mode == "live origin" else None
-    fast = _oriented_reach_trials(measure, radius, trials, seed, backward=mode == "backward",
-                                  origin=origin, batch=batch)
+    fast = _oriented_reach_trials(measure, radius, trials,
+                                  _site_draw(measure.thresholds, seed, trials),
+                                  backward=mode == "backward", origin=origin, batch=batch)
     slow = _packed_values(measure, radius, trials, seed,
                           REACH_B if mode == "backward" else REACH_C, origin).astype(bool)
     assert np.array_equal(fast, slow)
@@ -146,7 +151,8 @@ def test_sweeps_at_word_boundaries(radius):
     measure = measure_for(ModelId("NE-.", 0.75))
     for stat, backward, origin in ((REACH_C, False, None), (REACH_B, True, None),
                                    (REACH_C, False, NE_MASK)):
-        fast = _oriented_reach_trials(measure, radius, 8, radius, backward, origin, batch=3)
+        draw = _site_draw(measure.thresholds, radius, 8)
+        fast = _oriented_reach_trials(measure, radius, 8, draw, backward, origin, batch=3)
         slow = _packed_values(measure, radius, 8, radius, stat, origin).astype(bool)
         assert np.array_equal(fast, slow)
     got = _otsp_reach_trials(0.65, radius, 6, radius, origin_open=True, batch=4)
@@ -157,15 +163,13 @@ def test_sweeps_at_word_boundaries(radius):
 def test_diagonal_step_carries_across_words(n):
     # sites open on the diagonal only: the cluster climbs it by diagonal
     # steps alone, through bit 63 -> 64; trial 1's stair is closed at row 64
-    broken = rng.hash_parts(0, (np.arange(2, dtype=np.int64),))[1]
-
-    def gates(seeds, k):
-        is_open = np.zeros((len(seeds), n), dtype=bool)
-        is_open[:, k] = (seeds != broken) | (k != 64)
+    def gates(live, k):
+        is_open = np.zeros((len(live), n), dtype=bool)
+        is_open[:, k] = (live != 1) | (k != 64)
         gate = pack_rows(is_open)
         return gate, gate
 
-    got = _lazy_sweep(0, 2, 256, n, gates, up_at_source=True, diagonal=True)
+    got = _lazy_sweep(2, 256, n, gates, up_at_source=True, diagonal=True)
     assert got.tolist() == [True, False]
 
 
@@ -330,11 +334,28 @@ def test_up_or_right_nested_windows():
     for seed in range(60):
         contact = [r.estimate for r in theta_minus_curve(0.5, radii, 1, master_seed=seed)]
         assert contact == sorted(contact, reverse=True), (seed, contact)
-    # fronts inside the smallest window do not see the window
-    levels = [np.concatenate([f.sum(axis=1) for f in itertools.islice(
-                  _up_or_right_fronts(0.45, radius, 200, 3), 6)])
-              for radius in (5, 9, 14)]
-    assert all(np.array_equal(levels[0], other) for other in levels[1:])
+
+
+@given(p=OPEN_P, radius=st.integers(1, 12), trials=st.integers(1, 5),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_theta_minus_sweep_matches_up_or_right_oracle(p, radius, trials, seed):
+    # theta_minus_curve keys N-E site (x, y) of trial t on (t, -(x + y), -y);
+    # build each trial's window from that key and take its backward cluster by BFS
+    window = Window.centered(radius, 2)
+    xs, ys = np.meshgrid(np.arange(-radius, radius + 1), np.arange(-radius, radius + 1),
+                         indexing="ij")
+    up, right = parse_token("N"), parse_token("E")
+    hits = []
+    for t in range(trials):
+        atom = float_atoms((p, 1.0 - p), seed, (t, -(xs + ys), -ys))
+        env = EnvironmentGrid(window, np.where(atom == 0, up, right))
+        hits.append(backward_cluster(env, (0, 0)).touches_boundary)
+    measure = measure_for(ModelId("N-E", p))
+    swept = _oriented_reach_trials(measure, radius, trials,
+                                   _up_or_right_draw(measure.thresholds, seed), backward=True)
+    assert swept.tolist() == hits
+    assert theta_minus_curve(p, [radius], trials, seed)[0].estimate == np.mean(hits)
 
 
 def test_m_size_stats_nested_windows():
@@ -357,6 +378,30 @@ def test_p_outside_unit_interval_is_rejected(p):
         martingale_test(p, 10, 20, n_levels=5)
     with pytest.raises(ValidationError):
         theta_minus_curve(p, [5], 20)
+
+
+@pytest.mark.parametrize("radius, trials", [(0, 20), (-3, 20), (5, 0)])
+def test_radius_and_trials_are_validated(radius, trials):
+    for run in (lambda: TrialPlan(ModelId("NE-.", 0.5), radius, trials, 0),
+                lambda: otsp_reach_estimate(0.5, radius, trials),
+                lambda: bisect_pc("NE-.", radius, trials_per_probe=trials),
+                lambda: bisect_pc("otsp", radius, trials_per_probe=trials),
+                lambda: theta_minus_curve(0.5, [5, radius], trials)):
+        with pytest.raises(ValidationError):
+            run()
+
+
+def test_zero_spread_z_is_zero_or_infinite():
+    # a difference with no spread is exact: z is 0 when it is 0, infinite when not
+    assert w_walk_drift_test(0.5, 2, master_seed=1).se == 0.0
+    assert w_walk_drift_test(0.5, 2, master_seed=1).z == 0.0
+    assert ExcursionReport(0.5, 2, 1.0, 0.0, 1.5).z == -math.inf
+    lu = lu_walk_test(0.5, 2, master_seed=1)
+    assert lu.se_du == 0.0 and lu.mean_du != lu.drift_du
+    assert lu.max_abs_z == math.inf
+    rec = EstimateRecord("NE-.", 0.5, 5, 10, REACH_C, 1.0, 0.0, 0, 0.0)
+    assert IdentityReport(rec, rec, 1.0).z == 0.0
+    assert IdentityReport(rec, rec, 0.5).z == math.inf
 
 
 def test_m_size_stats_nested_stability():
