@@ -58,11 +58,14 @@ BISECTABLE = ("NE-.", "SWE-.", "NSEW-.", "otsp")
 
 
 def _require_run(radius: int, trials: int) -> None:
-    """Reject fewer than one trial or a window radius below 1."""
+    """Reject fewer than one trial, or a run extent below 1.
+
+    The extent is a window radius, or a walk's level or width count.
+    """
     if trials < 1:
         raise ValidationError("need at least one trial")
     if radius < 1:
-        raise ValidationError("window radius must be >= 1")
+        raise ValidationError(f"window radius (or level/width count) must be >= 1, got {radius}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,8 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # is empty or meets the last column, and the sweep stops when none is left.
 
 _NE_ORIENTED_MASKS = frozenset({0, BIT_E, BIT_N, NE_MASK})
+_ONE = np.uint64(1)
+_ALL_ONES = np.uint64(2**64 - 1)
 
 
 def _is_ne_oriented(measure: SupportMeasure) -> bool:
@@ -171,22 +176,33 @@ def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
     of word i // 64; gate bit i opens the step from i to i + 1.  Adding
     gate to row & gate runs a carry from each reached gate to the end of
     its run of gates, and ^ gate leaves that stretch set; the carry passes
-    from word to word as in a long addition.  An open gate at the last
-    column of a row carries past it; the sweep drops a row once it reaches
-    that column, so those bits are never read.
+    from word to word as in a long addition, resolved by lookahead: a word
+    whose sum overflows generates a carry, one whose sum is all ones passes
+    the incoming carry on, and any other word stops it.  An open gate at
+    the last column of a row carries past it; the sweep drops a row once
+    it reaches that column, so those bits are never read.
     """
-    out = np.empty_like(row)
-    fed = row & gate
-    carry = np.zeros(row.shape[0], dtype=np.uint64)
-    for w in range(row.shape[1]):
-        g = gate[:, w]
-        s = fed[:, w] + g
-        over = s < g
-        s += carry
-        over |= s < carry
-        out[:, w] = row[:, w] | (s ^ g)
-        carry = over.astype(np.uint64)
-    return out
+    s = row & gate
+    s += gate
+    if row.shape[1] > 1:
+        gen = s < gate
+        passes = s == _ALL_ONES
+        # A row's last word neither generates nor passes: its carry-out is
+        # never read, and the carry must not run on into the next row.
+        gen[:, -1] = passes[:, -1] = False
+        # Code word i of the flat (B * nwords) run as 2 (i + 1) + generated,
+        # or 0 if it passes: the running maximum at each word is the code of
+        # the last word at or before it that decides its carry-out.
+        code = np.add(gen, np.arange(2, 2 * s.size + 2, 2, dtype=np.uint64).reshape(s.shape),
+                      dtype=np.uint64)
+        np.putmask(code, passes, 0)
+        flat = code.reshape(-1)
+        np.maximum.accumulate(flat, out=flat)
+        flat &= _ONE
+        s.reshape(-1)[1:] += flat[:-1]
+    s ^= gate
+    s |= row
+    return s
 
 
 def _lazy_sweep(trials: int, batch: int, n: int,
@@ -227,7 +243,9 @@ def _lazy_sweep(trials: int, batch: int, n: int,
             keep = alive & ~hit
             if not keep.any():
                 break
-            live, row, up_prev = live[keep], row[keep], up[keep]
+            if not keep.all():
+                live, row, up = live[keep], row[keep], up[keep]
+            up_prev = up
     return out
 
 
@@ -235,11 +253,29 @@ RowDraw = Callable[[np.ndarray, np.ndarray, int], np.ndarray]  # (trials, xs, y)
 
 
 def _site_draw(thresholds: Sequence[int], master_seed: int, trials: int) -> RowDraw:
-    """The package rule: site (x, y) of trial t keyed on (spawn_seed(master_seed, t), x, y)."""
+    """The package rule: site (x, y) of trial t keyed on (spawn_seed(master_seed, t), x, y).
+
+    The hash chain's state after (seed, x) does not depend on the row, so
+    it is held for the trials of the latest call and compacted with them;
+    a row only finishes it with y.  A call the held trials or columns do
+    not cover (a sweep's first row of a batch) hashes a new prefix.  The
+    held trial array is the caller's, taken to stay unchanged.
+    """
     seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
+    held = None  # (trials, xs, prefix)
 
     def draw(live: np.ndarray, xs: np.ndarray, y: int) -> np.ndarray:
-        return rng.atoms(seeds[live][:, None], (xs, y), thresholds)
+        nonlocal held
+        if held is not None and np.array_equal(held[1], xs):
+            have, _, prefix = held
+            if live is not have:
+                pos = np.searchsorted(have, live).clip(max=len(have) - 1)
+                held = (live, xs, prefix[pos]) if np.array_equal(have[pos], live) else None
+        else:
+            held = None
+        if held is None:
+            held = (live, xs, rng.hash_parts(seeds[live][:, None], (xs,)))
+        return rng.atoms_from(held[2], (y,), thresholds)
 
     return draw
 
@@ -268,12 +304,11 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     n = radius + 1
     sign = -1 if backward else 1
     xs = sign * np.arange(n, dtype=np.int64)
-    has_e = (measure.masks & BIT_E) != 0
-    has_n = (measure.masks & BIT_N) != 0
+    masks = measure.masks.astype(np.uint8)  # d = 2
 
     def gates(live: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        drawn = draw(live, xs, sign * k)
-        e, up = has_e[drawn], has_n[drawn]
+        arrows = masks.take(draw(live, xs, sign * k))
+        e, up = (arrows & BIT_E) != 0, (arrows & BIT_N) != 0
         if k == 0 and origin is not None:
             e[:, 0], up[:, 0] = bool(origin & BIT_E), bool(origin & BIT_N)
         if backward:
@@ -629,6 +664,7 @@ def dn_transition_test(p: float, samples: int, k_max: int = 6,
     from .bounds import dn_transition_probs
 
     require_p(p)
+    _require_run(k_max, samples)
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0xD7))
     rows = []
     for k in range(1, k_max + 1):
@@ -864,6 +900,8 @@ def m_size_stats(model: ModelId, radii: Sequence[int], trials: int,
     ring (not of its two factors).
     """
     measure = measure_for(model)
+    for radius in radii:
+        _require_run(radius, trials)
     rows = []
     for radius in radii:
         window = Window.centered(radius, 2)
@@ -971,6 +1009,7 @@ def wn_crossing_test(p: float, trials: int, levels: int, start_gap: int = 10,
     at or right of the edge.
     """
     require_p(p)
+    _require_run(levels, trials)
     crossings = 0
     dw_counts: dict[int, int] = {}
     dw_total = 0
@@ -1019,9 +1058,9 @@ def wn_crossing_test(p: float, trials: int, levels: int, start_gap: int = 10,
 
     cells = []
     for j in range(j_max + 1):
-        freq = dw_counts.get(j, 0) / dw_total if dw_total else float("nan")
+        freq = dw_counts.get(j, 0) / dw_total
         prob = w_step_prob(j, p)
         cells.append({"j": j, "freq": freq, "prob": prob,
                       "z": _z(freq, prob, dw_total)})
     return WnCrossingReport(p, trials, levels, start_gap, crossings / trials,
-                            tuple(cells), dw_sum / dw_total if dw_total else float("nan"))
+                            tuple(cells), dw_sum / dw_total)

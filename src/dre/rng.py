@@ -29,15 +29,25 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
-_S11 = np.uint64(11)
 _M64 = (1 << 64) - 1
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    # splitmix64 output stage: full avalanche on 64 bits
-    z = (z ^ (z >> _S30)) * _MUL1
-    z = (z ^ (z >> _S27)) * _MUL2
-    return z ^ (z >> _S31)
+def _finalize(z):
+    """splitmix64 output stage: full avalanche on 64 bits.
+
+    An array is finalized in place, through one scratch buffer for the
+    shifts; a scalar gives a new scalar.
+    """
+    if not isinstance(z, np.ndarray):
+        z = (z ^ (z >> _S30)) * _MUL1
+        z = (z ^ (z >> _S27)) * _MUL2
+        return z ^ (z >> _S31)
+    scratch = np.empty_like(z)
+    for shift, mul in ((_S30, _MUL1), (_S27, _MUL2)):
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= mul
+    z ^= np.right_shift(z, _S31, out=scratch)
+    return z
 
 
 def _as_u64(value) -> np.ndarray:
@@ -53,9 +63,25 @@ def _as_u64(value) -> np.ndarray:
 def hash_parts(seed: int, parts: Iterable) -> np.ndarray:
     """Hash (seed, part_1, part_2, ...) to uint64, broadcasting array parts."""
     with np.errstate(over="ignore"):
-        h = _finalize(_as_u64(seed) + _GOLDEN)
+        return hash_from(_finalize(_as_u64(seed) + _GOLDEN), parts)
+
+
+def hash_from(state, parts: Iterable) -> np.ndarray:
+    """Continue a hash chain: hash_from(hash_parts(s, a), b) == hash_parts(s, a + b).
+
+    state is never written: each step finalizes a fresh array in place.
+    """
+    h = state
+    with np.errstate(over="ignore"):
         for part in parts:
-            h = _finalize((h + _GOLDEN) ^ _finalize(_as_u64(part) * _MUL1 + _GOLDEN))
+            link = _finalize(_as_u64(part) * _MUL1 + _GOLDEN)
+            shape = np.broadcast(h, link).shape
+            if not shape:
+                h = _finalize((h + _GOLDEN) ^ link)
+                continue
+            z = np.add(h, _GOLDEN, out=np.empty(shape, dtype=np.uint64))
+            z ^= link
+            h = _finalize(z)
     return h
 
 
@@ -66,11 +92,20 @@ def thresholds(probs: Sequence[float]) -> tuple[int, ...]:
 
 def atoms(seed, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
     """Atom index of every draw keyed on (seed, parts), broadcasting array parts."""
-    m = hash_parts(seed, parts)
-    m >>= _S11
-    idx = np.zeros(m.shape, dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
+    return _pick(hash_parts(seed, parts), thresholds)
+
+
+def atoms_from(state, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
+    """atoms() continued from a chain state: atoms_from(hash_parts(s, a), b, t) == atoms(s, a + b, t)."""
+    return _pick(hash_from(state, parts), thresholds)
+
+
+def _pick(h, thresholds: Sequence[int]) -> np.ndarray:
+    # (h >> 11) >= t exactly when h >= t << 11; no hash reaches 2^53 << 11
+    idx = np.zeros(np.shape(h), dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
     for t in thresholds:
-        idx += m >= t
+        if t < 2**53:
+            idx += h >= np.uint64(t << 11)
     return idx
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dre import montecarlo
+from dre import montecarlo, rng
 from dre.bitgrid import pack_rows
 from dre.clusters import backward_cluster, forward_cluster
 from dre.directions import NE_MASK, parse_token
@@ -125,13 +125,25 @@ def _naive_closure(row, gate):
     return out
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 193])
 def test_row_propagate_matches_naive_loop(n):
     gen = np.random.default_rng(n)
     rows, gates = [], []
     for density in (0.5, 0.9, 0.99, 1.0):  # dense gates carry across words
         rows.append(gen.random((32, n)) < 0.05)
         gates.append(gen.random((32, n)) < density)
+    # all gates open but one and the row's bits in word 0: every later word
+    # before the closed gate sums to all ones, so word 0's carry must ripple
+    # through them; a bit past the closed gate starts a second run
+    for cut in (70, 127, 128, 150, n - 1):
+        cut = min(cut, n - 1)
+        gate = np.ones((2, n), dtype=bool)
+        gate[:, cut] = False
+        row = np.zeros((2, n), dtype=bool)
+        row[:, gen.integers(0, min(n, 64))] = True
+        row[1, min(cut + 1, n - 1)] = True
+        rows.append(row)
+        gates.append(gate)
     one = np.zeros((1, n), dtype=bool)
     one[0, 0] = True
     rows.append(one)                               # the corner alone ...
@@ -143,6 +155,11 @@ def test_row_propagate_matches_naive_loop(n):
     assert not bits[:, n:].any()
     assert np.array_equal(bits[:, :n], _naive_closure(row, gate))
     assert bits[-1].sum() == n
+    # an open gate at the last column carries past the row, never into the next
+    gate[:, -1] = True
+    got = _row_propagate(pack_rows(row), pack_rows(gate))
+    bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    assert np.array_equal(bits[:, :n], _naive_closure(row, gate))
 
 
 @pytest.mark.parametrize("radius", [62, 63, 64, 65, 127, 128])
@@ -389,6 +406,40 @@ def test_radius_and_trials_are_validated(radius, trials):
                 lambda: theta_minus_curve(0.5, [5, radius], trials)):
         with pytest.raises(ValidationError):
             run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: wn_crossing_test(0.5, 3, 0),
+    lambda: wn_crossing_test(0.5, 0, 5),
+    lambda: dn_transition_test(0.5, 0),
+    lambda: dn_transition_test(0.5, 10, k_max=0),
+    lambda: m_size_stats(ModelId("NE-SW", 0.5), [3], 0),
+], ids=["wn no levels", "wn no trials", "dn no samples", "dn no widths", "m_size no trials"])
+def test_empty_samples_are_rejected(run):
+    with pytest.raises(ValidationError):
+        run()
+
+
+def test_site_draw_holds_one_batch_of_prefix(monkeypatch):
+    # the row draw keeps the (trial, column) hash prefix of one batch only
+    measure = measure_for(ModelId("NE-.", 0.75))
+    largest = 0
+
+    def recording(seed, parts, _hash=rng.hash_parts):
+        nonlocal largest
+        out = _hash(seed, parts)
+        largest = max(largest, np.size(out))
+        return out
+
+    def sweep(batch):
+        return _oriented_reach_trials(measure, 65, 8, _site_draw(measure.thresholds, 4, 8),
+                                      backward=False, origin=NE_MASK, batch=batch)
+
+    with monkeypatch.context() as m:
+        m.setattr(rng, "hash_parts", recording)
+        small = sweep(3)
+    assert 0 < largest <= 3 * 66
+    assert np.array_equal(small, sweep(256))
 
 
 def test_zero_spread_z_is_zero_or_infinite():

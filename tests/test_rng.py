@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dre import rng
 from dre.measure import SupportMeasure
+from dre.montecarlo import _site_draw
 
 from oracles import float_atoms
 
@@ -57,6 +58,51 @@ def test_row_draw_equals_full_grid_row(signs):
         assert np.array_equal(row, grid[:, :, k])
         assert np.array_equal(rng.atoms(seeds[[3, 1], None], (cols, sy * k), THREE_ATOMS),
                               grid[[3, 1], :, k])
+    # the sweep's row draw holds the (trial, column) prefix of one batch and
+    # compacts it with the live trials; every site must still be its own hash
+    draw = _site_draw(THREE_ATOMS, 11, 7)
+    live = np.arange(4)
+    calls = [(live, 0), (live, 1), (np.array([0, 2, 3]), 2), (np.array([0, 2, 3]), 63),
+             (np.array([3]), 64), (np.arange(4, 7), 0), (np.array([4, 6]), 69),
+             (np.array([1, 5]), 3)]  # trials the held prefix does not cover
+    for trials, k in calls:
+        got = draw(trials, cols, sy * k)
+        want = [[rng.atoms(rng.spawn_seed(11, t), (x, sy * k), THREE_ATOMS) for x in cols]
+                for t in trials.tolist()]
+        assert np.array_equal(got, want), (trials, k)
+
+
+def _layout(values, layout, dtype):
+    """Parts of one key: 0-d, 1-d, or alternating (5, 1) and (7,) arrays."""
+    if layout == "0-d":
+        return [np.array(v, dtype=np.int64).astype(dtype) for v in values]
+    spans = [np.arange(-3, 4)] if layout == "1-d" else [np.arange(-2, 3)[:, None], np.arange(-3, 4)]
+    return [(v + spans[i % len(spans)]).astype(dtype) for i, v in enumerate(values)]
+
+
+@given(seed=st.integers(min_value=-(2**63), max_value=2**64 - 1),
+       values=st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=4),
+       cut=st.integers(0, 4), layout=st.sampled_from(["0-d", "1-d", "broadcast"]),
+       dtype=st.sampled_from([np.int64, np.uint64]))
+@settings(max_examples=80, deadline=None)
+def test_chain_continues_from_a_prefix(seed, values, cut, layout, dtype):
+    parts = _layout(values, layout, dtype)
+    a, b = parts[:cut], parts[cut:]
+    kept = [part.copy() for part in parts]
+    state = rng.hash_parts(seed, a)
+    state_kept = np.copy(state)
+    full = rng.hash_parts(seed, parts)
+    for _ in range(2):  # the second draw sees what the first one left
+        assert np.array_equal(rng.hash_from(state, b), full)
+        assert np.array_equal(rng.atoms_from(state, b, THREE_ATOMS),
+                              rng.atoms(seed, parts, THREE_ATOMS))
+    drawn = rng.atoms_from(state, b, THREE_ATOMS)
+    scalars = [np.broadcast_to(part, np.shape(full)) for part in parts]
+    for i in np.ndindex(np.shape(full)):
+        key = [int(part[i]) for part in scalars]  # equal mod 2^64 to the int64 value
+        assert rng.atom_one(THREE_ATOMS, seed, *key) == drawn[i]
+    assert np.array_equal(state, state_kept)
+    assert all(np.array_equal(part, k) for part, k in zip(parts, kept))
 
 
 def test_spawn_seed_injective_sample():
