@@ -27,7 +27,7 @@ from .errors import DimensionError
 _ONE = np.uint64(1)
 _SH1 = np.uint64(1)
 _SH63 = np.uint64(63)
-_MOVE_BITS = np.array([BIT_E, BIT_N, BIT_W, BIT_S], dtype=np.uint16)
+_MOVE_BITS = np.array([BIT_E, BIT_N, BIT_W, BIT_S], dtype=np.uint8)
 
 # Steps between convergence and edge-contact tests.  A fixpoint is
 # idempotent and edge contact is monotone, so testing less often changes
@@ -36,17 +36,17 @@ _CHECK_EVERY = 4
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
-    """(..., n) bool -> (..., ceil(n/64)) uint64, bit i of a word row = bits[..., i]."""
+    """(..., n) bool or int -> (..., ceil(n/64)) uint64; bit i of a word row
+    is set where bits[..., i] != 0.
+
+    np.packbits runs ~10x slower along a strided axis, so callers pass
+    row-order (C-contiguous) planes.
+    """
     packed8 = np.packbits(bits, axis=-1, bitorder="little")
     nbytes = packed8.shape[-1]
     words = np.zeros(packed8.shape[:-1] + (-(-nbytes // 8),), dtype=np.uint64)
     words.view(np.uint8)[..., :nbytes] = packed8
     return words
-
-
-def pack_bool(grid: np.ndarray) -> np.ndarray:
-    """(nx, ny) bool -> (ny, nwords) uint64, bit index = x index."""
-    return pack_rows(grid.T)
 
 
 def unpack_words(words: np.ndarray, nx: int) -> np.ndarray:
@@ -57,10 +57,11 @@ def unpack_words(words: np.ndarray, nx: int) -> np.ndarray:
 
 
 def edge_mask(nx: int, ny: int) -> np.ndarray:
-    grid = np.zeros((nx, ny), dtype=bool)
-    grid[0, :] = grid[-1, :] = True
-    grid[:, 0] = grid[:, -1] = True
-    return pack_bool(grid)
+    """(ny, nwords) packed edge ring of an nx-by-ny window."""
+    ring = np.zeros((ny, nx), dtype=bool)
+    ring[0] = ring[-1] = True
+    ring[:, 0] = ring[:, -1] = True
+    return pack_rows(ring)
 
 
 def popcount(r: np.ndarray) -> int:
@@ -77,9 +78,12 @@ def move_masks(arrows: np.ndarray) -> np.ndarray:
     """
     if arrows.ndim != 2:
         raise DimensionError("packed reachability requires d=2")
-    bits = (arrows.T[None] & _MOVE_BITS[:, None, None]) != 0  # (4, ny, nx)
-    bits[0, :, -1] = bits[2, :, 0] = False
-    bits[1, -1] = bits[3, 0] = False
+    # one pass transposes to row order, packed along contiguous x, and
+    # narrows to the four move bits' byte; packbits reads nonzero as set
+    rows = arrows.T.astype(np.uint8, order="C")  # (ny, nx)
+    bits = rows & _MOVE_BITS[:, None, None]  # (4, ny, nx)
+    bits[0, :, -1] = bits[2, :, 0] = 0
+    bits[1, -1] = bits[3, 0] = 0
     return pack_rows(bits)
 
 

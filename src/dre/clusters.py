@@ -102,12 +102,8 @@ def backward_cluster(env: EnvironmentGrid, y: Site) -> ClusterResult:
 
 def communicating_cluster(env: EnvironmentGrid, x: Site) -> ClusterResult:
     """Sites that both reach x and are reached from x (within the window)."""
-    fwd = forward_cluster(env, x)
-    bwd = backward_cluster(env, x)
-    return ClusterResult(
-        COMMUNICATING, x, fwd.sites & bwd.sites,
-        fwd.touches_boundary or bwd.touches_boundary,
-    )
+    sites = forward_cluster(env, x).sites & backward_cluster(env, x).sites
+    return ClusterResult(COMMUNICATING, x, sites, any(map(env.window.on_edge, sites)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +227,13 @@ def verify_blocking_function(
     return True, None
 
 
+def _column_ends(mask: np.ndarray) -> tuple[list, list, list]:
+    """Per column of an (nx, ny) bool array: whether it has a set entry,
+    and the first and last set row (0 in an empty column), as Python ints."""
+    last = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    return mask.any(axis=1).tolist(), mask.argmax(axis=1).tolist(), last.tolist()
+
+
 def classify_b_shape(env: EnvironmentGrid, x: Site,
                      inner: Optional[Window] = None) -> BShapeReport:
     """Classify the shape of the backward cluster of x on a window.
@@ -274,18 +277,13 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
     edge[:, 0] = edge[:, -1] = True
     touched = bool((in_b & edge).any())
 
-    complement_intervals = []
-    for ix in range(x1 - x0 + 1):
-        col = in_b[ix]
-        missing = np.flatnonzero(~col)
-        if missing.size == 0:
-            complement_intervals.append((x0 + ix, None, None, True))
-        else:
-            lo = int(missing[0]) + y0
-            hi = int(missing[-1]) + y0
-            contiguous = missing.size == (hi - lo + 1)
-            complement_intervals.append((x0 + ix, lo, hi, contiguous))
-    intervals = tuple(complement_intervals)
+    out = ~in_b
+    gaps, lo, hi = _column_ends(out)
+    counts = out.sum(axis=1).tolist()
+    intervals = tuple(
+        (x0 + ix, lo[ix] + y0, hi[ix] + y0, counts[ix] == hi[ix] - lo[ix] + 1)
+        if gaps[ix] else (x0 + ix, None, None, True)
+        for ix in range(x1 - x0 + 1))
 
     cluster_size = int(in_b.sum())
     inner_env = env if inner is window else subgrid(env, inner)
@@ -304,20 +302,16 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
     nonempty = [iv for iv in intervals if iv[1] is not None]
 
     if all(iv[2] == y1 for iv in nonempty):
-        values = []
-        for ix in range(x1 - x0 + 1):
-            heights = np.flatnonzero(in_b[ix])
-            values.append(int(heights[-1]) + y0 if heights.size else y0 - 1)
+        filled, _, top = _column_ends(in_b)
+        values = [t + y0 if f else y0 - 1 for f, t in zip(filled, top)]
         w = BlockingFunction.from_values(UPPER, (x0, x1), values)
         ok, _ = verify_blocking_function(inner_env, w)
         if ok:
             return make(BLOCKED_ABOVE, w)
 
     if all(iv[1] == y0 for iv in nonempty):
-        values = []
-        for ix in range(x1 - x0 + 1):
-            heights = np.flatnonzero(in_b[ix])
-            values.append(int(heights[0]) + y0 if heights.size else y1 + 1)
+        filled, bottom, _ = _column_ends(in_b)
+        values = [b + y0 if f else y1 + 1 for f, b in zip(filled, bottom)]
         w = BlockingFunction.from_values(LOWER, (x0, x1), values)
         ok, _ = verify_blocking_function(inner_env, w)
         if ok:

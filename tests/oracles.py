@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 Kept deliberately naive: the float definition of a site draw, transitive
-closure by boolean matrix powering for reachability, a site-by-site search
-of the oriented triangular lattice, a direct recursive self-avoiding-walk
+closure by boolean matrix powering for reachability, a column-by-column
+scan of a backward cluster's census, a site-by-site search of the
+oriented triangular lattice, a direct recursive self-avoiding-walk
 count, and a brute-force witness search.  Nothing here shares code with
 the package beyond the site hash that defines the environments.
 """
@@ -68,6 +69,35 @@ def oracle_cluster_sets(env: EnvironmentGrid, x: tuple):
 
 def oracle_touches(env: EnvironmentGrid, sites: set) -> bool:
     return any(env.window.on_edge(s) for s in sites)
+
+
+def census_columns(sites: set, lo: tuple, hi: tuple):
+    """Per column of the box lo..hi: the complement intervals and blocking values.
+
+    For the cluster sites inside the box, returns (intervals, upper, lower)
+    as classify_b_shape defines them: each column's interval is
+    (x, lowest missing y, highest missing y, whether every y in between is
+    missing), or (x, None, None, True) when no y is missing; upper is the
+    highest cluster y per column (lo_y - 1 when none), lower the lowest
+    (hi_y + 1 when none).
+    """
+    intervals, upper, lower = [], [], []
+    for x in range(lo[0], hi[0] + 1):
+        missing = []
+        members = []
+        for y in range(lo[1], hi[1] + 1):
+            if (x, y) in sites:
+                members.append(y)
+            else:
+                missing.append(y)
+        if missing:
+            a, b = min(missing), max(missing)
+            intervals.append((x, a, b, len(missing) == b - a + 1))
+        else:
+            intervals.append((x, None, None, True))
+        upper.append(max(members) if members else lo[1] - 1)
+        lower.append(min(members) if members else hi[1] + 1)
+    return tuple(intervals), tuple(upper), tuple(lower)
 
 
 def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,

@@ -1,7 +1,9 @@
 import re
+from itertools import product
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +12,14 @@ from dre.bitgrid import (
     edge_mask,
     move_masks,
     mutual_stats,
-    pack_bool,
+    pack_rows,
     popcount,
     reach_batch,
     reversed_moves,
     unpack_words,
 )
 from dre.clusters import backward_cluster, communicating_cluster, forward_cluster
+from dre.directions import BIT_E, BIT_N, BIT_S, BIT_W
 from dre.env import Window, sample_environment
 from dre.models import ModelId
 
@@ -28,9 +31,42 @@ from conftest import MIXED_MEASURES
 def test_pack_unpack_roundtrip(nx, ny, seed):
     rng = np.random.default_rng(seed)
     grid = rng.random((nx, ny)) < 0.4
-    packed = pack_bool(grid)
+    packed = pack_rows(grid.T)
     assert np.array_equal(unpack_words(packed, nx), grid)
     assert popcount(packed) == int(grid.sum())
+
+
+def _naive_words(nx, ny, planes):
+    """(k, ny, nwords) uint64 words with bit x of row y set where planes[k](x, y)."""
+    words = np.zeros((len(planes), ny, -(-nx // 64)), dtype=np.uint64)
+    for k, plane in enumerate(planes):
+        for x, y in product(range(nx), range(ny)):
+            if plane(x, y):
+                words[k, y, x // 64] |= np.uint64(1 << (x % 64))
+    return words
+
+
+@given(nx=st.sampled_from([1, 2, 63, 64, 65, 129]), ny=st.integers(1, 4),
+       seed=st.integers(0, 2**20))
+@settings(max_examples=30, deadline=None)
+def test_move_masks_do_not_depend_on_layout(nx, ny, seed):
+    arrows = np.random.default_rng(seed).integers(0, 16, (nx, ny), dtype=np.uint16)
+    steps = ((BIT_E, 1, 0), (BIT_N, 0, 1), (BIT_W, -1, 0), (BIT_S, 0, -1))
+    naive = _naive_words(nx, ny, [
+        lambda x, y, bit=bit, dx=dx, dy=dy: bool(arrows[x, y] & bit)
+        and 0 <= x + dx < nx and 0 <= y + dy < ny
+        for bit, dx, dy in steps])
+    layouts = (np.ascontiguousarray(arrows), np.asfortranarray(arrows),
+               np.ascontiguousarray(arrows.T).T, np.repeat(arrows, 2, axis=0)[::2])
+    for view in layouts:
+        assert np.array_equal(view, arrows)
+        assert np.array_equal(move_masks(view), naive)
+
+
+@pytest.mark.parametrize("nx,ny", list(product([1, 2, 63, 64, 65], repeat=2)))
+def test_edge_mask_is_the_ring(nx, ny):
+    naive = _naive_words(nx, ny, [lambda x, y: x in (0, nx - 1) or y in (0, ny - 1)])
+    assert np.array_equal(edge_mask(nx, ny), naive[0])
 
 
 def test_reach_matches_bfs_on_models():

@@ -26,7 +26,7 @@ from dre.measure import SupportMeasure
 from dre.models import ModelId
 
 from conftest import MIXED_MEASURES
-from oracles import oracle_cluster_sets, oracle_touches
+from oracles import census_columns, oracle_cluster_sets, oracle_touches
 
 
 def grid_env(window, fill=0, sites=None, measure=None):
@@ -73,6 +73,7 @@ def test_oracle_equivalence_sample():
         assert f.sites == fwd and b.sites == bwd and m.sites == comm
         assert f.touches_boundary == oracle_touches(env, fwd)
         assert b.touches_boundary == oracle_touches(env, bwd)
+        assert m.touches_boundary == oracle_touches(env, comm)
         assert forward_cluster(reverse_environment(env), (0, 0)).sites == bwd
 
 
@@ -201,6 +202,52 @@ def test_swe_up_never_blocked_below():
             env = sample_environment(ModelId("SWE-N", p), Window.centered(20), seed)
             rep = classify_b_shape(env, (0, 0))
             assert rep.shape != BLOCKED_BELOW
+
+
+def _check_census(env, origin, inner):
+    rep = classify_b_shape(env, origin, inner=inner)
+    box = inner or env.window
+    intervals, upper, lower = census_columns(backward_cluster(env, origin).sites,
+                                             box.lo, box.hi)
+    assert rep.complement_intervals == intervals
+    assert all(type(v) in (int, bool, type(None))
+               for iv in rep.complement_intervals for v in iv)
+    if rep.blocking is not None:
+        ref = upper if rep.blocking.side == "upper" else lower
+        assert rep.blocking.values == ref
+    return rep
+
+
+@pytest.mark.parametrize("name", ["NE-SW", "SWE-N"])
+def test_census_columns_match_oracle(name):
+    sides = set()
+    for p in (0.3, 0.5, 0.7, 0.9):
+        for seed in range(8):
+            env = sample_environment(ModelId(name, p), Window.centered(14), seed)
+            for inner in (None, Window.centered(7), Window.box((-3, 12), (-9, 2))):
+                rep = _check_census(env, (0, 0), inner)
+                if rep.blocking is not None:
+                    sides.add(rep.blocking.side)
+    assert "upper" in sides
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_census_columns_hand_made(flip):
+    # columns -2 and 2 lie fully outside the cluster, 0 and 1 fully inside;
+    # column -1 misses y = 1 and y = 3, a complement split in two
+    window = Window.box((-2, 2), (-3, 3))
+    sites = {(0, y): BIT_N if y < 0 else BIT_S for y in range(-3, 4) if y}
+    sites.update({(1, y): BIT_W for y in range(-3, 4)})
+    sites.update({(-1, y): BIT_E for y in (-3, -2, -1, 0, 2)})
+    if flip:  # mirror top and bottom: the complement now reaches the bottom
+        swap = {BIT_N: BIT_S, BIT_S: BIT_N}
+        sites = {(x, -y): swap.get(m, m) for (x, y), m in sites.items()}
+    rep = _check_census(grid_env(window, sites=sites), (0, 0), None)
+    split = (-1, -3, -1, False) if flip else (-1, 1, 3, False)
+    assert rep.complement_intervals == ((-2, -3, 3, True), split, (0, None, None, True),
+                                        (1, None, None, True), (2, -3, 3, True))
+    assert rep.shape == (BLOCKED_BELOW if flip else BLOCKED_ABOVE)
+    assert rep.blocking.values == ((4, -2, -3, -3, 4) if flip else (-4, 2, 3, 3, -4))
 
 
 def test_classify_inner_window_validation():
