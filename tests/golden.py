@@ -1,0 +1,141 @@
+"""Write golden.json, the digests tests/test_golden.py checks.
+
+    PYTHONPATH=src python tests/golden.py
+
+Each case turns one entry point's results on small fixed inputs into text
+lines; golden.json maps the case name to the SHA-256 of those lines.  Run
+it only at a commit whose results are trusted.  A change that regenerates
+golden.json names every digest that moved, and why, in CHANGES.md; a
+performance or refactor change must not regenerate it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from dre.clusters import (BACKWARD, FORWARD, backward_cluster, bfs_parents,
+                          communicating_cluster, forward_cluster)
+from dre.env import Window, sample_environment
+from dre.measure import SupportMeasure
+from dre.models import ModelId
+from dre.montecarlo import (REACH_B, REACH_C, REACH_M, SIZE_M, TrialPlan, classify_shapes,
+                            run_plan)
+from dre.walks import build_open_cycle, cycle_dump_lines, detect_gigantic_m
+
+PATH = Path(__file__).with_name("golden.json")
+
+# (model, p, window radius, box radius, seed); the first finds a cycle,
+# the second finds none
+CYCLE_INPUTS = {
+    "spiral_lrud": [("EW-NS", 0.5, 20, 3, 1), ("SWE-EW", 0.5, 15, 3, 0)],
+    "spiral_swe_n": [("SWE-N", 0.7, 20, 2, 1), ("SWE-N", 0.9, 12, 2, 0)],
+    "orthant": [("NE-SW", 0.5, 60, 3, 0), ("NE-SW", 0.5, 60, 3, 1)],
+}
+GIGANTIC_INPUTS = [("EW-NS", 0.5, 15, 3, 1), ("EW-NS", 0.5, 15, 3, 0),
+                   ("SWE-N", 0.7, 20, 2, 2), ("NE-SW", 0.95, 15, 3, 0)]
+BFS_MODELS = [("NE-SW", 0.5), ("EW-NS", 0.5), ("SWE-N", 0.4), ("NSEW-.", 0.55),
+              ("NE-.", 0.7)]
+# d=3 atoms {+e1, +e2}, {+e3, -e1}, {+e2, -e2, -e3}; bit i is +e(i+1), bit 3+i is -e(i+1)
+MEASURE_3D = SupportMeasure(3, ((0b000011, 0.4), (0b001100, 0.35), (0b110010, 0.25)))
+RUN_PLAN_MODELS = [("NSEW-.", 0.6), ("NE-.", 0.7)]
+RADII = (1, 63, 64, 65)
+
+
+def _cycle_lines(cycle) -> list[str]:
+    if cycle is None:
+        return ["None"]
+    return [cycle.strategy] + cycle_dump_lines(cycle)
+
+
+def _build_open_cycle(strategy, name, p, radius, m, seed) -> list[str]:
+    env = sample_environment(ModelId(name, p), Window.centered(radius), seed)
+    return _cycle_lines(build_open_cycle(env, m, strategy))
+
+
+def _detect_gigantic(name, p, radius, m, seed) -> list[str]:
+    env = sample_environment(ModelId(name, p), Window.centered(radius), seed)
+    rep = detect_gigantic_m(env, m, seed=seed)
+    return ([f"found {int(rep.found)}"]
+            + [f"check {k} {int(v)}" for k, v in sorted(rep.checks.items())]
+            + [f"note {n}" for n in rep.notes] + _cycle_lines(rep.cycle))
+
+
+def _bfs(env, origin) -> list[str]:
+    def in_box(site):
+        return all(abs(c) <= 1 for c in site)
+
+    lines = []
+    for kind in (FORWARD, BACKWARD):
+        for label, forbidden in (("all", None), ("avoiding", in_box)):
+            lines.append(f"{kind} {label}")
+            for site, parent in dict(bfs_parents(env, origin, kind, forbidden)).items():
+                lines.append(f"{site} {parent}")
+    return lines
+
+
+def _clusters(env, origins) -> list[str]:
+    lines = []
+    for origin in origins:
+        for cluster in (forward_cluster, backward_cluster, communicating_cluster):
+            res = cluster(env, origin)
+            lines.append(f"{res.kind} {origin} {int(res.touches_boundary)} "
+                         f"{sorted(res.sites)}")
+    return lines
+
+
+def _run_plan(name, p, statistic) -> list[str]:
+    lines = []
+    for radius in RADII:
+        rec = run_plan(TrialPlan(ModelId(name, p), radius, 6, 11, statistic))
+        lines.append(f"{rec.radius} {rec.trials} {rec.estimate!r} {rec.se!r}")
+    return lines
+
+
+def _classify_shapes(name, p) -> list[str]:
+    c = classify_shapes(ModelId(name, p), 8, 10, master_seed=3, verify_dual=True)
+    return [f"{sorted(c.counts.items())} {c.reaching} {c.blocked_above_monotone} "
+            f"{c.blocked_above_verified}"]
+
+
+def cases() -> dict:
+    """Case name -> a function returning that case's lines."""
+    out = {}
+    for strategy, inputs in CYCLE_INPUTS.items():
+        for args in inputs:
+            out["build_open_cycle/{}/{}/{}/R{}/m{}/s{}".format(strategy, *args)] = (
+                lambda strategy=strategy, args=args: _build_open_cycle(strategy, *args))
+    for args in GIGANTIC_INPUTS:
+        out["detect_gigantic_m/{}/{}/R{}/m{}/s{}".format(*args)] = (
+            lambda args=args: _detect_gigantic(*args))
+    for name, p in BFS_MODELS:
+        env = lambda name=name, p=p: sample_environment(ModelId(name, p), Window.centered(7), 5)
+        out[f"bfs_parents/{name}/{p}"] = lambda env=env: _bfs(env(), (2, -3))
+        out[f"clusters/{name}/{p}"] = lambda env=env: _clusters(env(), [(0, 0), (-4, 2)])
+    env3 = lambda: sample_environment(MEASURE_3D, Window.box((-3, 3), (-2, 4), (-3, 2)), 9)
+    out["bfs_parents/d3"] = lambda: _bfs(env3(), (2, 0, -2))
+    out["clusters/d3"] = lambda: _clusters(env3(), [(0, 0, 0), (-3, 4, 2)])
+    for name, p in RUN_PLAN_MODELS:
+        for statistic in (REACH_C, REACH_B, REACH_M, SIZE_M):
+            out[f"run_plan/{name}/{p}/{statistic}"] = (
+                lambda name=name, p=p, statistic=statistic: _run_plan(name, p, statistic))
+    for name, p in (("NE-SW", 0.9), ("SWE-N", 0.5)):
+        out[f"classify_shapes/{name}/{p}"] = lambda name=name, p=p: _classify_shapes(name, p)
+    return out
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+def main() -> int:
+    golden = {name: digest(make()) for name, make in cases().items()}
+    PATH.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"wrote {len(golden)} digests to {PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
