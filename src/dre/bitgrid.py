@@ -64,10 +64,6 @@ def edge_mask(nx: int, ny: int) -> np.ndarray:
     return pack_rows(ring)
 
 
-def popcount(r: np.ndarray) -> int:
-    return int(np.bitwise_count(r).sum())
-
-
 def move_masks(arrows: np.ndarray) -> np.ndarray:
     """(nx, ny) arrow masks -> (4, ny, nwords) packed E, N, W, S move masks.
 

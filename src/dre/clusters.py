@@ -2,9 +2,10 @@
 
 Conventions:
 
-* BFS expands neighbors in the fixed order +e1, ..., +ed, -e1, ..., -ed
-  so traversals are reproducible; the resulting site sets do not depend
-  on the order.
+* The one BFS, bfs_parents, expands neighbors in the fixed order +e1, ...,
+  +ed, -e1, ..., -ed so traversals are reproducible; the resulting site
+  sets do not depend on the order.  It yields sites as it finds them, so a
+  caller that has seen enough stops it by leaving its loop.
 * Clusters never contain sites outside the window.  A cluster "touches the
   boundary" when it meets the window's edge ring: for a forward cluster any
   step leaving the window starts on the edge ring, and for a backward
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import add
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -49,44 +51,54 @@ def _check_origin(env: EnvironmentGrid, x: Site) -> None:
 
 
 def bfs_parents(env: EnvironmentGrid, origin: Site, kind: str = FORWARD,
-                forbidden: Optional[Callable[[Site], bool]] = None) -> dict[Site, Optional[Site]]:
+                forbidden: Optional[Callable[[Site], bool]] = None
+                ) -> Iterator[tuple[Site, Optional[Site]]]:
     """Breadth-first search along (FORWARD) or against (BACKWARD) open arrows.
 
-    Returns the parent map of every window site found, in discovery order:
-    parents[z] is the site z was found from, which is the previous site on
-    an open path from origin (forward) or the next site on an open path
-    from z to origin (backward); origin maps to None.  Sites for which
-    forbidden(site) holds are never entered.
+    Yields (z, parent) for every window site z found, in discovery order:
+    parent is the site z was found from, which is the previous site on an
+    open path from origin (forward) or the next site on an open path from z
+    to origin (backward); origin comes first, with parent None.  Sites for
+    which forbidden(site) holds are never entered.  dict() of the pairs is
+    the parent map; stopping after k pairs gives the first k of them.
+
+    The search runs on a flat table of the window padded by a ring of sites
+    marked as seen, so a step is an index offset and the ring stops every
+    step that would leave the window.
     """
-    window = env.window
-    dirs = all_directions(env.d)
+    d = env.d
+    padded = np.pad(env.arrows, 1)
+    strides = [int(np.prod(padded.shape[a + 1:])) for a in range(d)]  # of the C-order ravel
+    masks = padded.ravel().tolist()
+    seen = bytearray(np.pad(np.zeros(env.arrows.shape, bool), 1, constant_values=True).tobytes())
     forward = kind == FORWARD
-    steps = [(dn if forward else dn.negate()).step(env.d) for dn in dirs]
-    bits = [1 << dn.bit(env.d) for dn in dirs]
-    parents: dict[Site, Optional[Site]] = {origin: None}
-    queue = deque([origin])
+    moves = []  # (index offset, offset of the site whose arrow opens the step, bit, step)
+    for dn in all_directions(d):
+        step = (dn if forward else dn.negate()).step(d)
+        offset = sum(s * t for s, t in zip(step, strides))
+        # a predecessor through arrow dn sits at site - dn and carries dn
+        moves.append((offset, 0 if forward else offset, 1 << dn.bit(d), step))
+    start = sum((c - a + 1) * t for c, a, t in zip(origin, env.window.lo, strides))
+    seen[start] = 1
+    yield origin, None
+    queue = deque([(start, origin)])
     while queue:
-        site = queue.popleft()
-        mask = env.mask_at(site) if forward else 0
-        for step, bit in zip(steps, bits):
-            if forward and not mask & bit:
+        i, site = queue.popleft()
+        for offset, source, bit, step in moves:
+            j = i + offset
+            if seen[j] or not masks[i + source] & bit:
                 continue
-            nxt = tuple(c + s for c, s in zip(site, step))
-            if nxt in parents or not window.contains(nxt):
-                continue
-            # a predecessor through arrow dn sits at site - dn and carries dn
-            if not forward and not env.mask_at(nxt) & bit:
-                continue
+            seen[j] = 1
+            nxt = tuple(map(add, site, step))
             if forbidden is not None and forbidden(nxt):
                 continue
-            parents[nxt] = site
-            queue.append(nxt)
-    return parents
+            yield nxt, site
+            queue.append((j, nxt))
 
 
 def _cluster(env: EnvironmentGrid, x: Site, kind: str) -> ClusterResult:
     _check_origin(env, x)
-    sites = bfs_parents(env, x, kind)
+    sites = dict(bfs_parents(env, x, kind))
     return ClusterResult(kind, x, frozenset(sites), any(map(env.window.on_edge, sites)))
 
 

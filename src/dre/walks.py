@@ -21,7 +21,6 @@ one-sided evidence only.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -366,7 +365,7 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
         anchor = trace[a_idx]
         if in_box(anchor):
             continue
-        into_anchor = bfs_parents(env, anchor, BACKWARD, in_box)
+        into_anchor = dict(bfs_parents(env, anchor, BACKWARD, in_box))
         if len(into_anchor) < 2:
             continue
         tried = 0
@@ -377,7 +376,7 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
             tried += 1
             if tried > max_z_per_anchor:
                 break
-            from_z = bfs_parents(env, z, FORWARD, in_box)
+            from_z = dict(bfs_parents(env, z, FORWARD, in_box))
             waypoint = None
             best = None
             for site in from_z:
@@ -537,40 +536,23 @@ def _orthant_cycle(env, m, mc) -> Optional[OpenCycle]:
     window = env.window
     (wx0, wy0), (wx1, wy1) = window.lo, window.hi
 
-    # The BFS stays here rather than in clusters.bfs_parents: it stops at the
-    # first site that enters the strip beside the box, and most candidate
-    # columns fail that way early.  The shared BFS on an arrow-filtered grid
-    # gives the same cycles but explores each failing cluster in full, which
-    # makes the construction over ten times slower.
     def find_cluster(upward: bool) -> Optional[tuple[Site, dict]]:
+        # the up-left-right (or down-left-right) moves only
         excluded = BIT_S if upward else BIT_N
+        restricted = EnvironmentGrid(window, env.arrows & ~np.uint16(excluded))
         far_edge = wy0 if upward else wy1
         col_range = (range(mc + 1, wx1) if upward else range(-mc - 1, wx0, -1))
         y_anchor = mc if upward else -mc
         for j in col_range:
             target = (j, y_anchor)
-            parents: dict[Site, Optional[Site]] = {target: None}
-            queue = deque([target])
-            reached_far = False
-            spilled = False
-            while queue and not spilled:
-                site = queue.popleft()
-                for (dx, dy), bit in _STEP_BIT.items():
-                    if bit == excluded:
-                        continue
-                    prev = (site[0] - dx, site[1] - dy)
-                    if prev in parents or not window.contains(prev):
-                        continue
-                    if env.mask_at(prev) & bit:
-                        if abs(prev[1]) <= mc and (prev[0] <= mc if upward else prev[0] >= -mc):
-                            spilled = True  # cluster crowds the box; try next column
-                            break
-                        parents[prev] = site
-                        queue.append(prev)
-                        if prev[1] == far_edge:
-                            reached_far = True
-            if reached_far and not spilled:
-                return target, parents
+            parents: dict[Site, Optional[Site]] = {}
+            for site, parent in bfs_parents(restricted, target, BACKWARD):
+                if abs(site[1]) <= mc and (site[0] <= mc if upward else site[0] >= -mc):
+                    break  # cluster crowds the box; try next column
+                parents[site] = parent
+            else:
+                if any(site[1] == far_edge for site in parents):
+                    return target, parents
         return None
 
     up = find_cluster(upward=True)

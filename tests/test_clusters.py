@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dre.clusters import (
     BACKWARD,
@@ -83,9 +85,9 @@ def test_bfs_parents_is_an_open_tree(kind):
     cluster = forward_cluster if kind == FORWARD else backward_cluster
     for i, model in enumerate(MIXED_MEASURES):
         env = sample_environment(model, Window.centered(6), 2000 + i)
-        parents = bfs_parents(env, (0, 0), kind)
+        parents = dict(bfs_parents(env, (0, 0), kind))
         assert set(parents) == cluster(env, (0, 0)).sites and parents[(0, 0)] is None
-        avoiding = bfs_parents(env, (0, 0), kind, forbidden=lambda s: s[0] == 1)
+        avoiding = dict(bfs_parents(env, (0, 0), kind, forbidden=lambda s: s[0] == 1))
         assert set(avoiding) <= set(parents)
         assert all(s[0] != 1 for s in avoiding)
         for tree in (parents, avoiding):
@@ -93,6 +95,41 @@ def test_bfs_parents_is_an_open_tree(kind):
                 if q is not None:
                     src, dst = (q, z) if kind == FORWARD else (z, q)
                     assert env.mask_at(src) & bits[(dst[0] - src[0], dst[1] - src[1])]
+
+
+@pytest.mark.parametrize("kind", [FORWARD, BACKWARD])
+def test_bfs_stopped_early_gives_a_prefix(kind):
+    # a caller that breaks out after k pairs has seen the first k of the full run
+    for i, model in enumerate(MIXED_MEASURES):
+        env = sample_environment(model, Window.centered(6), 3000 + i)
+        for forbidden in (None, lambda s: abs(s[0]) <= 1 and abs(s[1]) <= 1):
+            full = list(bfs_parents(env, (3, -2), kind, forbidden))
+            for k in sorted({1, 2, max(1, len(full) // 2), len(full)}):
+                head = []
+                for pair in bfs_parents(env, (3, -2), kind, forbidden):
+                    head.append(pair)
+                    if len(head) == k:
+                        break
+                assert head == full[:k]
+
+
+@given(d=st.sampled_from([3, 4]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_clusters_match_oracle_beyond_d2(d, data):
+    sides = [data.draw(st.integers(3, 5 if d == 3 else 3)) for _ in range(d)]
+    lo = [-data.draw(st.integers(0, n - 1)) for n in sides]
+    window = Window(tuple(lo), tuple(a + n - 1 for a, n in zip(lo, sides)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    density = data.draw(st.floats(0.1, 0.6))
+    bits = np.random.default_rng(seed).random(window.shape + (2 * d,)) < density
+    arrows = (bits * (1 << np.arange(2 * d))).sum(axis=-1)
+    env = EnvironmentGrid(window=window, arrows=arrows.astype(np.uint16))
+    x = tuple(data.draw(st.integers(a, b)) for a, b in zip(window.lo, window.hi))
+    fwd, bwd, comm = oracle_cluster_sets(env, x)
+    for res, ref in ((forward_cluster(env, x), fwd), (backward_cluster(env, x), bwd),
+                     (communicating_cluster(env, x), comm)):
+        assert res.sites == ref
+        assert res.touches_boundary == oracle_touches(env, ref)
 
 
 def test_communicating_symmetry_and_membership():
