@@ -21,8 +21,8 @@ from dre.clusters import (BACKWARD, FORWARD, backward_cluster, bfs_parents,
 from dre.env import Window, sample_environment
 from dre.measure import SupportMeasure
 from dre.models import ModelId
-from dre.montecarlo import (REACH_B, REACH_C, REACH_M, SIZE_M, TrialPlan, classify_shapes,
-                            run_plan)
+from dre.montecarlo import (REACH_B, REACH_C, REACH_M, SIZE_M, TrialPlan, bisect_pc,
+                            check_theta_identity, classify_shapes, m_size_stats, run_plan)
 from dre.walks import build_open_cycle, cycle_dump_lines, detect_gigantic_m
 
 PATH = Path(__file__).with_name("golden.json")
@@ -42,6 +42,8 @@ BFS_MODELS = [("NE-SW", 0.5), ("EW-NS", 0.5), ("SWE-N", 0.4), ("NSEW-.", 0.55),
 MEASURE_3D = SupportMeasure(3, ((0b000011, 0.4), (0b001100, 0.35), (0b110010, 0.25)))
 RUN_PLAN_MODELS = [("NSEW-.", 0.6), ("NE-.", 0.7)]
 RADII = (1, 63, 64, 65)
+# windows of 63, 65, 127, 129 and 131 columns: one word, and across one or two word edges
+M_SIZE_RADII = (31, 32, 63, 64, 65)
 
 
 def _cycle_lines(cycle) -> list[str]:
@@ -94,8 +96,24 @@ def _run_plan(name, p, statistic) -> list[str]:
     return lines
 
 
-def _classify_shapes(name, p) -> list[str]:
-    c = classify_shapes(ModelId(name, p), 8, 10, master_seed=3, verify_dual=True)
+def _m_size_stats(name, p) -> list[str]:
+    return [repr(row) for row in m_size_stats(ModelId(name, p), M_SIZE_RADII, 12, 7)]
+
+
+def _theta_identity(name, p) -> list[str]:
+    rep = check_theta_identity(ModelId(name, p), 40, 200, master_seed=5)
+    return [repr(rep.theta_plus.estimate), repr(rep.theta_plus.se),
+            repr(rep.theta_minus.estimate), repr(rep.theta_minus.se), repr(rep.z)]
+
+
+def _bisect(name) -> list[str]:
+    res = bisect_pc(name, 33, tol=0.02, trials_per_probe=100, master_seed=2)
+    return [repr(res.p_hat), repr(res.bracket)] + [repr(probe) for probe in res.probes]
+
+
+def _classify_shapes(name, p, radius=8, margin=None) -> list[str]:
+    c = classify_shapes(ModelId(name, p), radius, 10 if margin is None else 12,
+                        master_seed=3, verify_dual=True, margin=margin)
     return [f"{sorted(c.counts.items())} {c.reaching} {c.blocked_above_monotone} "
             f"{c.blocked_above_verified}"]
 
@@ -123,6 +141,13 @@ def cases() -> dict:
                 lambda name=name, p=p, statistic=statistic: _run_plan(name, p, statistic))
     for name, p in (("NE-SW", 0.9), ("SWE-N", 0.5)):
         out[f"classify_shapes/{name}/{p}"] = lambda name=name, p=p: _classify_shapes(name, p)
+    # an 81-column sampling window: the census reach crosses a word edge
+    for p in (0.5, 0.9):
+        out[f"classify_shapes/NE-SW/{p}/R20/margin20"] = (
+            lambda p=p: _classify_shapes("NE-SW", p, 20, 20))
+    out["m_size_stats/NE-SW/0.5"] = lambda: _m_size_stats("NE-SW", 0.5)
+    out["check_theta_identity/SWE-./0.6"] = lambda: _theta_identity("SWE-.", 0.6)
+    out["bisect_pc/SWE-."] = lambda: _bisect("SWE-.")
     return out
 
 
