@@ -66,19 +66,42 @@ def bfs_parents(env: EnvironmentGrid, origin: Site, kind: str = FORWARD,
     marked as seen, so a step is an index offset and the ring stops every
     step that would leave the window.
     """
+    return _bfs_run(_bfs_table(env, kind), origin, forbidden)
+
+
+@dataclass(frozen=True)
+class _BfsTable:
+    """What a search on one grid and kind reads, built once for any origin."""
+
+    masks: list  # arrow masks of the padded window, C-order ravel
+    seen: bytes  # seen flags to start from: only the padding ring is set
+    strides: list  # index offset of a unit step along each axis
+    lo: tuple  # the window corner that sits at index 1 of each axis
+    moves: list  # (index offset, offset of the site whose arrow opens the step, bit, step)
+
+
+def _bfs_table(env: EnvironmentGrid, kind: str) -> _BfsTable:
     d = env.d
     padded = np.pad(env.arrows, 1)
-    strides = [int(np.prod(padded.shape[a + 1:])) for a in range(d)]  # of the C-order ravel
-    masks = padded.ravel().tolist()
-    seen = bytearray(np.pad(np.zeros(env.arrows.shape, bool), 1, constant_values=True).tobytes())
+    strides = [int(np.prod(padded.shape[a + 1:])) for a in range(d)]
+    seen = np.pad(np.zeros(env.arrows.shape, bool), 1, constant_values=True).tobytes()
     forward = kind == FORWARD
-    moves = []  # (index offset, offset of the site whose arrow opens the step, bit, step)
+    moves = []
     for dn in all_directions(d):
         step = (dn if forward else dn.negate()).step(d)
         offset = sum(s * t for s, t in zip(step, strides))
         # a predecessor through arrow dn sits at site - dn and carries dn
         moves.append((offset, 0 if forward else offset, 1 << dn.bit(d), step))
-    start = sum((c - a + 1) * t for c, a, t in zip(origin, env.window.lo, strides))
+    return _BfsTable(padded.ravel().tolist(), seen, strides, env.window.lo, moves)
+
+
+def _bfs_run(table: _BfsTable, origin: Site,
+             forbidden: Optional[Callable[[Site], bool]] = None
+             ) -> Iterator[tuple[Site, Optional[Site]]]:
+    """bfs_parents from origin on a table from _bfs_table."""
+    masks, moves = table.masks, table.moves
+    seen = bytearray(table.seen)
+    start = sum((c - a + 1) * t for c, a, t in zip(origin, table.lo, table.strides))
     seen[start] = 1
     yield origin, None
     queue = deque([(start, origin)])
@@ -207,36 +230,26 @@ def verify_blocking_function(
     (x0, y0), (x1, y1) = env.window.lo, env.window.hi
     if w.columns != (x0, x1):
         raise ValidationError("blocking function does not cover the window's columns")
-    wvals = np.array(w.values, dtype=np.int64)  # indexed by column - x0
-    xs = np.arange(x0, x1 + 1, dtype=np.int64)
-    ys = np.arange(y0, y1 + 1, dtype=np.int64)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    wa = wvals[:, None]
-    if w.side == UPPER:
-        far = Y > wa
-    else:
-        far = Y < wa
-    arr = env.arrows
-    violations = []
+    nx, ny = env.arrows.shape
+    rows = np.arange(y0, y1 + 1)
+    heights = np.array(w.values)[:, None]
+    # the sites strictly beyond the function, on the side it blocks paths from
+    far = rows > heights if w.side == UPPER else rows < heights
+    first = None
     for dn in all_directions(2):
-        bit = 1 << dn.bit(2)
         dx, dy = dn.step(2)
-        has = (arr & np.uint16(bit)).astype(bool) & far
-        tx, ty = X + dx, Y + dy
-        inside = (tx >= x0) & (tx <= x1) & (ty >= y0) & (ty <= y1)
-        has &= inside
-        tw = wvals[np.clip(tx - x0, 0, x1 - x0)]
-        if w.side == UPPER:
-            crossing = has & (ty <= tw)
-        else:
-            crossing = has & (ty >= tw)
+        # sources whose step stays in the window, and their targets
+        src = (slice(max(-dx, 0), nx - max(dx, 0)), slice(max(-dy, 0), ny - max(dy, 0)))
+        dst = (slice(max(dx, 0), nx + min(dx, 0)), slice(max(dy, 0), ny + min(dy, 0)))
+        crossing = far[src] & ~far[dst]
+        crossing &= (env.arrows[src] & np.uint16(1 << dn.bit(2))) != 0
         if crossing.any():
-            for ix, iy in np.argwhere(crossing):
-                src = (int(xs[ix]), int(ys[iy]))
-                violations.append((src, (src[0] + dx, src[1] + dy)))
-    if violations:
-        return False, min(violations)
-    return True, None
+            ix, iy = np.unravel_index(crossing.argmax(), crossing.shape)
+            site = (x0 + src[0].start + int(ix), y0 + src[1].start + int(iy))
+            edge = (site, (site[0] + dx, site[1] + dy))
+            if first is None or edge < first:
+                first = edge
+    return first is None, first
 
 
 def _column_ends(mask: np.ndarray) -> tuple[list, list, list]:

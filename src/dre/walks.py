@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .bitgrid import PackedGrid
-from .clusters import BACKWARD, FORWARD, _require_2d, bfs_parents
+from .clusters import BACKWARD, FORWARD, _bfs_run, _bfs_table, _require_2d, bfs_parents
 from .directions import (BIT_N, BIT_S, N_MASK, NE_MASK, QUADRANTS, SW_MASK, SWE_MASK,
                          all_directions, token_of)
 from .env import EnvironmentGrid, Site, Window
@@ -539,14 +539,16 @@ def _orthant_cycle(env, m, mc) -> Optional[OpenCycle]:
     def find_cluster(upward: bool) -> Optional[tuple[Site, dict]]:
         # the up-left-right (or down-left-right) moves only
         excluded = BIT_S if upward else BIT_N
-        restricted = EnvironmentGrid(window, env.arrows & ~np.uint16(excluded))
+        # one table for every candidate column: only the search's origin changes
+        table = _bfs_table(EnvironmentGrid(window, env.arrows & ~np.uint16(excluded)),
+                           BACKWARD)
         far_edge = wy0 if upward else wy1
         col_range = (range(mc + 1, wx1) if upward else range(-mc - 1, wx0, -1))
         y_anchor = mc if upward else -mc
         for j in col_range:
             target = (j, y_anchor)
             parents: dict[Site, Optional[Site]] = {}
-            for site, parent in bfs_parents(restricted, target, BACKWARD):
+            for site, parent in _bfs_run(table, target):
                 if abs(site[1]) <= mc and (site[0] <= mc if upward else site[0] >= -mc):
                     break  # cluster crowds the box; try next column
                 parents[site] = parent

@@ -100,6 +100,38 @@ def census_columns(sites: set, lo: tuple, hi: tuple):
     return tuple(intervals), tuple(upper), tuple(lower)
 
 
+def oracle_verify_blocking(env: EnvironmentGrid, w) -> tuple:
+    """(ok, first offending edge) of a blocking function, by a whole-window scan.
+
+    Every (site, direction) with the arrow open, the site strictly beyond
+    the function and the target inside the window is tested against the
+    function's value at the target column, with int64 coordinate grids;
+    the lexicographically first offending (source, target) edge is
+    returned, or None.
+    """
+    (x0, y0), (x1, y1) = env.window.lo, env.window.hi
+    wvals = np.array(w.values, dtype=np.int64)
+    xs = np.arange(x0, x1 + 1, dtype=np.int64)
+    ys = np.arange(y0, y1 + 1, dtype=np.int64)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    upper = w.side == "upper"
+    far = Y > wvals[:, None] if upper else Y < wvals[:, None]
+    violations = []
+    for dn in all_directions(2):
+        dx, dy = dn.step(2)
+        has = (env.arrows & np.uint16(1 << dn.bit(2))).astype(bool) & far
+        tx, ty = X + dx, Y + dy
+        has &= (tx >= x0) & (tx <= x1) & (ty >= y0) & (ty <= y1)
+        tw = wvals[np.clip(tx - x0, 0, x1 - x0)]
+        crossing = has & ((ty <= tw) if upper else (ty >= tw))
+        for ix, iy in np.argwhere(crossing):
+            src = (int(xs[ix]), int(ys[iy]))
+            violations.append((src, (src[0] + dx, src[1] + dy)))
+    if violations:
+        return False, min(violations)
+    return True, None
+
+
 def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,
                       origin_open: bool = False) -> list[bool]:
     """Per trial: does the origin's open cluster on the oriented triangular

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from dre.bitgrid import (
     PackedGrid,
+    _planes,
+    _step,
     edge_mask,
     move_masks,
     mutual_stats,
@@ -23,6 +25,9 @@ from dre.env import Window, sample_environment
 from dre.models import ModelId
 
 from conftest import MIXED_MEASURES
+
+# (arrow bit, dx, dy) of the moves in the kernel's E, N, W, S order
+STEPS = ((BIT_E, 1, 0), (BIT_N, 0, 1), (BIT_W, -1, 0), (BIT_S, 0, -1))
 
 
 @given(nx=st.integers(1, 150), ny=st.integers(1, 20), seed=st.integers(0, 2**20))
@@ -50,11 +55,10 @@ def _naive_words(nx, ny, planes):
 @settings(max_examples=30, deadline=None)
 def test_move_masks_do_not_depend_on_layout(nx, ny, seed):
     arrows = np.random.default_rng(seed).integers(0, 16, (nx, ny), dtype=np.uint16)
-    steps = ((BIT_E, 1, 0), (BIT_N, 0, 1), (BIT_W, -1, 0), (BIT_S, 0, -1))
     naive = _naive_words(nx, ny, [
         lambda x, y, bit=bit, dx=dx, dy=dy: bool(arrows[x, y] & bit)
         and 0 <= x + dx < nx and 0 <= y + dy < ny
-        for bit, dx, dy in steps])
+        for bit, dx, dy in STEPS])
     layouts = (np.ascontiguousarray(arrows), np.asfortranarray(arrows),
                np.ascontiguousarray(arrows.T).T, np.repeat(arrows, 2, axis=0)[::2])
     for view in layouts:
@@ -127,6 +131,152 @@ def test_reach_batch_matches_bfs(model, seed, batch, lo_x, hi_x, lo_y, hi_y):
             assert touched[k] == ref.touches_boundary
             one_set, one_touched = reach_batch(moves[:, k:k + 1], ix, iy, edge)
             assert np.array_equal(one_set[0], sets[k]) and one_touched[0] == touched[k]
+
+
+def _random_arrows(rng, batch, nx, ny, density):
+    """(batch, nx, ny) arrow masks, each of the four arrows open with prob density."""
+    open_ = rng.random((4, batch, nx, ny)) < density
+    return sum(open_[k].astype(np.uint16) * bit for k, (bit, _, _) in enumerate(STEPS))
+
+
+def _shifted(plane, dx, dy):
+    """(nx, ny) plane moved by (dx, dy); what leaves the window is dropped."""
+    nx, ny = plane.shape
+    out = np.zeros_like(plane)
+    out[max(dx, 0):nx + min(dx, 0), max(dy, 0):ny + min(dy, 0)] = (
+        plane[max(-dx, 0):nx + min(-dx, 0), max(-dy, 0):ny + min(-dy, 0)])
+    return out
+
+
+def _naive_closure(arrows, ix, iy, backward):
+    """(nx, ny) bool set reached from (ix, iy) by a site-by-site search."""
+    nx, ny = arrows.shape
+    seen = np.zeros((nx, ny), dtype=bool)
+    seen[ix, iy] = True
+    todo = [(ix, iy)]
+    while todo:
+        x, y = todo.pop()
+        for bit, dx, dy in STEPS:
+            # backward: the site one step back along the move, if it has the move
+            u, v = (x - dx, y - dy) if backward else (x + dx, y + dy)
+            if not (0 <= u < nx and 0 <= v < ny) or seen[u, v]:
+                continue
+            if arrows[(u, v) if backward else (x, y)] & bit:
+                seen[u, v] = True
+                todo.append((u, v))
+    return seen
+
+
+def _packed(grids):
+    """(B, nx, ny) bool -> (B, ny, nwords) packed sets."""
+    return pack_rows(np.ascontiguousarray(np.swapaxes(grids, 1, 2)))
+
+
+@given(nx=st.sampled_from([1, 2, 63, 64, 65, 129]), ny=st.sampled_from([1, 2, 3, 5]),
+       batch=st.sampled_from([1, 3]), density=st.floats(0.2, 0.95),
+       backward=st.booleans(), seed=st.integers(0, 2**32), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_reach_batch_matches_naive_closure(nx, ny, batch, density, backward, seed, data):
+    ix = data.draw(st.integers(0, nx - 1), label="ix")
+    iy = data.draw(st.integers(0, ny - 1), label="iy")
+    arrows = _random_arrows(np.random.default_rng(seed), batch, nx, ny, density)
+    moves = np.stack([move_masks(a) for a in arrows], axis=1)
+    if backward:
+        moves = reversed_moves(moves)
+    edge = edge_mask(nx, ny)
+    sets, touched = reach_batch(moves, ix, iy, edge)
+    _, early = reach_batch(moves, ix, iy, edge, stop_at_edge=True)
+    naive = np.stack([_naive_closure(a, ix, iy, backward) for a in arrows])
+    # whole words: no stray bit in the padding, another row or another trial
+    assert np.array_equal(sets, _packed(naive))
+    ring = np.zeros((nx, ny), dtype=bool)
+    ring[[0, -1]] = ring[:, [0, -1]] = True
+    assert np.array_equal(touched, (naive & ring).any(axis=(1, 2)))
+    assert np.array_equal(early, touched)
+
+
+def _naive_step(reached, arrows):
+    """One kernel step on (nx, ny) bool: per E, N, W, S, one site, then two
+    sites from the sites whose neighbour along the move has it too."""
+    g = reached.copy()
+    for bit, dx, dy in STEPS:
+        move = (arrows & bit) != 0
+        g |= _shifted(g & move, dx, dy)
+        rung = move & _shifted(move, -dx, -dy)
+        g |= _shifted(g & rung, 2 * dx, 2 * dy)
+    return g
+
+
+def _one_step(arrows, reached):
+    """The packed kernel's step on a (B, nx, ny) batch, as (B, ny, nwords) words."""
+    moves = np.stack([move_masks(a) for a in arrows], axis=1)
+    r = _packed(reached)
+    _step(r.reshape(-1), _planes(moves).reshape(8, -1), np.empty(r.size, np.uint64),
+          r.shape[-1])
+    return r
+
+
+@given(nx=st.sampled_from([1, 2, 3, 63, 64, 65, 129]), ny=st.sampled_from([1, 2, 3, 5]),
+       density=st.floats(0.3, 1.0), seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_step_moves_one_site_then_jumps_two(nx, ny, density, seed):
+    rng = np.random.default_rng(seed)
+    arrows = _random_arrows(rng, 3, nx, ny, density)
+    reached = rng.random((3, nx, ny)) < 0.1
+    naive = np.stack([_naive_step(g, a) for g, a in zip(reached, arrows)])
+    assert np.array_equal(_one_step(arrows, reached), _packed(naive))
+
+
+def test_step_jumps_across_a_word_edge():
+    # an E run over bits 62..66 of a 129-column row: one step covers 62..65,
+    # the last two sites by a jump from bits 62 and 63 into the next word
+    arrows = np.zeros((1, 129, 1), dtype=np.uint16)
+    arrows[0, 62:67, 0] = BIT_E
+    start = np.zeros((1, 129, 1), dtype=bool)
+    start[0, 62] = True
+    want = np.zeros((1, 129, 1), dtype=bool)
+    want[0, 62:66] = True
+    assert np.array_equal(_one_step(arrows, start), _packed(want))
+    sets, touched = reach_batch(move_masks(arrows[0])[:, None], 62, 0, edge_mask(129, 1))
+    want[0, 62:68] = True
+    assert np.array_equal(sets, _packed(want)) and touched[0]
+    # and back W over the same edge: 66 reaches 63 in one step
+    arrows[0, 62:67, 0] = BIT_W
+    start[0] = False
+    start[0, 66] = True
+    want[0] = False
+    want[0, 63:67] = True
+    assert np.array_equal(_one_step(arrows, start), _packed(want))
+
+
+def test_no_jump_leaks_into_the_next_trial():
+    # trial 0: E from (0, 0), then an N run up column 1 to the top row, whose
+    # N arrow leaves the window; trial 1 is empty and must stay {(0, 0)}
+    nx, ny = 3, 4
+    arrows = np.zeros((2, nx, ny), dtype=np.uint16)
+    arrows[0, 0, 0] = BIT_E
+    arrows[0, 1, :] = BIT_N
+    moves = np.stack([move_masks(a) for a in arrows], axis=1)
+    sets, touched = reach_batch(moves, 0, 0, edge_mask(nx, ny))
+    want = np.zeros((2, nx, ny), dtype=bool)
+    want[:, 0, 0] = want[0, 1, :] = True
+    assert np.array_equal(sets, _packed(want))
+    assert list(touched) == [True, True]
+
+
+def test_no_backward_jump_leaks_into_the_previous_trial():
+    # trial 1: an N run up column 1 ends at (1, ny - 1), whose W arrow enters
+    # (0, ny - 1); the backward set of (0, ny - 1) runs down column 1 to the
+    # bottom row, and trial 0 is empty and must stay {(0, ny - 1)}
+    nx, ny = 3, 4
+    arrows = np.zeros((2, nx, ny), dtype=np.uint16)
+    arrows[1, 1, :] = BIT_N
+    arrows[1, 1, ny - 1] = BIT_W
+    moves = reversed_moves(np.stack([move_masks(a) for a in arrows], axis=1))
+    sets, _ = reach_batch(moves, 0, ny - 1, edge_mask(nx, ny))
+    want = np.zeros((2, nx, ny), dtype=bool)
+    want[:, 0, ny - 1] = want[1, 1, :] = True
+    assert np.array_equal(sets, _packed(want))
 
 
 def test_declared_numpy_floor_has_bitwise_count():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,13 +24,13 @@ from dre.clusters import (
     verify_blocking_function,
 )
 from dre.directions import BIT_E, BIT_N, BIT_S, BIT_W, parse_token
-from dre.env import EnvironmentGrid, Window, reverse_environment, sample_environment
+from dre.env import EnvironmentGrid, Window, reverse_environment, sample_environment, subgrid
 from dre.errors import DimensionError, ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId
 
 from conftest import MIXED_MEASURES
-from oracles import census_columns, oracle_cluster_sets, oracle_touches
+from oracles import census_columns, oracle_cluster_sets, oracle_touches, oracle_verify_blocking
 
 
 def grid_env(window, fill=0, sites=None, measure=None):
@@ -178,6 +180,42 @@ def test_verify_blocking_lower_side():
     ok, violation = verify_blocking_function(env, w)
     # every upward arrow below w crosses into w_>=
     assert not ok
+
+
+@given(model=st.sampled_from([ModelId("NE-SW", 0.9), ModelId("SWE-N", 0.5),
+                               ModelId("EW-NS", 0.5), ModelId("NSEW-.", 0.6)]),
+       side=st.sampled_from(["upper", "lower"]), seed=st.integers(0, 2**32),
+       lo_x=st.integers(-12, -1), hi_x=st.integers(1, 12), lo_y=st.integers(-12, -1),
+       hi_y=st.integers(1, 12), monotone=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_blocking_matches_scan_oracle(model, side, seed, lo_x, hi_x, lo_y, hi_y,
+                                             monotone, data):
+    env = sample_environment(model, Window.box((lo_x, hi_x), (lo_y, hi_y)), seed)
+    values = data.draw(st.lists(st.integers(lo_y - 2, hi_y + 2), min_size=hi_x - lo_x + 1,
+                                max_size=hi_x - lo_x + 1), label="values")
+    if monotone:
+        values.sort(reverse=side == "upper")
+    w = BlockingFunction.from_values(side, (lo_x, hi_x), values)
+    assert verify_blocking_function(env, w) == oracle_verify_blocking(env, w)
+
+
+def test_verify_blocking_matches_scan_oracle_on_census_functions():
+    checked = 0
+    for p, seed in product((0.9, 0.95), range(6)):
+        env = sample_environment(ModelId("NE-SW", p), Window.centered(30), seed)
+        rep = classify_b_shape(env, (0, 0), inner=Window.centered(15))
+        if rep.blocking is None:
+            continue
+        inner_env = subgrid(env, rep.window)
+        got = verify_blocking_function(inner_env, rep.blocking)
+        assert got == oracle_verify_blocking(inner_env, rep.blocking) == (True, None)
+        # lowering one column below the cluster exposes a crossing edge
+        values = list(rep.blocking.values)
+        values[5] -= 3
+        w = BlockingFunction.from_values(rep.blocking.side, rep.blocking.columns, values)
+        assert verify_blocking_function(inner_env, w) == oracle_verify_blocking(inner_env, w)
+        checked += 1
+    assert checked >= 6
 
 
 def test_classify_rejects_other_dimensions():
