@@ -1,20 +1,27 @@
 """Write golden.json, the digests tests/test_golden.py checks.
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py            # write golden.json
+    PYTHONPATH=src python tests/golden.py --check    # compare, write nothing
 
 Each case turns one entry point's results on small fixed inputs into text
 lines; golden.json maps the case name to the SHA-256 of those lines.  Run
 it only at a commit whose results are trusted.  A change that regenerates
 golden.json names every digest that moved, and why, in CHANGES.md; a
-performance or refactor change must not regenerate it.
+performance or refactor change must not regenerate it.  --check recomputes
+every case, prints the names whose digest differs and any missing or extra
+names, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
+
+from dre.cli import main as dre_main
 
 from dre.clusters import (BACKWARD, FORWARD, backward_cluster, bfs_parents,
                           communicating_cluster, forward_cluster)
@@ -22,8 +29,13 @@ from dre.env import Window, sample_environment
 from dre.measure import SupportMeasure
 from dre.models import ModelId
 from dre.montecarlo import (REACH_B, REACH_C, REACH_M, SIZE_M, TrialPlan, bisect_pc,
-                            check_theta_identity, classify_shapes, m_size_stats, run_plan)
-from dre.walks import build_open_cycle, cycle_dump_lines, detect_gigantic_m
+                            check_theta_identity, classify_shapes, dn_transition_test,
+                            lu_walk_test, m_size_stats, martingale_test,
+                            otsp_reach_estimate, run_plan, seoa_excursion_test,
+                            theta_minus_curve, w_walk_drift_test, wn_crossing_test)
+from dre.walks import (build_open_cycle, coalescence_stats, cycle_dump_lines,
+                       detect_gigantic_m, quadrant_path, seoa_path, swoa_path,
+                       trace_dump_lines)
 
 PATH = Path(__file__).with_name("golden.json")
 
@@ -44,6 +56,8 @@ RUN_PLAN_MODELS = [("NSEW-.", 0.6), ("NE-.", 0.7)]
 RADII = (1, 63, 64, 65)
 # windows of 63, 65, 127, 129 and 131 columns: one word, and across one or two word edges
 M_SIZE_RADII = (31, 32, 63, 64, 65)
+# EW-NS offers one arrow per quadrant at every site; NSEW-NE draws tiebreaks
+QUADRANT_MODELS = [("EW-NS", 0.5), ("NSEW-NE", 0.5)]
 
 
 def _cycle_lines(cycle) -> list[str]:
@@ -106,6 +120,45 @@ def _theta_identity(name, p) -> list[str]:
             repr(rep.theta_minus.estimate), repr(rep.theta_minus.se), repr(rep.z)]
 
 
+def _quadrant_paths(name, p) -> list[str]:
+    lines = []
+    for seed in (0, 1):
+        env = sample_environment(ModelId(name, p), Window.centered(12), seed)
+        for quadrant in ("NE", "SE"):
+            lines.append(f"{quadrant} seed {seed}")
+            lines += trace_dump_lines(quadrant_path(env, (-3, 2), quadrant, seed=seed))
+    return lines
+
+
+def _on_average_paths() -> list[str]:
+    lines = []
+    for seed in (0, 1):
+        env = sample_environment(ModelId("SWE-N", 0.6), Window.centered(15), seed)
+        for path in (seoa_path, swoa_path):
+            trace, excursions = path(env, (1, 4))
+            lines += trace_dump_lines(trace) + [f"excursions {excursions}"]
+    return lines
+
+
+def _coalescence() -> list[str]:
+    stats = coalescence_stats(0.5, (2, -2), (-2, 2), trials=40, max_levels=60,
+                              master_seed=6)
+    return [f"{stats.trials} {stats.met} {sorted(stats.meeting_levels.items())} "
+            f"{sorted(stats.diff_step_freq.items())} {stats.diff_steps}"]
+
+
+def _record_lines(recs) -> list[str]:
+    return [f"{r.model} {r.p!r} {r.radius} {r.trials} {r.statistic} {r.estimate!r} {r.se!r}"
+            for r in recs]
+
+
+def _dre_gen() -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        dre_main(["gen", "--model", "SWE-N", "--p", "0.4", "--radius", "6", "--seed", "8"])
+    return out.getvalue().splitlines()
+
+
 def _bisect(name) -> list[str]:
     res = bisect_pc(name, 33, tol=0.02, trials_per_probe=100, master_seed=2)
     return [repr(res.p_hat), repr(res.bracket)] + [repr(probe) for probe in res.probes]
@@ -148,6 +201,23 @@ def cases() -> dict:
     out["m_size_stats/NE-SW/0.5"] = lambda: _m_size_stats("NE-SW", 0.5)
     out["check_theta_identity/SWE-./0.6"] = lambda: _theta_identity("SWE-.", 0.6)
     out["bisect_pc/SWE-."] = lambda: _bisect("SWE-.")
+    for name in ("NE-.", "otsp"):
+        out[f"bisect_pc/{name}"] = lambda name=name: _bisect(name)
+    for name, p in QUADRANT_MODELS:
+        out[f"quadrant_path/{name}/{p}"] = lambda name=name, p=p: _quadrant_paths(name, p)
+    out["seoa_swoa_path/SWE-N/0.6"] = _on_average_paths
+    out["coalescence_stats/0.5"] = _coalescence
+    out["otsp_reach_estimate/0.6"] = lambda: _record_lines(
+        [otsp_reach_estimate(0.6, 20, 100, 4), otsp_reach_estimate(0.6, 20, 100, 4, True)])
+    out["theta_minus_curve/0.6"] = lambda: _record_lines(
+        theta_minus_curve(0.6, (5, 10, 20), 100, 4))
+    out["martingale_test/0.5"] = lambda: [repr(martingale_test(0.5, 20, 50, 10, 4))]
+    out["dn_transition_test/0.4"] = lambda: [repr(dn_transition_test(0.4, 200, 4, 4))]
+    out["lu_walk_test/0.5"] = lambda: [repr(lu_walk_test(0.5, 200, 4))]
+    out["seoa_excursion_test/0.6"] = lambda: [repr(seoa_excursion_test(0.6, 200, 4))]
+    out["w_walk_drift_test/0.5"] = lambda: [repr(w_walk_drift_test(0.5, 200, 4))]
+    out["wn_crossing_test/0.5"] = lambda: [repr(wn_crossing_test(0.5, 30, 40, 5, 4))]
+    out["dre_gen/SWE-N/0.4/R6/s8"] = _dre_gen
     return out
 
 
@@ -155,12 +225,30 @@ def digest(lines: list[str]) -> str:
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
-def main() -> int:
+def check(golden: dict) -> int:
+    """Print every case whose digest differs from golden.json; 1 on any mismatch."""
+    stored = json.loads(PATH.read_text())
+    moved = [name for name in golden if name in stored and golden[name] != stored[name]]
+    report = ([f"moved {name}" for name in moved]
+              + [f"missing {name}" for name in stored if name not in golden]
+              + [f"extra {name}" for name in golden if name not in stored])
+    for line in report:
+        print(line)
+    print(f"{len(golden)} cases, {len(report)} mismatches")
+    return 1 if report else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: golden.py [--check]", file=sys.stderr)
+        return 2
     golden = {name: digest(make()) for name, make in cases().items()}
+    if argv:
+        return check(golden)
     PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(golden)} digests to {PATH}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
