@@ -75,7 +75,7 @@ EW_MASK = BIT_E | BIT_W
 NS_MASK = BIT_N | BIT_S
 
 # Quadrants list the vertical arrow first; a quadrant path prefers the
-# first listed arrow with its tiebreak probability.
+# first listed arrow with probability 1/2 when a site carries both.
 QUADRANTS = {
     "NE": (N, E),
     "NW": (N, W),

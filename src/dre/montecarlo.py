@@ -38,7 +38,7 @@ from .bitgrid import (edge_mask, move_masks, mutual_stats, pack_rows, reach_batc
                       reversed_moves)
 from .clusters import classify_b_shape
 from .directions import BIT_E, BIT_N, N_MASK, NE_MASK, SW_MASK, SWE_MASK
-from .env import EnvironmentGrid, Window, sample_environment, sample_masks
+from .env import Window, sample_environment, sample_masks
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure
 from .models import ModelId, canonical_name, measure_for, require_p
@@ -74,14 +74,12 @@ class TrialPlan:
     radius: int
     trials: int
     master_seed: int
-    statistic: str | Callable[[EnvironmentGrid], float] = REACH_C
+    statistic: str = REACH_C
 
     def __post_init__(self):
         _require_run(self.radius, self.trials)
-        if isinstance(self.statistic, str) and self.statistic not in _STATISTICS:
-            raise ValidationError(
-                f"statistic must be one of {_STATISTICS} or a callable"
-            )
+        if self.statistic not in _STATISTICS:
+            raise ValidationError(f"statistic must be one of {_STATISTICS}")
 
     @property
     def measure(self) -> SupportMeasure:
@@ -409,20 +407,9 @@ def run_plan(plan: TrialPlan) -> EstimateRecord:
     if measure.d != 2:
         raise DimensionError("the Monte Carlo engine runs on d=2 windows")
     t0 = time.perf_counter()
-    if callable(plan.statistic):
-        window = Window.centered(plan.radius, 2)
-        model = plan.model if isinstance(plan.model, ModelId) else None
-        values = np.empty(plan.trials, dtype=np.float64)
-        for t in range(plan.trials):
-            seed = rng.spawn_seed(plan.master_seed, t)
-            values[t] = plan.statistic(EnvironmentGrid(
-                window, sample_masks(measure, window, seed), measure, model, seed))
-        stat_name = "custom"
-    else:
-        values = _statistic_values(measure, plan.radius, plan.trials, plan.master_seed,
-                                   plan.statistic)
-        stat_name = plan.statistic
-    return _record(plan.model_label, plan.p_label, plan.radius, stat_name, values,
+    values = _statistic_values(measure, plan.radius, plan.trials, plan.master_seed,
+                               plan.statistic)
+    return _record(plan.model_label, plan.p_label, plan.radius, plan.statistic, values,
                    plan.master_seed, t0)
 
 

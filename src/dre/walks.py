@@ -15,7 +15,8 @@ traced part and the splice still runs, because at moderate parameters the
 pure spiral drifts outside any reasonable window long before it closes.
 Every returned cycle is re-verified: all steps open, disjoint from the
 box, nonzero winding number around it.  Failure to find a cycle is
-one-sided evidence only.
+one-sided evidence only.  The model picks the construction, and every
+path and leg steps on one loop, _walk.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_BOUNDARY = "HitBoundary"
 EXIT_COALESCED = "Coalesced"
 EXIT_CYCLE = "ClosedCycle"
 EXIT_STEP_LIMIT = "StepLimit"
+_EXIT_STOP = "Stop"  # a leg reached the site its stop predicate asks for
 
 # Arrow bit of each unit step, in the fixed E, N, W, S neighbor order.
 _STEP_BIT = {dn.step(2): 1 << dn.bit(2) for dn in all_directions(2)}
@@ -55,10 +57,7 @@ class PathTrace:
         return len(self.sites)
 
     def steps_open_in(self, env: EnvironmentGrid) -> bool:
-        return all(
-            step_mask(tuple(b[i] - a[i] for i in range(2))) & env.mask_at(a)
-            for a, b in zip(self.sites, self.sites[1:])
-        )
+        return cycle_is_open(env, self.sites)
 
 
 def step_mask(delta: tuple[int, int]) -> int:
@@ -76,14 +75,13 @@ def quadrant_path(
     env: EnvironmentGrid,
     start: Site,
     quadrant: str,
-    tiebreak_q: float = 0.5,
     seed: int = 0,
 ) -> PathTrace:
     """Follow arrows of one quadrant from start until the window ends.
 
     When both quadrant arrows are present the first listed (the vertical
-    one) is taken with probability tiebreak_q, independently per visit from
-    a private seeded stream.  A site carrying neither quadrant arrow
+    one) is taken with probability 1/2, independently per visit from a
+    private seeded stream.  A site carrying neither quadrant arrow
     violates the model assumption and raises.
     """
     _require_2d(env)
@@ -93,11 +91,10 @@ def quadrant_path(
         raise ValidationError(f"start {start} outside the window")
     first, second = QUADRANTS[quadrant]
     gen = np.random.default_rng(rng.spawn_seed(seed, 0x71AD))
-    mover = _quadrant_mover(env, first, second, tiebreak_q, gen)
-    return _follow(env, start, mover)
+    return _follow(env, start, _quadrant_mover(env, first, second, gen))
 
 
-def _quadrant_mover(env, first, second, q, gen) -> Callable[[Site], Site]:
+def _quadrant_mover(env, first, second, gen) -> Callable[[Site], Site]:
     b1 = 1 << first.bit(2)
     b2 = 1 << second.bit(2)
     s1, s2 = first.step(2), second.step(2)
@@ -106,7 +103,7 @@ def _quadrant_mover(env, first, second, q, gen) -> Callable[[Site], Site]:
         mask = env.mask_at(site)
         has1, has2 = mask & b1, mask & b2
         if has1 and has2:
-            s = s1 if gen.random() < q else s2
+            s = s1 if gen.random() < 0.5 else s2
         elif has1:
             s = s1
         elif has2:
@@ -120,24 +117,32 @@ def _quadrant_mover(env, first, second, q, gen) -> Callable[[Site], Site]:
     return mover
 
 
+def _walk(window: Window, sites: list[Site], seen: set[Site], mover,
+          stop: Optional[Callable[[Site], bool]] = None) -> str:
+    """Step sites[-1] with mover, appending each new site; returns the exit reason.
+
+    seen holds the sites of sites.  The walk ends with _EXIT_STOP when stop
+    holds at the current site, EXIT_BOUNDARY when a step leaves the window
+    (that site is not appended), EXIT_CYCLE when a step lands on a seen
+    site (appended), or EXIT_STEP_LIMIT after step_limit(window) steps.
+    """
+    site = sites[-1]
+    for _ in range(step_limit(window)):
+        if stop is not None and stop(site):
+            return _EXIT_STOP
+        site = mover(site)
+        if not window.contains(site):
+            return EXIT_BOUNDARY
+        sites.append(site)
+        if site in seen:
+            return EXIT_CYCLE
+        seen.add(site)
+    return EXIT_STEP_LIMIT
+
+
 def _follow(env, start, mover) -> PathTrace:
-    window = env.window
-    limit = step_limit(window)
     sites = [start]
-    seen = {start}
-    site = start
-    exit_reason = EXIT_STEP_LIMIT
-    for _ in range(limit):
-        nxt = mover(site)
-        if not window.contains(nxt):
-            exit_reason = EXIT_BOUNDARY
-            break
-        sites.append(nxt)
-        if nxt in seen:
-            exit_reason = EXIT_CYCLE
-            break
-        seen.add(nxt)
-        site = nxt
+    exit_reason = _walk(env.window, sites, {start}, mover)
     return PathTrace(tuple(sites), exit_reason)
 
 
@@ -242,8 +247,10 @@ def coalescence_stats(
     diff_counts = {-1: 0, 0: 0, 1: 0}
     diff_steps = 0
 
-    def arrow_up(trial: int, site: Site) -> bool:
-        return rng.atom_one(thresholds, master_seed, trial, site[0], site[1]) == 0
+    def step(trial: int, site: Site) -> Site:
+        if rng.atom_one(thresholds, master_seed, trial, site[0], site[1]) == 0:
+            return (site[0], site[1] + 1)
+        return (site[0] + 1, site[1])
 
     for t in range(trials):
         a, b = tuple(x), tuple(y)
@@ -253,17 +260,17 @@ def coalescence_stats(
             continue
         # bring both to a common anti-diagonal level
         while a[0] + a[1] < b[0] + b[1]:
-            a = (a[0], a[1] + 1) if arrow_up(t, a) else (a[0] + 1, a[1])
+            a = step(t, a)
         while b[0] + b[1] < a[0] + a[1]:
-            b = (b[0], b[1] + 1) if arrow_up(t, b) else (b[0] + 1, b[1])
+            b = step(t, b)
         for level in range(max_levels):
             if a == b:
                 met += 1
                 meeting_levels[level] = meeting_levels.get(level, 0) + 1
                 break
             d0 = a[0] - b[0]
-            a = (a[0], a[1] + 1) if arrow_up(t, a) else (a[0] + 1, a[1])
-            b = (b[0], b[1] + 1) if arrow_up(t, b) else (b[0] + 1, b[1])
+            a = step(t, a)
+            b = step(t, b)
             delta = (a[0] - b[0]) - d0
             diff_counts[delta] += 1
             diff_steps += 1
@@ -280,7 +287,8 @@ SPIRAL_LRUD = "spiral_lrud"
 SPIRAL_SWE_N = "spiral_swe_n"
 ORTHANT = "orthant"
 
-_STRATEGIES = (SPIRAL_LRUD, SPIRAL_SWE_N, ORTHANT)
+# Late trace sites tried as splice ends per anchor.
+_MAX_Z_PER_ANCHOR = 8
 
 
 @dataclass(frozen=True)
@@ -343,8 +351,7 @@ def _path_to_root(parents: dict[Site, Optional[Site]], site: Site) -> list[Site]
     return path
 
 
-def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
-                  max_z_per_anchor: int = 8) -> Optional[OpenCycle]:
+def _splice_cycle(env, trace, anchor_indices, m, mc, strategy) -> Optional[OpenCycle]:
     """Close a partial spiral through an open path that avoids the box.
 
     The traced legs passed under the box, so the splice from a late trace
@@ -374,7 +381,7 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
             if z not in into_anchor:
                 continue
             tried += 1
-            if tried > max_z_per_anchor:
+            if tried > _MAX_Z_PER_ANCHOR:
                 break
             from_z = dict(bfs_parents(env, z, FORWARD, in_box))
             waypoint = None
@@ -399,47 +406,29 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy,
     return None
 
 
-def _trace_legs(env, start, legs, movers) -> tuple[list[Site], list[int], Optional[list[Site]]]:
-    """Chain legs from start; returns (trace, leg start indices, self-closure).
+def _trace_legs(env, start, legs, movers) -> tuple[list[Site], list[int], str]:
+    """Chain legs from start; returns (trace, leg start indices, exit reason).
 
     legs is a list of (mover name, stop predicate).  A leg ends at the first
-    site satisfying its predicate; window exits and step limits end the
-    whole trace.  If any step lands on an earlier trace site the closed
-    loop is returned as the third element.
+    site satisfying its predicate; any other exit of a leg ends the whole
+    trace.  The exit is _EXIT_STOP when every leg ended at its stop, and
+    EXIT_CYCLE when a step landed on an earlier trace site (the last).
     """
-    window = env.window
-    limit = step_limit(window)
     trace = [start]
-    index_of = {start: 0}
+    seen = {start}
     anchors = [0]
-    site = start
     for mover_name, stop in legs:
-        mover = movers[mover_name]
-        steps = 0
-        while not stop(site):
-            nxt = mover(site)
-            if not window.contains(nxt):
-                return trace, anchors, None
-            trace.append(nxt)
-            if nxt in index_of:
-                loop = trace[index_of[nxt]:]
-                return trace, anchors, loop
-            index_of[nxt] = len(trace) - 1
-            site = nxt
-            steps += 1
-            if steps > limit:
-                return trace, anchors, None
+        exit_reason = _walk(env.window, trace, seen, movers[mover_name], stop)
+        if exit_reason != _EXIT_STOP:
+            return trace, anchors, exit_reason
         anchors.append(len(trace) - 1)
-    return trace, anchors, None
+    return trace, anchors, _EXIT_STOP
 
 
-def _quadrant_movers(env, tiebreak_q, seed):
+def _quadrant_movers(env, seed):
     gen = np.random.default_rng(rng.spawn_seed(seed, 0xC1C1E))
-    return {
-        name: _quadrant_mover(env, QUADRANTS[name][0], QUADRANTS[name][1],
-                              tiebreak_q, gen)
-        for name in QUADRANTS
-    }
+    return {name: _quadrant_mover(env, first, second, gen)
+            for name, (first, second) in QUADRANTS.items()}
 
 
 def _atoms_cover_all_quadrants(measure: SupportMeasure) -> bool:
@@ -447,31 +436,41 @@ def _atoms_cover_all_quadrants(measure: SupportMeasure) -> bool:
     return all(all(m & q for q in quads) for m, _ in measure.atoms)
 
 
-def build_open_cycle(
-    env: EnvironmentGrid,
-    m: int,
-    strategy: str,
-    tiebreak_q: float = 0.5,
-    seed: int = 0,
-) -> Optional[OpenCycle]:
+def _construction(measure: SupportMeasure) -> Optional[str]:
+    """The one cycle construction that fits the model, or None.
+
+    The three fits exclude each other: an N or NE atom meets no southern
+    quadrant.
+    """
+    support = measure.support()
+    if support == frozenset({NE_MASK, SW_MASK}):
+        return ORTHANT
+    if support == frozenset({SWE_MASK, N_MASK}):
+        return SPIRAL_SWE_N
+    if _atoms_cover_all_quadrants(measure):
+        return SPIRAL_LRUD
+    return None
+
+
+def build_open_cycle(env: EnvironmentGrid, m: int, seed: int = 0) -> Optional[OpenCycle]:
     """Try to construct a verified open cycle enclosing [-m, m]^2.
 
-    spiral_lrud chains quadrant-path legs (any model whose atoms meet every
-    quadrant); spiral_swe_n chains SEoA / NE / NW / SWoA legs of the
-    three-or-up model; orthant closes through the up-left-right cluster of
-    the all-positive/all-negative model.  Returns None when the
-    construction cannot be completed inside the window; that is one-sided
-    (a cycle may still exist).
+    The model picks the construction: orthant closes through the
+    up-left-right cluster of the NE-SW model; spiral_swe_n chains SEoA / NE
+    / NW / SWoA legs of the three-or-up model; spiral_lrud chains
+    quadrant-path legs on any model whose atoms meet every quadrant.  Other
+    models raise.  Returns None when the construction cannot be completed
+    inside the window; that is one-sided (a cycle may still exist).
     """
     _require_2d(env)
-    if strategy not in _STRATEGIES:
-        raise ValidationError(f"strategy must be one of {_STRATEGIES}")
     if m < 1:
         raise ValidationError("box radius must be >= 1")
     if env.measure is None:
         raise ValidationError("cycle construction needs a grid with a known measure")
+    strategy = _construction(env.measure)
+    if strategy is None:
+        raise ValidationError("no cycle construction applies to this model")
     mc = m + 2
-    support = env.measure.support()
     window = env.window
     if not (window.contains((-mc, mc)) and window.contains((mc, -mc))):
         raise ValidationError("window too small for the padded construction box")
@@ -492,30 +491,23 @@ def build_open_cycle(
         ("NE", lambda s: s[1] >= mc),
         ("NW", lambda s: s[0] <= -mc),
     ]
-    if strategy == SPIRAL_LRUD:
-        if not _atoms_cover_all_quadrants(env.measure):
-            raise ValidationError("spiral_lrud needs every atom to meet every quadrant")
-        movers = _quadrant_movers(env, tiebreak_q, seed)
-        legs = ring_legs
-    elif strategy == SPIRAL_SWE_N:
-        if support != frozenset({SWE_MASK, N_MASK}):
-            raise ValidationError("spiral_swe_n needs the three-or-up model")
-        movers = _quadrant_movers(env, tiebreak_q, seed)
+    movers = _quadrant_movers(env, seed)
+    if strategy == ORTHANT:
+        return _orthant_cycle(env, m, mc, movers)
+    legs = ring_legs
+    if strategy == SPIRAL_SWE_N:
         movers["SEOA"] = _seoa_mover(env, eastward=True)
         movers["SWOA"] = _seoa_mover(env, eastward=False)
         legs = [("SEOA" if name == "SE" else "SWOA" if name == "SW" else name, stop)
                 for name, stop in ring_legs]
-    else:
-        if support != frozenset({NE_MASK, SW_MASK}):
-            raise ValidationError("the orthant construction needs the NE-SW model")
-        return _orthant_cycle(env, m, mc)
 
     starts = [(-mc, -mc), (-mc - 2, -mc - 1), (-mc - 1, -mc - 3), (-mc - 4, -mc - 4)]
     for start in starts:
         if not window.contains(start):
             continue
-        trace, anchors, loop = _trace_legs(env, start, legs, movers)
-        if loop is not None:
+        trace, anchors, exit_reason = _trace_legs(env, start, legs, movers)
+        if exit_reason == EXIT_CYCLE:
+            loop = trace[trace.index(trace[-1]):]
             cycle = _verify_cycle(env, loop, m, strategy)
             if cycle is not None:
                 return cycle
@@ -525,13 +517,15 @@ def build_open_cycle(
     return None
 
 
-def _orthant_cycle(env, m, mc) -> Optional[OpenCycle]:
+def _orthant_cycle(env, m, mc, movers) -> Optional[OpenCycle]:
     """Closing through the restricted clusters of the all-or-nothing model.
 
     Find an up-left-right cluster hanging from the top boundary strictly
     right of the box and reaching the bottom, its mirror (down-left-right)
     strictly left of the box reaching the top, then connect them with the
-    deterministic SE path below the box and NW path above it.
+    SE quadrant path below the box and the NW one above it.  No NE or SW
+    site carries both arrows of either quadrant, so these paths draw no
+    tiebreak.
     """
     window = env.window
     (wx0, wy0), (wx1, wy1) = window.lo, window.hi
@@ -566,43 +560,17 @@ def _orthant_cycle(env, m, mc) -> Optional[OpenCycle]:
     (j_up, parents_up) = (up[0][0], up[1])
     (j_dn, parents_dn) = (down[0][0], down[1])
 
-    def se_mover(site):
-        mask = env.mask_at(site)
-        if mask == NE_MASK:
-            return (site[0] + 1, site[1])
-        if mask == SW_MASK:
-            return (site[0], site[1] - 1)
-        raise ModelAssumptionError(f"site {site} not from the orthant model", site=site)
-
-    def nw_mover(site):
-        mask = env.mask_at(site)
-        if mask == NE_MASK:
-            return (site[0], site[1] + 1)
-        if mask == SW_MASK:
-            return (site[0] - 1, site[1])
-        raise ModelAssumptionError(f"site {site} not from the orthant model", site=site)
-
-    limit = step_limit(window)
-
     def run_until(mover, start, members) -> Optional[list[Site]]:
         sites = [start]
-        site = start
-        for _ in range(limit):
-            if site in members:
-                return sites
-            nxt = mover(site)
-            if not window.contains(nxt):
-                return None
-            sites.append(nxt)
-            site = nxt
+        if _walk(window, sites, {start}, mover, members.__contains__) == _EXIT_STOP:
+            return sites
         return None
 
-    start = (j_dn, -mc)
-    se_leg = run_until(se_mover, start, parents_up)
+    se_leg = run_until(movers["SE"], (j_dn, -mc), parents_up)
     if se_leg is None:
         return None
     up_chain = _path_to_root(parents_up, se_leg[-1])
-    nw_leg = run_until(nw_mover, (j_up, mc), parents_dn)
+    nw_leg = run_until(movers["NW"], (j_up, mc), parents_dn)
     if nw_leg is None:
         return None
     dn_chain = _path_to_root(parents_dn, nw_leg[-1])
@@ -666,30 +634,22 @@ def detect_gigantic_m(
         raise ValidationError(
             "gigantic detection applies to models with almost-surely infinite forward clusters"
         )
-    support = env.measure.support()
-    if support == frozenset({NE_MASK, SW_MASK}):
-        strategy = ORTHANT
-    elif support == frozenset({SWE_MASK, N_MASK}):
-        strategy = SPIRAL_SWE_N
-    elif _atoms_cover_all_quadrants(env.measure):
-        strategy = SPIRAL_LRUD
-    else:
+    strategy = _construction(env.measure)
+    if strategy is None:
         return GiganticReport(False, None, {}, ("no cycle construction applies to this model",))
 
-    cycle = build_open_cycle(env, m, strategy, seed=seed)
+    cycle = build_open_cycle(env, m, seed=seed)
     if cycle is None:
         return GiganticReport(False, None, {}, (f"strategy {strategy} found no cycle",))
 
     pg = PackedGrid.from_env(env)
     (x0, y0) = env.window.lo
     cyc_sites = list(dict.fromkeys(cycle.sites[:-1]))
-    packed_cycle = np.zeros_like(pg.edge)
-    for (sx, sy) in cyc_sites:
-        ix, iy = sx - x0, sy - y0
-        packed_cycle[iy, ix // 64] |= np.uint64(1) << np.uint64(ix % 64)
+    cyc_ix = [sx - x0 for sx, _ in cyc_sites]
+    cyc_iy = [sy - y0 for _, sy in cyc_sites]
 
     def covers(r) -> bool:
-        return bool(np.array_equal(r & packed_cycle, packed_cycle))
+        return bool(pg.unpack(r)[cyc_ix, cyc_iy].all())
 
     gen = np.random.default_rng(rng.spawn_seed(seed, 0x916A))
     k = min(samples, len(cyc_sites))

@@ -39,8 +39,8 @@ from dre.walks import (build_open_cycle, coalescence_stats, cycle_dump_lines,
 
 PATH = Path(__file__).with_name("golden.json")
 
-# (model, p, window radius, box radius, seed); the first finds a cycle,
-# the second finds none
+# (model, p, window radius, box radius, seed) under the construction the
+# model picks; the first finds a cycle, the second finds none
 CYCLE_INPUTS = {
     "spiral_lrud": [("EW-NS", 0.5, 20, 3, 1), ("SWE-EW", 0.5, 15, 3, 0)],
     "spiral_swe_n": [("SWE-N", 0.7, 20, 2, 1), ("SWE-N", 0.9, 12, 2, 0)],
@@ -66,9 +66,9 @@ def _cycle_lines(cycle) -> list[str]:
     return [cycle.strategy] + cycle_dump_lines(cycle)
 
 
-def _build_open_cycle(strategy, name, p, radius, m, seed) -> list[str]:
+def _build_open_cycle(name, p, radius, m, seed) -> list[str]:
     env = sample_environment(ModelId(name, p), Window.centered(radius), seed)
-    return _cycle_lines(build_open_cycle(env, m, strategy))
+    return _cycle_lines(build_open_cycle(env, m))
 
 
 def _detect_gigantic(name, p, radius, m, seed) -> list[str]:
@@ -177,7 +177,7 @@ def cases() -> dict:
     for strategy, inputs in CYCLE_INPUTS.items():
         for args in inputs:
             out["build_open_cycle/{}/{}/{}/R{}/m{}/s{}".format(strategy, *args)] = (
-                lambda strategy=strategy, args=args: _build_open_cycle(strategy, *args))
+                lambda args=args: _build_open_cycle(*args))
     for args in GIGANTIC_INPUTS:
         out["detect_gigantic_m/{}/{}/R{}/m{}/s{}".format(*args)] = (
             lambda args=args: _detect_gigantic(*args))

@@ -10,7 +10,11 @@ from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
 from dre.walks import (
     EXIT_BOUNDARY,
+    EXIT_STEP_LIMIT,
     OpenCycle,
+    _construction,
+    _follow,
+    _trace_legs,
     build_open_cycle,
     coalescence_stats,
     cycle_encloses_box,
@@ -18,6 +22,7 @@ from dre.walks import (
     detect_gigantic_m,
     quadrant_path,
     seoa_path,
+    step_limit,
     swoa_path,
     winding_number,
 )
@@ -69,6 +74,36 @@ def test_quadrant_tiebreak_is_seeded():
     c = quadrant_path(env, (0, 0), "NE", seed=2)
     assert a.sites == b.sites
     assert a.sites != c.sites  # overwhelmingly likely over ~8 coin flips
+
+
+def _boustrophedon(window):
+    # east along even rows, west along odd rows, up at each row end: never revisits
+    (x0, y0), (x1, _) = window.lo, window.hi
+
+    def mover(site):
+        x, y = site
+        eastward = (y - y0) % 2 == 0
+        if x == (x1 if eastward else x0):
+            return (x, y + 1)
+        return (x + 1 if eastward else x - 1, y)
+
+    return mover
+
+
+def test_path_and_leg_stop_at_the_step_limit():
+    window = Window.centered(35)
+    limit = step_limit(window)
+    assert limit == 4544 < window.shape[0] * window.shape[1] - 1
+    env = grid_env(window, fill=0)
+    mover = _boustrophedon(window)
+    trace = _follow(env, window.lo, mover)
+    assert trace.exit_reason == EXIT_STEP_LIMIT
+    assert len(trace.sites) == limit + 1
+    assert len(set(trace.sites)) == limit + 1
+    legs, anchors, exit_reason = _trace_legs(env, window.lo, [("B", lambda s: False)],
+                                             {"B": mover})
+    assert exit_reason == EXIT_STEP_LIMIT
+    assert legs == list(trace.sites) and anchors == [0]
 
 
 def test_seoa_descends_all_swe_column():
@@ -179,7 +214,7 @@ def test_build_cycle_on_bidirectional_grid():
     # every site passable in every direction: the ring legs close immediately
     m = SupportMeasure(2, ((parse_token("NSEW"), 1.0),))
     env = sample_environment(m, Window.centered(12), 0)
-    cyc = build_open_cycle(env, 2, "spiral_lrud")
+    cyc = build_open_cycle(env, 2)
     assert cyc is not None
     assert cycle_is_open(env, cyc.sites)
     assert abs(cyc.winding) == 1
@@ -188,27 +223,28 @@ def test_build_cycle_on_bidirectional_grid():
 def test_no_cycle_on_horizontal_only_grid():
     m = SupportMeasure(2, ((parse_token("EW"), 1.0),))
     env = sample_environment(m, Window.centered(10), 0)
-    assert build_open_cycle(env, 2, "spiral_lrud") is None
+    assert build_open_cycle(env, 2) is None
 
 
 def test_cycle_strategy_model_pairing():
-    env = sample_environment(ModelId("NE-SW", 0.5), Window.centered(12), 0)
-    with pytest.raises(ValidationError):
-        build_open_cycle(env, 2, "spiral_lrud")
-    with pytest.raises(ValidationError):
-        build_open_cycle(env, 2, "spiral_swe_n")
+    # the model picks the construction; a model no construction fits raises
+    for name, strategy in (("NE-SW", "orthant"), ("SWE-N", "spiral_swe_n"),
+                           ("EW-NS", "spiral_lrud"), ("NSEW-EW", "spiral_lrud")):
+        assert _construction(measure_for(ModelId(name, 0.5))) == strategy
+    for name in ("NE-.", "N-E", "NE-W"):
+        env = sample_environment(ModelId(name, 0.5), Window.centered(12), 0)
+        with pytest.raises(ValidationError):
+            build_open_cycle(env, 2)
     env2 = sample_environment(ModelId("EW-NS", 0.5), Window.centered(12), 0)
     with pytest.raises(ValidationError):
-        build_open_cycle(env2, 2, "orthant")
-    with pytest.raises(ValidationError):
-        build_open_cycle(env2, 11, "spiral_lrud")  # window too small for pad
+        build_open_cycle(env2, 11)  # window too small for pad
 
 
 def test_orthant_cycle_found_and_verified():
     found = 0
     for seed in range(12):
         env = sample_environment(ModelId("NE-SW", 0.5), Window.centered(90), seed)
-        cyc = build_open_cycle(env, 3, "orthant")
+        cyc = build_open_cycle(env, 3)
         if cyc is not None:
             found += 1
             assert cycle_is_open(env, cyc.sites)
@@ -220,7 +256,7 @@ def test_swe_n_cycle_in_drift_regime():
     found = 0
     for seed in range(6):
         env = sample_environment(ModelId("SWE-N", 0.7), Window.centered(80), seed)
-        cyc = build_open_cycle(env, 3, "spiral_swe_n")
+        cyc = build_open_cycle(env, 3)
         if cyc is not None:
             found += 1
             assert cycle_is_open(env, cyc.sites)
@@ -256,7 +292,7 @@ def test_trace_and_cycle_dumps():
 
     m = SupportMeasure(2, ((parse_token("NSEW"), 1.0),))
     grid = sample_environment(m, Window.centered(10), 0)
-    cyc = build_open_cycle(grid, 2, "spiral_lrud")
+    cyc = build_open_cycle(grid, 2)
     clines = cycle_dump_lines(cyc)
     assert clines[-1].startswith(f"cycle {len(cyc.sites) - 1} winding ")
     assert clines[-1].endswith("box -2:2")
