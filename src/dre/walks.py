@@ -439,8 +439,8 @@ def _atoms_cover_all_quadrants(measure: SupportMeasure) -> bool:
 def _construction(measure: SupportMeasure) -> Optional[str]:
     """The one cycle construction that fits the model, or None.
 
-    The three fits exclude each other: an N or NE atom meets no southern
-    quadrant.
+    The three fits exclude each other: the NE atom misses the SW quadrant
+    and the N atom both southern ones, so neither model fits spiral_lrud.
     """
     support = measure.support()
     if support == frozenset({NE_MASK, SW_MASK}):
@@ -474,6 +474,9 @@ def build_open_cycle(env: EnvironmentGrid, m: int, seed: int = 0) -> Optional[Op
     window = env.window
     if not (window.contains((-mc, mc)) and window.contains((mc, -mc))):
         raise ValidationError("window too small for the padded construction box")
+    movers = _quadrant_movers(env, seed)
+    if strategy == ORTHANT:
+        return _orthant_cycle(env, m, mc, movers)
 
     # Legs circle the padded ring counterclockwise from near the SW corner:
     # under the box, up the right, over the top, down the left, then a
@@ -491,9 +494,6 @@ def build_open_cycle(env: EnvironmentGrid, m: int, seed: int = 0) -> Optional[Op
         ("NE", lambda s: s[1] >= mc),
         ("NW", lambda s: s[0] <= -mc),
     ]
-    movers = _quadrant_movers(env, seed)
-    if strategy == ORTHANT:
-        return _orthant_cycle(env, m, mc, movers)
     legs = ring_legs
     if strategy == SPIRAL_SWE_N:
         movers["SEOA"] = _seoa_mover(env, eastward=True)

@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from dre.cli import main as dre_main
-
 from dre.clusters import (BACKWARD, FORWARD, backward_cluster, bfs_parents,
                           communicating_cluster, forward_cluster)
 from dre.env import Window, sample_environment
