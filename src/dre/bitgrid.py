@@ -3,14 +3,15 @@
 Frontier BFS over a 200x200 window is too slow in Python for tens of
 thousands of Monte Carlo trials, so reachable sets are propagated as
 uint64 bit rows instead.  One kernel, reach_batch, runs the forward
-fixpoint of a whole batch of windows at once: a step is a handful of
-in-place shift/and/or passes over the batch's (B, ny, nwords) words, so
-numpy's per-call overhead is paid once per step, not once per trial.
+fixpoint of a whole batch of windows at once: a step is 28 in-place
+shift/and/or calls over the batch's (B, ny, nwords) words, so numpy's
+per-call overhead is paid once per step, not once per trial.
 Numpy calls on windows this small cost about the same whatever their
-size, so the kernel's time is its number of steps; to cut it, a step
+size, so the kernel's time is its number of steps and calls: a step
 moves the set one site and then two sites along each direction in turn,
 the second jump through a "rung" plane of the sites whose neighbour
-along that direction has the same move.
+along that direction has the same move, and it runs as a plan of ufunc
+calls on views built once per batch, so it allocates no temporary.
 Backward reach is forward reach on the edge-reversed masks.  The packed
 engine is an exact mirror of clusters.forward_cluster / backward_cluster
 on d=2 grids and is cross-checked against them in the test suite.
@@ -30,8 +31,9 @@ from .env import EnvironmentGrid
 from .errors import DimensionError
 
 _ONE = np.uint64(1)
-# jump length n -> (the shift within a word, the carry shift into the next)
-_SHIFTS = {n: (np.uint64(n), np.uint64(64 - n)) for n in (1, 2)}
+# jump length n -> (the shift within a word, the carry shift into the next),
+# as 0-d arrays: a ufunc converts a numpy scalar operand on every call
+_SHIFTS = {n: (np.array(n, np.uint64), np.array(64 - n, np.uint64)) for n in (1, 2)}
 _MOVE_BITS = np.array([BIT_E, BIT_N, BIT_W, BIT_S], dtype=np.uint8)
 
 # Steps between convergence and edge-contact tests.  A fixpoint is
@@ -92,8 +94,10 @@ def move_masks(arrows: np.ndarray) -> np.ndarray:
     return pack_rows(bits)
 
 
-def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int, n: int = 1) -> None:
-    """dst |= src moved n (1 or 2) sites along move k (E, N, W, S), on flat word runs.
+def _move_calls(dst: np.ndarray, src: np.ndarray, u: np.ndarray, k: int, nw: int,
+                n: int) -> list[tuple]:
+    """The (ufunc, a, b, out) calls of dst |= src moved n (1 or 2) sites along
+    move k (E, N, W, S), on flat word runs; u is scratch of src's size.
 
     A row is nw consecutive words.  Callers move only bits whose whole jump
     stays in the window (see move_masks and _planes), so nothing crosses a
@@ -101,15 +105,27 @@ def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int, n: int = 1) -> N
     """
     sh, carry = _SHIFTS[n]
     if k == 0:
-        dst |= src << sh
-        dst[1:] |= src[:-1] >> carry
-    elif k == 1:
-        dst[n * nw:] |= src[:-n * nw]
-    elif k == 2:
-        dst |= src >> sh
-        dst[:-1] |= src[1:] << carry
-    else:
-        dst[:-n * nw] |= src[n * nw:]
+        return [(np.left_shift, src, sh, u), (np.bitwise_or, dst, u, dst),
+                (np.right_shift, src[:-1], carry, u[1:]),
+                (np.bitwise_or, dst[1:], u[1:], dst[1:])]
+    if k == 2:
+        return [(np.right_shift, src, sh, u), (np.bitwise_or, dst, u, dst),
+                (np.left_shift, src[1:], carry, u[:-1]),
+                (np.bitwise_or, dst[:-1], u[:-1], dst[:-1])]
+    m = n * nw
+    if k == 1:
+        return [(np.bitwise_or, dst[m:], src[:-m], dst[m:])]
+    return [(np.bitwise_or, dst[:-m], src[m:], dst[:-m])]
+
+
+def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int) -> None:
+    """dst |= src moved one site along move k, by _move_calls.
+
+    It runs the calls itself, not through _step, so that every _step call
+    is a growth step of reach_batch.
+    """
+    for f, a, b, out in _move_calls(dst, src, np.empty_like(src), k, nw, 1):
+        f(a, b, out)
 
 
 def reversed_moves(moves: np.ndarray) -> np.ndarray:
@@ -144,18 +160,27 @@ def _planes(moves: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _step(r: np.ndarray, planes: np.ndarray, t: np.ndarray, nw: int) -> None:
-    """One in-place growth step of the flat batch r; t is scratch of r's size.
+def _plan(r: np.ndarray, planes: np.ndarray, t: np.ndarray, u: np.ndarray,
+          nw: int) -> list[tuple]:
+    """The 28 (ufunc, a, b, out) calls of one in-place growth step of the flat batch r.
 
-    planes holds the four move masks and then their four rungs.  For each
-    of E, N, W, S in turn the set moves one site along its moves, then two
-    sites from its rungs; each pass reads what the ones before it added.
+    planes is (8, r.size): the four move masks and then their four rungs;
+    t and u are scratch of r's size.  For each of E, N, W, S in turn the
+    set moves one site along its moves, then two sites from its rungs;
+    each call reads what the ones before it added.
     """
+    plan = []
     for k in range(4):
-        np.bitwise_and(r, planes[k], out=t)
-        _or_move(r, t, k, nw)
-        np.bitwise_and(r, planes[4 + k], out=t)
-        _or_move(r, t, k, nw, 2)
+        for n, plane in ((1, planes[k]), (2, planes[4 + k])):
+            plan.append((np.bitwise_and, r, plane, t))
+            plan += _move_calls(r, t, u, k, nw, n)
+    return plan
+
+
+def _step(plan: list[tuple]) -> None:
+    """Run one growth step planned by _plan.  It allocates no array."""
+    for f, a, b, out in plan:
+        f(a, b, out)
 
 
 def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
@@ -169,7 +194,7 @@ def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
     soon after its first edge contact; only its flag is then defined, and
     its set is partial.  Finished trials are compacted out of the batch.
 
-    The two-site jumps of _step change how many steps a trial runs, not
+    The two-site jumps of a step change how many steps a trial runs, not
     its fixpoint.
     """
     _, b, ny, nw = moves.shape
@@ -182,14 +207,16 @@ def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
     r = np.zeros((b, size), dtype=np.uint64)
     r[:, iy * nw + ix // 64] = _ONE << np.uint64(ix % 64)
     while True:
-        flat = planes.reshape(8, -1)
         t = np.empty_like(r)
         prev = np.empty_like(r)
+        # views of this batch's arrays, so rebuilt after every compaction
+        plan = _plan(r.reshape(-1), planes.reshape(8, -1), t.reshape(-1),
+                     np.empty(r.size, dtype=np.uint64), nw)
         while True:
             for _ in range(_CHECK_EVERY - 1):
-                _step(r.reshape(-1), flat, t.reshape(-1), nw)
+                _step(plan)
             np.copyto(prev, r)
-            _step(r.reshape(-1), flat, t.reshape(-1), nw)
+            _step(plan)
             hit = np.bitwise_and(r, edge, out=t).any(axis=1)
             done = ~np.bitwise_xor(r, prev, out=t).any(axis=1)
             if stop_at_edge:

@@ -302,25 +302,6 @@ _DUAL_MODEL_ATOMS = {
 }
 
 
-def _vertex_constrained(v: tuple[int, int], w: BlockingFunction, lattice: str,
-                        window) -> bool:
-    """Whether a contour vertex has a potential crossing edge inside the window.
-
-    Only such vertices are forced open by the in-window blocking property;
-    vertices whose crossing targets leave the window are unconstrained.
-    """
-    n, k = v
-    x0, x1 = w.columns
-    if window.contains((n, k - 1)) and k - 1 <= w[n]:
-        return True
-    if n - 1 >= x0 and window.contains((n - 1, k)) and k <= w[n - 1]:
-        return True
-    if lattice == FSOSP and n + 1 <= x1 and window.contains((n + 1, k)) \
-            and k <= w[n + 1]:
-        return True
-    return False
-
-
 def verify_duality(
     env: EnvironmentGrid, w: BlockingFunction, lattice: str
 ) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -328,10 +309,12 @@ def verify_duality(
 
     The contour side: every boundary-sequence vertex with an in-window
     crossing edge must carry the open local environment (NE on the
-    three-move lattice, up-only on the five-move one).  The direct side is
-    the edge scan of verify_blocking_function.  The two are equivalent by
-    construction, so a disagreement is an internal bug and raises; the
-    returned value is the verdict plus the first failing vertex, if any.
+    three-move lattice, up-only on the five-move one).  Vertices whose
+    crossing targets all leave the window are unconstrained.  The direct
+    side is the edge scan of verify_blocking_function.  The two are
+    equivalent by construction, so a disagreement is an internal bug and
+    raises; the returned value is the verdict plus the first failing
+    vertex in sequence order, if any.
     """
     from .errors import ConsistencyError
 
@@ -341,17 +324,23 @@ def verify_duality(
             f"environment atoms do not match the {lattice} duality model"
         )
     seq = boundary_sequence(w, lattice)
-    open_mask = _DUAL_OPEN_MASK[lattice]
-    bad = None
-    for v in seq.vertices:
-        if not env.window.contains(v):
-            continue
-        if env.mask_at(v) == open_mask:
-            continue
-        if _vertex_constrained(v, w, lattice, env.window):
-            bad = v
-            break
-    ok_scan, _ = verify_blocking_function(env, w)
+    ok_scan, _ = verify_blocking_function(env, w)  # checks w covers the window
+    # the boundary sequence walks w's columns, which are the window's
+    (x0, y0), (_, y1) = env.window.lo, env.window.hi
+    n, k = np.array(seq.vertices).T
+    inside = (y0 <= k) & (k <= y1)
+    mask = env.arrows[n - x0, np.clip(k - y0, 0, y1 - y0)]
+    # a crossing edge into the window: down, or left (also right on the
+    # five-move lattice) to a site at or below w; the padding columns lie
+    # below the window, so no edge crosses into them
+    height = np.array([y0 - 1, *w.values, y0 - 1])
+    col = n - x0 + 1
+    crossing = (k - 1 >= y0) & (k - 1 <= height[col])
+    crossing |= k <= height[col - 1]
+    if lattice == FSOSP:
+        crossing |= k <= height[col + 1]
+    hits = np.flatnonzero(inside & (mask != _DUAL_OPEN_MASK[lattice]) & crossing)
+    bad = seq.vertices[hits[0]] if hits.size else None
     if ok_scan == (bad is not None):
         raise ConsistencyError(
             f"duality sides disagree: edge scan {ok_scan}, contour vertex {bad}"

@@ -38,7 +38,6 @@ from .measure import SupportMeasure, theta_plus_is_one
 from .models import require_p
 
 EXIT_BOUNDARY = "HitBoundary"
-EXIT_COALESCED = "Coalesced"
 EXIT_CYCLE = "ClosedCycle"
 EXIT_STEP_LIMIT = "StepLimit"
 _EXIT_STOP = "Stop"  # a leg reached the site its stop predicate asks for

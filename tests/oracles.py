@@ -4,7 +4,8 @@ Kept deliberately naive: the float definition of a site draw, transitive
 closure by boolean matrix powering for reachability, a column-by-column
 scan of a backward cluster's census, a site-by-site search of the
 oriented triangular lattice, a direct recursive self-avoiding-walk
-count, and a brute-force witness search.  Nothing here shares code with
+count, a brute-force witness search, and a vertex-by-vertex scan of
+a blocking function's contour.  Nothing here shares code with
 the package beyond the site hash that defines the environments.
 """
 
@@ -130,6 +131,40 @@ def oracle_verify_blocking(env: EnvironmentGrid, w) -> tuple:
     if violations:
         return False, min(violations)
     return True, None
+
+
+def vertex_constrained(v: tuple, w, five_move: bool, window) -> bool:
+    """Whether a contour vertex has a potential crossing edge inside the window.
+
+    Only such vertices are forced open by the in-window blocking property;
+    vertices whose crossing targets leave the window are unconstrained.
+    """
+    n, k = v
+    x0, x1 = w.columns
+    if window.contains((n, k - 1)) and k - 1 <= w[n]:
+        return True
+    if n - 1 >= x0 and window.contains((n - 1, k)) and k <= w[n - 1]:
+        return True
+    if five_move and n + 1 <= x1 and window.contains((n + 1, k)) and k <= w[n + 1]:
+        return True
+    return False
+
+
+def oracle_contour_vertex(env: EnvironmentGrid, w, vertices, open_mask: int,
+                          five_move: bool):
+    """The first contour vertex, in sequence order, that lies in the window,
+    is not open and has an in-window crossing edge; None if there is none.
+
+    One vertex at a time, with Window.contains and the site's mask.
+    """
+    for v in vertices:
+        if not env.window.contains(v):
+            continue
+        if env.mask_at(v) == open_mask:
+            continue
+        if vertex_constrained(v, w, five_move, env.window):
+            return v
+    return None
 
 
 def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dre.bitgrid import (
     PackedGrid,
+    _plan,
     _planes,
     _step,
     edge_mask,
@@ -211,8 +213,8 @@ def _one_step(arrows, reached):
     """The packed kernel's step on a (B, nx, ny) batch, as (B, ny, nwords) words."""
     moves = np.stack([move_masks(a) for a in arrows], axis=1)
     r = _packed(reached)
-    _step(r.reshape(-1), _planes(moves).reshape(8, -1), np.empty(r.size, np.uint64),
-          r.shape[-1])
+    _step(_plan(r.reshape(-1), _planes(moves).reshape(8, -1), np.empty(r.size, np.uint64),
+                np.empty(r.size, np.uint64), r.shape[-1]))
     return r
 
 
@@ -247,6 +249,24 @@ def test_step_jumps_across_a_word_edge():
     want[0] = False
     want[0, 63:67] = True
     assert np.array_equal(_one_step(arrows, start), _packed(want))
+
+
+def test_step_allocates_no_array():
+    # a step runs its plan on fixed views: numpy allocates no temporary
+    arrows = _random_arrows(np.random.default_rng(0), 3, 201, 201, 0.5)
+    moves = np.stack([move_masks(a) for a in arrows], axis=1)
+    r = np.zeros(moves.shape[1:], dtype=np.uint64)
+    r[:, 100, 1] = 1
+    flat = r.reshape(-1)
+    plan = _plan(flat, _planes(moves).reshape(8, -1), np.empty_like(flat),
+                 np.empty_like(flat), r.shape[-1])
+    tracemalloc.start()
+    try:
+        _step(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < r.nbytes
 
 
 def test_no_jump_leaks_into_the_next_trial():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dre.bounds import (
     CUBICS,
@@ -28,7 +30,7 @@ from dre.errors import ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
 
-from oracles import naive_saw_count
+from oracles import naive_saw_count, oracle_contour_vertex, vertex_constrained
 
 
 def test_cubic_roots():
@@ -167,12 +169,10 @@ def test_verify_duality_biconditional_by_mutation():
     measure = measure_for(ModelId("NE-SW", 0.5))
     w = BlockingFunction.from_values("upper", (0, 3), [2, 1, 1, 0])
     seq = boundary_sequence(w, OTSP)
-    from dre.bounds import _vertex_constrained
-
     base = np.full(window.shape, parse_token("NE"), dtype=np.uint16)
     flipped = 0
     for v in seq.vertices:
-        if not window.contains(v) or not _vertex_constrained(v, w, OTSP, window):
+        if not window.contains(v) or not vertex_constrained(v, w, False, window):
             continue
         arrows = base.copy()
         arrows[window.index(v)] = parse_token("SW")
@@ -182,6 +182,34 @@ def test_verify_duality_biconditional_by_mutation():
         assert not ok_scan and not ok_dual and bad == v
         flipped += 1
     assert flipped >= 3
+
+
+_DUAL_CASES = {OTSP: ("NE-SW", "NE", "SW"), FSOSP: ("SWE-N", "N", "SWE")}
+
+
+@given(lattice=st.sampled_from([OTSP, FSOSP]), monotone=st.booleans(),
+       lo_x=st.integers(-4, -1), hi_x=st.integers(1, 4), lo_y=st.integers(-4, -1),
+       hi_y=st.integers(1, 4), open_frac=st.floats(0.5, 1.0), seed=st.integers(0, 2**32),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_verify_duality_matches_contour_loop(lattice, monotone, lo_x, hi_x, lo_y, hi_y,
+                                             open_frac, seed, data):
+    # random and monotone functions, some of them reaching above or below
+    # the window, on environments of the lattice's two atoms
+    window = Window.box((lo_x, hi_x), (lo_y, hi_y))
+    values = data.draw(st.lists(st.integers(lo_y - 2, hi_y + 1), min_size=window.shape[0],
+                                max_size=window.shape[0]), label="w")
+    if monotone or lattice == OTSP:
+        values = sorted(values, reverse=True)
+    w = BlockingFunction.from_values("upper", (lo_x, hi_x), values)
+    model, open_token, closed_token = _DUAL_CASES[lattice]
+    is_open = np.random.default_rng(seed).random(window.shape) < open_frac
+    arrows = np.where(is_open, parse_token(open_token), parse_token(closed_token))
+    env = EnvironmentGrid(window=window, arrows=arrows.astype(np.uint16),
+                          measure=measure_for(ModelId(model, 0.5)))
+    bad = oracle_contour_vertex(env, w, boundary_sequence(w, lattice).vertices,
+                                parse_token(open_token), lattice == FSOSP)
+    assert verify_duality(env, w, lattice) == (bad is None, bad)
 
 
 def test_verify_duality_on_sampled_realizations():
