@@ -52,6 +52,11 @@ BFS_MODELS = [("NE-SW", 0.5), ("EW-NS", 0.5), ("SWE-N", 0.4), ("NSEW-.", 0.55),
 # d=3 atoms {+e1, +e2}, {+e3, -e1}, {+e2, -e2, -e3}; bit i is +e(i+1), bit 3+i is -e(i+1)
 MEASURE_3D = SupportMeasure(3, ((0b000011, 0.4), (0b001100, 0.35), (0b110010, 0.25)))
 RUN_PLAN_MODELS = [("NSEW-.", 0.6), ("NE-.", 0.7)]
+# raw d=2 measures no catalog model gives: four atoms, one of them the
+# empty mask (E=1, N=2, W=4, S=8), and a single atom, which has no threshold
+RUN_PLAN_RAW = {"raw4": SupportMeasure(2, ((0, 0.15), (0b0011, 0.3), (0b1100, 0.3),
+                                           (0b0111, 0.25))),
+                "raw1": SupportMeasure(2, ((0b1101, 1.0),))}
 RADII = (1, 63, 64, 65)
 # windows of 63, 65, 127, 129 and 131 columns: one word, and across one or two word edges
 M_SIZE_RADII = (31, 32, 63, 64, 65)
@@ -101,10 +106,10 @@ def _clusters(env, origins) -> list[str]:
     return lines
 
 
-def _run_plan(name, p, statistic) -> list[str]:
+def _run_plan(model, statistic) -> list[str]:
     lines = []
     for radius in RADII:
-        rec = run_plan(TrialPlan(ModelId(name, p), radius, 6, 11, statistic))
+        rec = run_plan(TrialPlan(model, radius, 6, 11, statistic))
         lines.append(f"{rec.radius} {rec.trials} {rec.estimate!r} {rec.se!r}")
     return lines
 
@@ -187,10 +192,11 @@ def cases() -> dict:
     env3 = lambda: sample_environment(MEASURE_3D, Window.box((-3, 3), (-2, 4), (-3, 2)), 9)
     out["bfs_parents/d3"] = lambda: _bfs(env3(), (2, 0, -2))
     out["clusters/d3"] = lambda: _clusters(env3(), [(0, 0, 0), (-3, 4, 2)])
-    for name, p in RUN_PLAN_MODELS:
+    models = {f"{name}/{p}": ModelId(name, p) for name, p in RUN_PLAN_MODELS}
+    for label, model in {**models, **RUN_PLAN_RAW}.items():
         for statistic in (REACH_C, REACH_B, REACH_M, SIZE_M):
-            out[f"run_plan/{name}/{p}/{statistic}"] = (
-                lambda name=name, p=p, statistic=statistic: _run_plan(name, p, statistic))
+            out[f"run_plan/{label}/{statistic}"] = (
+                lambda model=model, statistic=statistic: _run_plan(model, statistic))
     for name, p in (("NE-SW", 0.9), ("SWE-N", 0.5)):
         out[f"classify_shapes/{name}/{p}"] = lambda name=name, p=p: _classify_shapes(name, p)
     # an 81-column sampling window: the census reach crosses a word edge
