@@ -76,22 +76,62 @@ def edge_mask(nx: int, ny: int) -> np.ndarray:
 
 
 def move_masks(arrows: np.ndarray) -> np.ndarray:
-    """(nx, ny) arrow masks -> (4, ny, nwords) packed E, N, W, S move masks.
+    """(nx, ny) arrow masks -> (4, ny, nwords) packed E, N, W, S move masks,
+    without the arrows that leave the window (see _drop_leaving).
 
-    Arrows that leave the window (E on the last column, W on the first, N
-    on the top row, S on the bottom row) are dropped.  They reach nothing,
-    and without them a shift of a flat word run never carries a bit into
-    the padding, the next row or the next trial of a batch.
+    It serves arrow arrays: the census's environments, PackedGrid and the
+    tests.  The Monte Carlo trials build their masks from the hash with
+    atom_moves, which drops the same arrows.
     """
     if arrows.ndim != 2:
         raise DimensionError("packed reachability requires d=2")
     # one pass transposes to row order, packed along contiguous x, and
     # narrows to the four move bits' byte; packbits reads nonzero as set
     rows = arrows.T.astype(np.uint8, order="C")  # (ny, nx)
-    bits = rows & _MOVE_BITS[:, None, None]  # (4, ny, nx)
-    bits[0, :, -1] = bits[2, :, 0] = 0
-    bits[1, -1] = bits[3, 0] = 0
-    return pack_rows(bits)
+    return _drop_leaving(pack_rows(rows & _MOVE_BITS[:, None, None]), arrows.shape[0])
+
+
+def atom_moves(above: list[np.ndarray], masks: np.ndarray, nx: int,
+               out: np.ndarray) -> np.ndarray:
+    """Packed E, N, W, S move masks of an nx-column window, written into out
+    (4, ny, nwords), from the packed planes of its sites' atoms.
+
+    above[j - 1] is the (ny, nwords) plane of the sites whose atom is j or
+    above, for j from 1 to len(above), and no site's atom is past
+    len(above) (see rng.passed); masks are the atoms' arrow masks.  A
+    move's plane is the XOR of the planes where the move's bit changes from
+    atom j - 1 to atom j, complemented on the window when atom 0 has it.
+    Arrows that leave the window are dropped, as in move_masks.
+    """
+    tail = np.uint64((1 << ((nx - 1) % 64 + 1)) - 1)  # the last word's bits in the window
+    atoms = [int(m) for m in masks[:len(above) + 1]]
+    for k, bit in enumerate(_MOVE_BITS.tolist()):
+        plane = out[k]
+        plane.fill(0)
+        for j, plane_j in enumerate(above):
+            if (atoms[j] ^ atoms[j + 1]) & bit:
+                plane ^= plane_j
+        if atoms[0] & bit:
+            np.invert(plane, out=plane)
+            plane[:, -1] &= tail
+    return _drop_leaving(out, nx)
+
+
+def _drop_leaving(moves: np.ndarray, nx: int) -> np.ndarray:
+    """Clear, in place, the packed (4, ..., ny, nwords) moves of an nx-column
+    window that leave it: E on the last column, W on the first, N on the
+    top row, S on the bottom row.
+
+    They reach nothing, and without them a shift of a flat word run never
+    carries a bit into the padding, the next row or the next trial of a
+    batch.
+    """
+    word, bit = divmod(nx - 1, 64)
+    moves[0, ..., word] &= ~(_ONE << np.uint64(bit))
+    moves[2, ..., 0] &= ~_ONE
+    moves[1, ..., -1, :] = 0
+    moves[3, ..., 0, :] = 0
+    return moves
 
 
 def _move_calls(dst: np.ndarray, src: np.ndarray, u: np.ndarray, k: int, nw: int,
@@ -100,7 +140,7 @@ def _move_calls(dst: np.ndarray, src: np.ndarray, u: np.ndarray, k: int, nw: int
     move k (E, N, W, S), on flat word runs; u is scratch of src's size.
 
     A row is nw consecutive words.  Callers move only bits whose whole jump
-    stays in the window (see move_masks and _planes), so nothing crosses a
+    stays in the window (see _drop_leaving and _planes), so nothing crosses a
     row or trial boundary.
     """
     sh, carry = _SHIFTS[n]
@@ -146,7 +186,7 @@ def _planes(moves: np.ndarray) -> np.ndarray:
 
     The rung of move k is the set of sites with move k whose neighbour
     along k has it too, so a two-site jump from a rung is a path of two
-    moves.  move_masks drops the arrows that leave the window, so that
+    moves.  The move masks hold no arrow that leaves the window, so that
     neighbour's move ends inside it and no jump crosses a row, the
     padding or a trial.
     """
@@ -187,7 +227,7 @@ def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
                 stop_at_edge: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Forward fixpoints from site (ix, iy) on a batch of packed windows.
 
-    moves is a (4, B, ny, nwords) stack from move_masks, or from
+    moves is a (4, B, ny, nwords) stack from move_masks or atom_moves, or from
     reversed_moves for backward reach; edge is the (ny, nwords) edge ring.
     Returns (sets, touched): the (B, ny, nwords) reachable sets and
     whether each meets the edge ring.  With stop_at_edge a trial stops

@@ -34,11 +34,11 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .bitgrid import (edge_mask, move_masks, mutual_stats, pack_rows, reach_batch,
+from .bitgrid import (atom_moves, edge_mask, mutual_stats, pack_rows, reach_batch,
                       reversed_moves)
 from .clusters import classify_b_shape
-from .directions import BIT_E, BIT_N, N_MASK, NE_MASK, SW_MASK, SWE_MASK
-from .env import Window, sample_environment, sample_masks
+from .directions import BIT_E, BIT_N, BIT_S, BIT_W, N_MASK, NE_MASK, SW_MASK, SWE_MASK
+from .env import Window, sample_environment
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure
 from .models import ModelId, canonical_name, measure_for, require_p
@@ -316,24 +316,51 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     return _lazy_sweep(trials, batch, n, gates, up_at_source=not backward, diagonal=False)
 
 
-# Trials per reach_batch call on the generic path.  Trials are sampled and
-# packed one at a time and only their packed masks are stacked, so a chunk
-# costs 4 * REACH_CHUNK packed grids of memory, not REACH_CHUNK hashed windows.
+# Trials per reach_batch call on the generic path.  Trials are hashed and
+# packed one at a time into buffers kept for the call, and only their packed
+# masks are stacked, so a chunk costs 4 * REACH_CHUNK packed grids of
+# memory, not REACH_CHUNK hashed windows.
 REACH_CHUNK = 16
 
 
 def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
                    trials: int, origin: Optional[int] = None):
-    """Yield (4, B, ny, nwords) move masks of the trials, REACH_CHUNK at a time."""
-    ix, iy = -window.lo[0], -window.lo[1]
+    """Yield (4, B, ny, nwords) move masks of the trials, REACH_CHUNK at a time.
+
+    Trial t draws the window from seed spawn_seed(master_seed, t), as
+    sample_masks does, but hashed in row order: x is a (1, nx) part and y
+    an (ny, 1) one, so the hash holds sample_masks' keys transposed.  The
+    hash and its scratch are made once per call.  Each threshold's plane of
+    the sites at or past it is packed as it is compared, and atom_moves
+    builds the trial's moves from those words in the chunk's array, so no
+    atom or arrow array is made.  origin, when given, replaces the origin's
+    draw; the origin lies off the window's edge ring (every caller centres
+    the window on it), so none of its moves leaves the window.
+    """
+    nx, ny = window.shape
+    xs = np.arange(window.lo[0], window.hi[0] + 1, dtype=np.int64)
+    ys = np.arange(window.lo[1], window.hi[1] + 1, dtype=np.int64)[:, None]
+    seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
+    # one block: glibc gave two freed 323 KB blocks (R=100) back to the
+    # system after each call, and their pages faulted in again on the next
+    h, scratch = np.empty((2, ny, nx), dtype=np.uint64)
+    above = np.empty((ny, nx), dtype=bool)
+    thresholds, masks = measure.thresholds, measure.masks
+    if origin is not None:
+        word, bit = divmod(-window.lo[0], 64)
+        iy, site = -window.lo[1], np.uint64(1 << bit)
+        origin_has = np.array([bool(origin & b) for b in (BIT_E, BIT_N, BIT_W, BIT_S)])
     for lo in range(0, trials, REACH_CHUNK):
-        masks = []
-        for t in range(lo, min(lo + REACH_CHUNK, trials)):
-            arrows = sample_masks(measure, window, rng.spawn_seed(master_seed, t))
+        prefixes = rng.hash_parts(seeds[lo:lo + REACH_CHUNK, None], (xs,))
+        moves = np.empty((4, len(prefixes), ny, -(-nx // 64)), dtype=np.uint64)
+        for i, prefix in enumerate(prefixes):
+            rng.hash_from(prefix, (ys,), h, scratch)
+            atom_moves([pack_rows(p) for p in rng.passed(h, thresholds, above)], masks, nx,
+                       moves[:, i])
             if origin is not None:
-                arrows[ix, iy] = origin
-            masks.append(move_masks(arrows))
-        yield np.stack(masks, axis=1)
+                cell = moves[:, i, iy, word]
+                moves[:, i, iy, word] = np.where(origin_has, cell | site, cell & ~site)
+        yield moves
 
 
 def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_seed: int,

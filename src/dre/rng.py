@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,17 +32,18 @@ _S31 = np.uint64(31)
 _M64 = (1 << 64) - 1
 
 
-def _finalize(z):
+def _finalize(z, scratch=None):
     """splitmix64 output stage: full avalanche on 64 bits.
 
-    An array is finalized in place, through one scratch buffer for the
-    shifts; a scalar gives a new scalar.
+    An array is finalized in place, through one scratch buffer of its shape
+    for the shifts (a new one unless given); a scalar gives a new scalar.
     """
     if not isinstance(z, np.ndarray):
         z = (z ^ (z >> _S30)) * _MUL1
         z = (z ^ (z >> _S27)) * _MUL2
         return z ^ (z >> _S31)
-    scratch = np.empty_like(z)
+    if scratch is None:
+        scratch = np.empty_like(z)
     for shift, mul in ((_S30, _MUL1), (_S27, _MUL2)):
         z ^= np.right_shift(z, shift, out=scratch)
         z *= mul
@@ -66,22 +67,29 @@ def hash_parts(seed: int, parts: Iterable) -> np.ndarray:
         return hash_from(_finalize(_as_u64(seed) + _GOLDEN), parts)
 
 
-def hash_from(state, parts: Iterable) -> np.ndarray:
+def hash_from(state, parts: Iterable, out: Optional[np.ndarray] = None,
+              scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Continue a hash chain: hash_from(hash_parts(s, a), b) == hash_parts(s, a + b).
 
     state is never written: each step finalizes a fresh array in place.
+    Given out, a uint64 array of the result's shape, the last of the parts
+    (a sequence then) is finalized there instead, through scratch of the
+    same shape when given, so a caller hashing many keys of one shape
+    allocates nothing of that size again.
     """
     h = state
+    last = len(parts) - 1 if out is not None else -1
     with np.errstate(over="ignore"):
-        for part in parts:
+        for i, part in enumerate(parts):
             link = _finalize(_as_u64(part) * _MUL1 + _GOLDEN)
             shape = np.broadcast(h, link).shape
             if not shape:
                 h = _finalize((h + _GOLDEN) ^ link)
                 continue
-            z = np.add(h, _GOLDEN, out=np.empty(shape, dtype=np.uint64))
+            kept = i == last
+            z = np.add(h, _GOLDEN, out=out if kept else np.empty(shape, dtype=np.uint64))
             z ^= link
-            h = _finalize(z)
+            h = _finalize(z, scratch if kept else None)
     return h
 
 
@@ -100,12 +108,26 @@ def atoms_from(state, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
     return _pick(hash_from(state, parts), thresholds)
 
 
-def _pick(h, thresholds: Sequence[int]) -> np.ndarray:
+def passed(h: np.ndarray, thresholds: Sequence[int], out: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield, for each threshold in turn, out set where the draw of h is at or
+    past it; the atom index is the count of thresholds passed.
+
+    out is a bool array of h's shape, rewritten at every step.  A threshold
+    of 2^53 or more is passed by no hash and yields nothing.  Thresholds
+    never decrease, so the j-th plane yielded holds the draws of atom j or
+    above (j from 1), and atoms past the last plane are never drawn.
+    """
     # (h >> 11) >= t exactly when h >= t << 11; no hash reaches 2^53 << 11
-    idx = np.zeros(np.shape(h), dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
     for t in thresholds:
         if t < 2**53:
-            idx += h >= np.uint64(t << 11)
+            yield np.greater_equal(h, np.uint64(t << 11), out=out)
+
+
+def _pick(h, thresholds: Sequence[int]) -> np.ndarray:
+    h = np.asarray(h)
+    idx = np.zeros(h.shape, dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
+    for above in passed(h, thresholds, np.empty(h.shape, dtype=bool)):
+        idx += above
     return idx
 
 

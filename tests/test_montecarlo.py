@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dre import montecarlo, rng
-from dre.bitgrid import pack_rows
+from dre.bitgrid import move_masks, pack_rows
 from dre.clusters import backward_cluster, forward_cluster
 from dre.directions import NE_MASK, parse_token
-from dre.env import EnvironmentGrid, Window, sample_environment
+from dre.env import EnvironmentGrid, Window, sample_environment, sample_masks
 from dre.errors import ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for, two_valued
@@ -30,6 +30,7 @@ from dre.montecarlo import (
     _lazy_sweep,
     _oriented_reach_trials,
     _otsp_reach_trials,
+    _packed_chunks,
     _packed_values,
     _row_propagate,
     _site_draw,
@@ -52,6 +53,7 @@ from dre.montecarlo import (
     write_records_jsonl,
 )
 
+from conftest import MIXED_MEASURES
 from oracles import float_atoms, otsp_reach_oracle
 
 OPEN_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -70,9 +72,44 @@ def test_deterministic_measure_reaches_always():
     assert rec.estimate == 1.0 and rec.se == 0.0
 
 
+# raw d=2 measures (E=1, N=2, W=4, S=8) beside the catalog's two-atom ones;
+# the last three put their last cumulative threshold at or near 2^53
+RAW_MEASURES = [
+    SupportMeasure(2, ((0b0011, 0.3), (0b1100, 0.45), (0b0101, 0.25))),
+    SupportMeasure(2, ((0, 0.15), (0b0011, 0.3), (0b1100, 0.3), (0b0111, 0.25))),
+] + [SupportMeasure(2, tuple(zip((0b0011, 0b1100, 0b0101), probs)))
+     for probs in ((0.5, 0.5, 1e-17), (0.25, 0.75 - 1e-16, 1e-16), (0.5, 0.5 + 5e-13, 1e-13))]
+
+
+@st.composite
+def _windows(draw):
+    """Off-centre windows 3-130 columns wide with the origin off their edge ring."""
+    width, height = draw(st.integers(3, 130)), draw(st.integers(3, 9))
+    lo_x = -draw(st.integers(1, width - 2))
+    lo_y = -draw(st.integers(1, height - 2))
+    return Window.box((lo_x, lo_x + width - 1), (lo_y, lo_y + height - 1))
+
+
+@given(measure=st.sampled_from([measure_for(m) for m in MIXED_MEASURES] + RAW_MEASURES),
+       window=_windows(), seed=st.integers(-(2**63), 2**64 - 1), trials=st.integers(1, 18),
+       origin=st.none() | st.integers(0, 15))
+@settings(max_examples=60, deadline=None)
+def test_row_order_moves_equal_packed_sampled_masks(measure, window, seed, trials, origin):
+    # the chunks hash in row order and pack straight from the hash
+    got = np.concatenate(list(_packed_chunks(measure, window, seed, trials, origin)), axis=1)
+    want = []
+    for t in range(trials):
+        arrows = sample_masks(measure, window, rng.spawn_seed(seed, t))
+        if origin is not None:
+            arrows[window.index((0, 0))] = origin
+        want.append(move_masks(arrows))
+    assert np.array_equal(got, np.stack(want, axis=1))
+
+
 def test_batch_size_does_not_change_estimates(monkeypatch):
-    for stat in (REACH_B, SIZE_M):
-        plan = TrialPlan(ModelId("NE-SW", 0.6), 15, 40, 9, stat)
+    for model, stat in ((ModelId("NE-SW", 0.6), REACH_B), (ModelId("NE-SW", 0.6), SIZE_M),
+                        (RAW_MEASURES[1], REACH_C)):
+        plan = TrialPlan(model, 15, 40, 9, stat)
         records = []
         for chunk in (1, 3, plan.trials + 1):
             monkeypatch.setattr(montecarlo, "REACH_CHUNK", chunk)

@@ -105,6 +105,25 @@ def test_chain_continues_from_a_prefix(seed, values, cut, layout, dtype):
     assert all(np.array_equal(part, k) for part, k in zip(parts, kept))
 
 
+def test_kept_buffers_carry_nothing_between_windows():
+    # windows of different seeds hashed one after another into the same
+    # buffers: each must be its own fresh hash, and no chain state written
+    xs = np.arange(-70, 61, dtype=np.int64)
+    ys = np.arange(-3, 5, dtype=np.int64)[:, None]
+    out, scratch = np.empty((2, len(ys), len(xs)), dtype=np.uint64)
+    for seed in (3, 4, 2**63 + 5, -1, 3):
+        state = rng.hash_parts(seed, (xs,))
+        kept = state.copy()
+        assert rng.hash_from(state, (ys,), out, scratch) is out
+        assert np.array_equal(out, rng.hash_parts(seed, (xs, ys)))
+        assert np.array_equal(state, kept)
+        # a longer chain, and one finalized without a kept scratch
+        chain = rng.hash_parts(seed, ())
+        assert np.array_equal(rng.hash_from(chain, (xs, ys), out), rng.hash_parts(seed, (xs, ys)))
+        assert chain == rng.hash_parts(seed, ())
+    assert rng.spawn_seed(7, 5) == int(rng.hash_parts(7, (np.arange(8),))[5])
+
+
 def test_spawn_seed_injective_sample():
     seen = {rng.spawn_seed(7, i, j) for i in range(40) for j in range(40)}
     assert len(seen) == 1600
