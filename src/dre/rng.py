@@ -108,14 +108,16 @@ def atoms_from(state, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
     return _pick(hash_from(state, parts), thresholds)
 
 
-def passed(h: np.ndarray, thresholds: Sequence[int], out: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield, for each threshold in turn, out set where the draw of h is at or
-    past it; the atom index is the count of thresholds passed.
+def passed(h, thresholds: Sequence[int],
+           out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """Yield, for each threshold in turn, where the draw of h is at or past
+    it; the atom index is the count of thresholds passed.
 
-    out is a bool array of h's shape, rewritten at every step.  A threshold
-    of 2^53 or more is passed by no hash and yields nothing.  Thresholds
-    never decrease, so the j-th plane yielded holds the draws of atom j or
-    above (j from 1), and atoms past the last plane are never drawn.
+    out, when given, is a bool array of h's shape, rewritten and yielded at
+    every step; else each step yields a new array.  A threshold of 2^53 or
+    more is passed by no hash and yields nothing.  Thresholds never
+    decrease, so the j-th plane yielded holds the draws of atom j or above
+    (j from 1), and atoms past the last plane are never drawn.
     """
     # (h >> 11) >= t exactly when h >= t << 11; no hash reaches 2^53 << 11
     for t in thresholds:
@@ -124,9 +126,8 @@ def passed(h: np.ndarray, thresholds: Sequence[int], out: np.ndarray) -> Iterato
 
 
 def _pick(h, thresholds: Sequence[int]) -> np.ndarray:
-    h = np.asarray(h)
-    idx = np.zeros(h.shape, dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
-    for above in passed(h, thresholds, np.empty(h.shape, dtype=bool)):
+    idx = np.zeros(np.shape(h), dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
+    for above in passed(h, thresholds):
         idx += above
     return idx
 
