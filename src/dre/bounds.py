@@ -28,7 +28,7 @@ from .directions import (BIT_E, BIT_N, BIT_S, BIT_W, EW_MASK, N_MASK, NE_MASK, N
 from .env import EnvironmentGrid
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure, theta_plus_is_one
-from .models import ModelId, canonical_name, measure_for, require_p
+from .models import ModelId, atom_masks, canonical_name, measure_for, require_p
 
 OTSP = "OTSP"
 FSOSP = "FSOSP"
@@ -489,6 +489,9 @@ _CATALOG_THETA_OVERRIDES: dict[str, dict[str, ThetaClass]] = {
     "NSEW-.": {"theta": ThetaClass(
         PHASE_TRANSITION, "site percolation: the communicating cluster is the usual one")},
 }
+# the rows by their model's atom masks, so a measure gets its row under any name
+_CATALOG_ROWS = {(2,) + atom_masks(ModelId(name, 0.5)): row
+                 for name, row in _CATALOG_THETA_OVERRIDES.items()}
 
 _ROT90 = {BIT_E: BIT_N, BIT_N: BIT_W, BIT_W: BIT_S, BIT_S: BIT_E}
 
@@ -622,7 +625,8 @@ def static_classify(model: ModelId | SupportMeasure) -> StaticClassification:
             th = ThetaClass(ZERO)
             notes.append("hyperplane_confinement")
 
-    overrides = _CATALOG_THETA_OVERRIDES.get(name, {})
+    masks = (d,) + tuple(m for m, _ in measure.atoms)
+    overrides = _CATALOG_ROWS.get(masks, {})
     if "theta_plus" in overrides:
         tp = overrides["theta_plus"]
     if "theta_minus" in overrides:
@@ -632,7 +636,7 @@ def static_classify(model: ModelId | SupportMeasure) -> StaticClassification:
     if overrides:
         notes.append("catalog_table")
 
-    if name == "orthant" and d > 2:
+    if d > 2 and masks == (d,) + atom_masks(ModelId("orthant", 0.5, d)):
         eps = epsilon_d0(d)["eps0"]
         th = ThetaClass(UNKNOWN,
                         f"all communicating clusters finite for p < {eps:.5f} "

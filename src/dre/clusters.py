@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -50,23 +50,21 @@ def _check_origin(env: EnvironmentGrid, x: Site) -> None:
         raise ValidationError(f"site {x} lies outside the window")
 
 
-def bfs_parents(env: EnvironmentGrid, origin: Site, kind: str = FORWARD,
-                forbidden: Optional[Callable[[Site], bool]] = None
-                ) -> Iterator[tuple[Site, Optional[Site]]]:
+def bfs_parents(env: EnvironmentGrid, origin: Site,
+                kind: str = FORWARD) -> Iterator[tuple[Site, Optional[Site]]]:
     """Breadth-first search along (FORWARD) or against (BACKWARD) open arrows.
 
     Yields (z, parent) for every window site z found, in discovery order:
     parent is the site z was found from, which is the previous site on an
     open path from origin (forward) or the next site on an open path from z
-    to origin (backward); origin comes first, with parent None.  Sites for
-    which forbidden(site) holds are never entered.  dict() of the pairs is
-    the parent map; stopping after k pairs gives the first k of them.
+    to origin (backward); origin comes first, with parent None.  dict() of
+    the pairs is the parent map; stopping after k pairs gives the first k.
 
     The search runs on a flat table of the window padded by a ring of sites
     marked as seen, so a step is an index offset and the ring stops every
     step that would leave the window.
     """
-    return _bfs_run(_bfs_table(env, kind), origin, forbidden)
+    return _bfs_run(_bfs_table(env, kind), origin)
 
 
 @dataclass(frozen=True)
@@ -74,17 +72,21 @@ class _BfsTable:
     """What a search on one grid and kind reads, built once for any origin."""
 
     masks: list  # arrow masks of the padded window, C-order ravel
-    seen: bytes  # seen flags to start from: only the padding ring is set
+    seen: bytes  # seen flags to start from: the padding ring and the box
     strides: list  # index offset of a unit step along each axis
     lo: tuple  # the window corner that sits at index 1 of each axis
     moves: list  # (index offset, offset of the site whose arrow opens the step, bit, step)
 
 
-def _bfs_table(env: EnvironmentGrid, kind: str) -> _BfsTable:
+def _bfs_table(env: EnvironmentGrid, kind: str, box: Optional[int] = None) -> _BfsTable:
+    """The table of bfs_parents; with a box, the sites of [-box, box]^d start seen."""
     d = env.d
     padded = np.pad(env.arrows, 1)
     strides = [int(np.prod(padded.shape[a + 1:])) for a in range(d)]
-    seen = np.pad(np.zeros(env.arrows.shape, bool), 1, constant_values=True).tobytes()
+    seen = np.zeros(env.arrows.shape, bool)
+    if box is not None:
+        seen[np.ix_(*(np.abs(np.arange(a, b + 1)) <= box
+                      for a, b in zip(env.window.lo, env.window.hi)))] = True
     forward = kind == FORWARD
     moves = []
     for dn in all_directions(d):
@@ -92,13 +94,12 @@ def _bfs_table(env: EnvironmentGrid, kind: str) -> _BfsTable:
         offset = sum(s * t for s, t in zip(step, strides))
         # a predecessor through arrow dn sits at site - dn and carries dn
         moves.append((offset, 0 if forward else offset, 1 << dn.bit(d), step))
-    return _BfsTable(padded.ravel().tolist(), seen, strides, env.window.lo, moves)
+    return _BfsTable(padded.ravel().tolist(), np.pad(seen, 1, constant_values=True).tobytes(),
+                     strides, env.window.lo, moves)
 
 
-def _bfs_run(table: _BfsTable, origin: Site,
-             forbidden: Optional[Callable[[Site], bool]] = None
-             ) -> Iterator[tuple[Site, Optional[Site]]]:
-    """bfs_parents from origin on a table from _bfs_table."""
+def _bfs_run(table: _BfsTable, origin: Site) -> Iterator[tuple[Site, Optional[Site]]]:
+    """bfs_parents from origin on a table from _bfs_table; origin comes first even in the box."""
     masks, moves = table.masks, table.moves
     seen = bytearray(table.seen)
     start = sum((c - a + 1) * t for c, a, t in zip(origin, table.lo, table.strides))
@@ -113,8 +114,6 @@ def _bfs_run(table: _BfsTable, origin: Site,
                 continue
             seen[j] = 1
             nxt = tuple(map(add, site, step))
-            if forbidden is not None and forbidden(nxt):
-                continue
             yield nxt, site
             queue.append((j, nxt))
 

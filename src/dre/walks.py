@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .bitgrid import PackedGrid
-from .clusters import BACKWARD, FORWARD, _bfs_run, _bfs_table, _require_2d, bfs_parents
+from .clusters import BACKWARD, FORWARD, _bfs_run, _bfs_table, _require_2d
 from .directions import (BIT_N, BIT_S, N_MASK, NE_MASK, QUADRANTS, SW_MASK, SWE_MASK,
                          all_directions, token_of)
 from .env import EnvironmentGrid, Site, Window
@@ -360,18 +360,12 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy) -> Optional[OpenC
     tree into the anchor inside the strip.  A direct (waypoint-free) splice
     is kept as a fallback; the winding check on every candidate decides.
     """
-
-    def in_box(site):
-        return abs(site[0]) <= m and abs(site[1]) <= m
-
+    # every anchor is a start or a leg's stop site, so none lies in the box
+    into_table, from_table = _bfs_table(env, BACKWARD, m), _bfs_table(env, FORWARD, m)
     n = len(trace)
     for a_idx in anchor_indices:
-        if a_idx >= n:
-            continue
         anchor = trace[a_idx]
-        if in_box(anchor):
-            continue
-        into_anchor = dict(bfs_parents(env, anchor, BACKWARD, in_box))
+        into_anchor = dict(_bfs_run(into_table, anchor))
         if len(into_anchor) < 2:
             continue
         tried = 0
@@ -382,7 +376,7 @@ def _splice_cycle(env, trace, anchor_indices, m, mc, strategy) -> Optional[OpenC
             tried += 1
             if tried > _MAX_Z_PER_ANCHOR:
                 break
-            from_z = dict(bfs_parents(env, z, FORWARD, in_box))
+            from_z = dict(_bfs_run(from_table, z))
             waypoint = None
             best = None
             for site in from_z:

@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 
 from dre.cli import main as dre_main
-from dre.clusters import (BACKWARD, FORWARD, backward_cluster, bfs_parents,
-                          communicating_cluster, forward_cluster)
+from dre.clusters import (BACKWARD, FORWARD, _bfs_run, _bfs_table, backward_cluster,
+                          bfs_parents, communicating_cluster, forward_cluster)
 from dre.env import Window, sample_environment
 from dre.measure import SupportMeasure
 from dre.models import ModelId
@@ -84,14 +84,12 @@ def _detect_gigantic(name, p, radius, m, seed) -> list[str]:
 
 
 def _bfs(env, origin) -> list[str]:
-    def in_box(site):
-        return all(abs(c) <= 1 for c in site)
-
     lines = []
     for kind in (FORWARD, BACKWARD):
-        for label, forbidden in (("all", None), ("avoiding", in_box)):
+        for label, pairs in (("all", bfs_parents(env, origin, kind)),
+                             ("avoiding", _bfs_run(_bfs_table(env, kind, 1), origin))):
             lines.append(f"{kind} {label}")
-            for site, parent in dict(bfs_parents(env, origin, kind, forbidden)).items():
+            for site, parent in dict(pairs).items():
                 lines.append(f"{site} {parent}")
     return lines
 

@@ -2,7 +2,8 @@
 
 Kept deliberately naive: the float definition of a site draw, transitive
 closure by boolean matrix powering for reachability, a column-by-column
-scan of a backward cluster's census, a site-by-site search of the
+scan of a backward cluster's census, a breadth-first search that skips
+forbidden sites by predicate, a site-by-site search of the
 oriented triangular lattice, a direct recursive self-avoiding-walk
 count, a brute-force witness search, and a vertex-by-vertex scan of
 a blocking function's contour.  Nothing here shares code with
@@ -66,6 +67,35 @@ def oracle_cluster_sets(env: EnvironmentGrid, x: tuple):
     fwd = {s for s, i in index.items() if closure[ix, i]}
     bwd = {s for s, i in index.items() if closure[i, ix]}
     return fwd, bwd, fwd & bwd
+
+
+def oracle_bfs_pairs(env: EnvironmentGrid, origin: tuple, forward: bool,
+                     forbidden=None) -> list[tuple]:
+    """(site, parent) pairs of a breadth-first search, in discovery order.
+
+    The search the package ran before its box became seen sites: neighbors
+    are tried in the order of all_directions, along open arrows (forward)
+    or against them (backward), and a found site for which forbidden(site)
+    holds is marked seen but never yielded or entered.  The origin comes
+    first with parent None, whatever forbidden says of it.
+    """
+    d = env.d
+    pairs = [(origin, None)]
+    seen = {origin}
+    queue = [origin]
+    for site in queue:
+        for dn in all_directions(d):
+            step = dn.step(d) if forward else dn.negate().step(d)
+            nxt = tuple(c + v for c, v in zip(site, step))
+            if nxt in seen or not env.window.contains(nxt):
+                continue
+            if not env.mask_at(site if forward else nxt) & (1 << dn.bit(d)):
+                continue
+            seen.add(nxt)
+            if forbidden is None or not forbidden(nxt):
+                pairs.append((nxt, site))
+                queue.append(nxt)
+    return pairs
 
 
 def oracle_touches(env: EnvironmentGrid, sites: set) -> bool:

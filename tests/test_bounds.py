@@ -289,3 +289,26 @@ def test_static_classify_details():
                                              (parse_token("SW"), 0.25),
                                              (parse_token("NW"), 0.25))))
     assert raw.theta_plus.kind == "unknown"
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.95])
+def test_orthant_d2_classified_as_ne_sw(p):
+    # the d=2 orthant model is the NE-SW measure, so it gets NE-SW's rows
+    orthant, ne_sw = static_classify(ModelId("orthant", p)), static_classify(ModelId("NE-SW", p))
+    assert measure_for(ModelId("orthant", p)) == measure_for(ModelId("NE-SW", p))
+    assert ((orthant.theta_plus, orthant.theta_minus, orthant.theta)
+            == (ne_sw.theta_plus, ne_sw.theta_minus, ne_sw.theta))
+    assert orthant.model == "orthant" and "catalog_table" in orthant.notes
+    raw = static_classify(measure_for(ModelId("orthant", p)))
+    assert (raw.model, raw.theta, raw.notes) == ("raw", ne_sw.theta, ne_sw.notes)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_orthant_saw_threshold_beyond_d2(d):
+    cls = static_classify(ModelId("orthant", 0.5, d))
+    eps = epsilon_d0(d)["eps0"]
+    assert "saw_threshold" in cls.notes and "catalog_table" not in cls.notes
+    assert cls.theta.kind == "unknown"
+    assert f"p < {eps:.5f} or p > {1 - eps:.5f}" in cls.theta.detail
+    raw = static_classify(measure_for(ModelId("orthant", 0.5, d)))
+    assert (raw.theta, raw.notes) == (cls.theta, cls.notes)

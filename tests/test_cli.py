@@ -1,11 +1,12 @@
 import hashlib
+import json
 
 import numpy as np
 
 from dre.cli import main
 from dre.env import Window, sample_environment
-from dre.models import ModelId
-from dre.snapshot import load_snapshot
+from dre.models import ModelId, catalog_names
+from dre.snapshot import load_snapshot, save_snapshot
 
 
 def run_cli(*argv):
@@ -46,6 +47,7 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli("estimate", "--statistic", "reach_otsp", "--p", "0.5",
                    "--radius", "5", "--trials", "0") == 2
     assert run_cli("bisect", "--model", "otsp", "--radius", "0", "--trials", "5") == 2
+    assert run_cli("cluster", "--model", "NE-SW", "--radius", "4", "--origin", "1") == 2
 
 
 def test_estimate_csv(tmp_path):
@@ -56,6 +58,14 @@ def test_estimate_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "model,p,M,trials,statistic,estimate,se,seed,seconds"
     assert lines[1].startswith("NE-.,0.75,20,100,reach_C,")
+    jsonl = tmp_path / "est.jsonl"
+    assert run_cli("estimate", "--model", "osp", "--p", "0.75", "--radius", "20",
+                   "--trials", "100", "--seed", "3", "--format", "jsonl",
+                   "--out", str(jsonl)) == 0
+    (rec,) = map(json.loads, jsonl.read_text().splitlines())
+    assert (rec["model"], rec["p"], rec["M"], rec["trials"], rec["statistic"]) == (
+        "NE-.", 0.75, 20, 100, "reach_C")
+    assert f"{rec['estimate']!r},{rec['se']!r},3," in lines[1]
 
 
 def test_cluster_dump(tmp_path):
@@ -66,6 +76,12 @@ def test_cluster_dump(tmp_path):
     assert all(line.startswith("site ") for line in lines)
     parts = lines[0].split()
     assert len(parts) == 5 and parts[3] in "01" and parts[4] in "01"
+    # the same environment read from a snapshot gives the same dump
+    snap = tmp_path / "env.dre"
+    save_snapshot(sample_environment(ModelId("NE-SW", 0.5), Window.centered(4), 7), str(snap))
+    out2 = tmp_path / "cluster_in.txt"
+    assert run_cli("cluster", "--in", str(snap), "--out", str(out2)) == 0
+    assert out2.read_text() == out.read_text()
 
 
 def test_render_deterministic_with_legend(tmp_path):
@@ -75,6 +91,11 @@ def test_render_deterministic_with_legend(tmp_path):
         assert run_cli("render", "--model", "NE-SW", "--p", "0.6", "--radius", "8",
                        "--seed", "5", "--format", "pgm", "--out", str(path)) == 0
     assert a.read_bytes() == b.read_bytes()
+    snap = tmp_path / "env.dre"
+    save_snapshot(sample_environment(ModelId("NE-SW", 0.6), Window.centered(8), 5), str(snap))
+    c = tmp_path / "c.pgm"
+    assert run_cli("render", "--in", str(snap), "--format", "pgm", "--out", str(c)) == 0
+    assert c.read_bytes() == a.read_bytes()
     assert a.read_bytes().startswith(b"P2\n17 17\n255\n")
     legend = (tmp_path / "a.pgm.legend.txt").read_text()
     from dre.clusters import backward_cluster, forward_cluster
@@ -102,6 +123,11 @@ def test_bounds_keys(tmp_path):
     text = out.read_text()
     assert "eps0.d2=0.16730" in text
     assert "otsp.lower_bound.paper=0.5466" in text
+    jsonl = tmp_path / "bounds.jsonl"
+    assert run_cli("bounds", "--format", "jsonl", "--out", str(jsonl)) == 0
+    rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert [f"{r['key']}={r['value']}" for r in rows] == text.splitlines()
+    assert all(r["source"] for r in rows)
 
 
 def test_classify_single_and_census(tmp_path):
@@ -109,6 +135,11 @@ def test_classify_single_and_census(tmp_path):
     assert run_cli("classify", "--model", "NE-SW", "--p", "0.9", "--radius", "20",
                    "--seed", "4", "--trials", "1", "--out", str(out)) == 0
     assert out.read_text().startswith("shape=")
+    snap = tmp_path / "env.dre"
+    save_snapshot(sample_environment(ModelId("NE-SW", 0.9), Window.centered(20), 4), str(snap))
+    one_in = tmp_path / "one_in.txt"
+    assert run_cli("classify", "--in", str(snap), "--out", str(one_in)) == 0
+    assert one_in.read_text() == out.read_text()
     out2 = tmp_path / "census.txt"
     assert run_cli("classify", "--model", "NE-SW", "--p", "0.9", "--radius", "15",
                    "--seed", "4", "--trials", "10", "--out", str(out2)) == 0
@@ -131,6 +162,9 @@ def test_static_classify_output(tmp_path):
     text = out.read_text()
     assert "theta_plus=one" in text
     assert "theta_minus=zero" in text
+    listed = tmp_path / "list.txt"
+    assert run_cli("static-classify", "--list", "--out", str(listed)) == 0
+    assert tuple(listed.read_text().splitlines()) == catalog_names()
 
 
 def test_config_file_precedence(tmp_path):
@@ -148,6 +182,10 @@ def test_config_file_precedence(tmp_path):
 
     assert run_cli("gen", "--model", "NE-SW", "--config",
                    str(tmp_path / "missing.cfg"), "--out", str(out2)) == 2
+    for bad in ("p = 0.9\nradius 4\n", "p = 0.9\nradius = four\n"):  # no "=", no int
+        cfg.write_text(bad)
+        assert run_cli("gen", "--model", "NE-SW", "--config", str(cfg),
+                       "--out", str(out2)) == 2
 
 
 def test_bisect_cli_synthetic(tmp_path):

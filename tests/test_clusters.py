@@ -14,6 +14,8 @@ from dre.clusters import (
     FULL_WINDOW,
     INDETERMINATE,
     BlockingFunction,
+    _bfs_run,
+    _bfs_table,
     backward_cluster,
     bfs_parents,
     classify_b_shape,
@@ -30,7 +32,8 @@ from dre.measure import SupportMeasure
 from dre.models import ModelId
 
 from conftest import MIXED_MEASURES
-from oracles import census_columns, oracle_cluster_sets, oracle_touches, oracle_verify_blocking
+from oracles import (census_columns, oracle_bfs_pairs, oracle_cluster_sets, oracle_touches,
+                     oracle_verify_blocking)
 
 
 def grid_env(window, fill=0, sites=None, measure=None):
@@ -87,16 +90,18 @@ def test_bfs_parents_is_an_open_tree(kind):
     cluster = forward_cluster if kind == FORWARD else backward_cluster
     for i, model in enumerate(MIXED_MEASURES):
         env = sample_environment(model, Window.centered(6), 2000 + i)
-        parents = dict(bfs_parents(env, (0, 0), kind))
-        assert set(parents) == cluster(env, (0, 0)).sites and parents[(0, 0)] is None
-        avoiding = dict(bfs_parents(env, (0, 0), kind, forbidden=lambda s: s[0] == 1))
-        assert set(avoiding) <= set(parents)
-        assert all(s[0] != 1 for s in avoiding)
-        for tree in (parents, avoiding):
-            for z, q in tree.items():
-                if q is not None:
-                    src, dst = (q, z) if kind == FORWARD else (z, q)
-                    assert env.mask_at(src) & bits[(dst[0] - src[0], dst[1] - src[1])]
+        table = _bfs_table(env, kind, 1)
+        for x in ((0, 0), (2, 0)):  # inside and beside the box [-1, 1]^2
+            parents = dict(bfs_parents(env, x, kind))
+            assert set(parents) == cluster(env, x).sites and parents[x] is None
+            avoiding = dict(_bfs_run(table, x))
+            assert set(avoiding) <= set(parents)
+            assert all(s == x or max(map(abs, s)) > 1 for s in avoiding)
+            for tree in (parents, avoiding):
+                for z, q in tree.items():
+                    if q is not None:
+                        src, dst = (q, z) if kind == FORWARD else (z, q)
+                        assert env.mask_at(src) & bits[(dst[0] - src[0], dst[1] - src[1])]
 
 
 @pytest.mark.parametrize("kind", [FORWARD, BACKWARD])
@@ -104,15 +109,40 @@ def test_bfs_stopped_early_gives_a_prefix(kind):
     # a caller that breaks out after k pairs has seen the first k of the full run
     for i, model in enumerate(MIXED_MEASURES):
         env = sample_environment(model, Window.centered(6), 3000 + i)
-        for forbidden in (None, lambda s: abs(s[0]) <= 1 and abs(s[1]) <= 1):
-            full = list(bfs_parents(env, (3, -2), kind, forbidden))
+        for box in (None, 1):
+            table = _bfs_table(env, kind, box)
+            full = list(_bfs_run(table, (3, -2)))
             for k in sorted({1, 2, max(1, len(full) // 2), len(full)}):
                 head = []
-                for pair in bfs_parents(env, (3, -2), kind, forbidden):
+                for pair in _bfs_run(table, (3, -2)):
                     head.append(pair)
                     if len(head) == k:
                         break
                 assert head == full[:k]
+
+
+@given(d=st.sampled_from([2, 3]), forward=st.booleans(), box=st.integers(0, 6),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_box_table_matches_predicate_bfs(d, forward, box, data):
+    # box sites that start seen give the pairs, in order, of a search that
+    # skips them by predicate; boxes may cross or pass the window's edge
+    sides = [data.draw(st.integers(3, 7 if d == 2 else 4)) for _ in range(d)]
+    lo = [-data.draw(st.integers(0, n - 1)) for n in sides]
+    window = Window(tuple(lo), tuple(a + n - 1 for a, n in zip(lo, sides)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).random(window.shape + (2 * d,)) < 0.6
+    arrows = (bits * (1 << np.arange(2 * d))).sum(axis=-1)
+    env = EnvironmentGrid(window=window, arrows=arrows.astype(np.uint16))
+    if data.draw(st.booleans()):  # an origin in the box, clipped to the window
+        x = tuple(data.draw(st.integers(max(a, -box), min(b, box)))
+                  for a, b in zip(window.lo, window.hi))
+    else:
+        x = tuple(data.draw(st.integers(a, b)) for a, b in zip(window.lo, window.hi))
+    kind = FORWARD if forward else BACKWARD
+    expected = oracle_bfs_pairs(env, x, forward, lambda s: max(map(abs, s)) <= box)
+    assert list(_bfs_run(_bfs_table(env, kind, box), x)) == expected
+    assert list(bfs_parents(env, x, kind)) == oracle_bfs_pairs(env, x, forward)
 
 
 @given(d=st.sampled_from([3, 4]), data=st.data())
@@ -132,6 +162,14 @@ def test_clusters_match_oracle_beyond_d2(d, data):
                      (communicating_cluster(env, x), comm)):
         assert res.sites == ref
         assert res.touches_boundary == oracle_touches(env, ref)
+
+
+def test_orthant_d3_clusters_match_oracle():
+    env = sample_environment(ModelId("orthant", 0.4, 3), Window.centered(3, 3), 7)
+    for x in ((0, 0, 0), (2, -1, 3), (-3, 3, -2)):
+        fwd, bwd, _ = oracle_cluster_sets(env, x)
+        assert forward_cluster(env, x).sites == fwd and len(fwd) > 1
+        assert backward_cluster(env, x).sites == bwd
 
 
 def test_communicating_symmetry_and_membership():

@@ -71,3 +71,20 @@ def test_two_valued_helper():
         two_valued("NE", "NE", 0.25)
     with pytest.raises(ValidationError):
         two_valued("NE", "SW", 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_orthant_model_atoms_and_label(d):
+    model = ModelId("orthant", 0.3, d)
+    plus = sum(1 << Direction(axis, +1).bit(d) for axis in range(d))
+    minus = sum(1 << Direction(axis, -1).bit(d) for axis in range(d))
+    assert measure_for(model) == SupportMeasure(d, ((plus, 0.3), (minus, 0.7)))
+    assert model.label() == ("orthant:0.3" if d == 2 else f"orthant:0.3:d{d}")
+
+
+def test_model_dimension_rejected():
+    for d in (1, 6):
+        with pytest.raises(ValidationError):
+            ModelId("orthant", 0.5, d)
+    with pytest.raises(ValidationError):
+        ModelId("NE-SW", 0.5, 3)

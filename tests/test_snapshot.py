@@ -42,6 +42,14 @@ def test_roundtrip_d3():
     assert len(text.splitlines()[1]) == 2 * 25
 
 
+def test_roundtrip_orthant_model_d3():
+    env = sample_environment(ModelId("orthant", 0.4, 3), Window.centered(3, 3), 7)
+    back = read_snapshot(io.StringIO(dumps(env)))
+    assert back.model == env.model == ModelId("orthant", 0.4, 3)
+    assert back.window == env.window and back.seed == 7
+    assert np.array_equal(back.arrows, env.arrows)
+
+
 def test_bad_header_rejected():
     with pytest.raises(ValidationError):
         read_snapshot(io.StringIO("nonsense\n"))

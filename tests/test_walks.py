@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dre.directions import BIT_E, BIT_N, BIT_W, parse_token
+from dre.directions import BIT_E, BIT_N, BIT_S, BIT_W, parse_token
 from dre.env import EnvironmentGrid, Window, sample_environment
 from dre.errors import ModelAssumptionError, ValidationError
 from dre.measure import SupportMeasure
@@ -218,6 +218,25 @@ def test_build_cycle_on_bidirectional_grid():
     assert cyc is not None
     assert cycle_is_open(env, cyc.sites)
     assert abs(cyc.winding) == 1
+
+
+def test_spiral_closes_by_revisiting_its_trace(monkeypatch):
+    # a counter-clockwise ring on |x|, |y| = 3: E along the bottom, N up the
+    # right, W along the top, S down the left; the fourth leg steps back onto
+    # the start, so the loop comes from the trace and the splice never runs
+    ring = {}
+    for t in range(-3, 3):
+        ring[(t, -3)], ring[(3, t)], ring[(-t, 3)], ring[(-3, -t)] = BIT_E, BIT_N, BIT_W, BIT_S
+    env = grid_env(Window.centered(5), 0, ring, SupportMeasure(2, ((parse_token("NSEW"), 1.0),)))
+
+    def no_splice(*args):
+        raise AssertionError("the splice ran")
+
+    monkeypatch.setattr("dre.walks._splice_cycle", no_splice)
+    cyc = build_open_cycle(env, 1)
+    assert cyc is not None and cyc.strategy == "spiral_lrud" and cyc.winding == 1
+    assert len(cyc.sites) - 1 == 24 and set(cyc.sites) == set(ring)
+    assert cycle_is_open(env, cyc.sites)
 
 
 def test_no_cycle_on_horizontal_only_grid():
