@@ -21,9 +21,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from dre.bounds import FSOSP, OTSP, verify_duality
 from dre.cli import main as dre_main
-from dre.clusters import (BACKWARD, FORWARD, _bfs_run, _bfs_table, backward_cluster,
-                          bfs_parents, communicating_cluster, forward_cluster)
+from dre.clusters import (BACKWARD, FORWARD, UPPER, BlockingFunction, _bfs_run, _bfs_table,
+                          backward_cluster, bfs_parents, communicating_cluster,
+                          forward_cluster)
 from dre.env import Window, sample_environment
 from dre.measure import SupportMeasure
 from dre.models import ModelId
@@ -62,6 +66,9 @@ RADII = (1, 63, 64, 65)
 M_SIZE_RADII = (31, 32, 63, 64, 65)
 # EW-NS offers one arrow per quadrant at every site; NSEW-NE draws tiebreaks
 QUADRANT_MODELS = [("EW-NS", 0.5), ("NSEW-NE", 0.5)]
+# lattice -> (model, p, lowest and highest height): heights reach past both
+# window rows, and each lattice gives both verdicts (a small SWE-N p makes N common)
+DUALITY_INPUTS = {OTSP: ("NE-SW", 0.8, -5, 6), FSOSP: ("SWE-N", 0.05, -5, 6)}
 
 
 def _cycle_lines(cycle) -> list[str]:
@@ -173,6 +180,19 @@ def _classify_shapes(name, p, radius=8, margin=None) -> list[str]:
             f"{c.blocked_above_verified}"]
 
 
+def _verify_duality(lattice, name, p, lo, hi) -> list[str]:
+    window = Window.box((-4, 4), (-3, 5))
+    lines = []
+    for seed in range(20):
+        env = sample_environment(ModelId(name, p), window, seed)
+        values = np.random.default_rng(seed).integers(lo, hi, window.shape[0], endpoint=True)
+        if lattice == OTSP:
+            values = sorted(values, reverse=True)
+        w = BlockingFunction.from_values(UPPER, (-4, 4), [int(v) for v in values])
+        lines.append(repr(verify_duality(env, w, lattice)))
+    return lines
+
+
 def cases() -> dict:
     """Case name -> a function returning that case's lines."""
     out = {}
@@ -201,6 +221,9 @@ def cases() -> dict:
     for p in (0.5, 0.9):
         out[f"classify_shapes/NE-SW/{p}/R20/margin20"] = (
             lambda p=p: _classify_shapes("NE-SW", p, 20, 20))
+    for lattice, args in DUALITY_INPUTS.items():
+        out[f"verify_duality/{lattice}"] = (
+            lambda lattice=lattice, args=args: _verify_duality(lattice, *args))
     out["m_size_stats/NE-SW/0.5"] = lambda: _m_size_stats("NE-SW", 0.5)
     out["check_theta_identity/SWE-./0.6"] = lambda: _theta_identity("SWE-.", 0.6)
     out["bisect_pc/SWE-."] = lambda: _bisect("SWE-.")
