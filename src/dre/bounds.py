@@ -202,104 +202,54 @@ def seoa_excursion_prob(w: int, p: float) -> float:
 # Boundary sequences and the blocking duality
 # ---------------------------------------------------------------------------
 
-TR_UP = "Up"
-TR_DOWN = "Down"
-TR_LEFT = "Left"
-TR_DIAG_NW = "DiagNW"
-TR_DIAG_SW = "DiagSW"
-
-_MOVES = {
-    TR_UP: (0, 1),
-    TR_DOWN: (0, -1),
-    TR_LEFT: (-1, 0),
-    TR_DIAG_NW: (-1, 1),
-    TR_DIAG_SW: (-1, -1),
-}
-
-_LATTICE_MOVES = {
-    OTSP: (TR_UP, TR_LEFT, TR_DIAG_NW),
-    FSOSP: (TR_UP, TR_DOWN, TR_LEFT, TR_DIAG_NW, TR_DIAG_SW),
+_DUAL_OPEN_MASK = {OTSP: NE_MASK, FSOSP: N_MASK}
+_DUAL_MODEL_ATOMS = {
+    frozenset({NE_MASK, SW_MASK}): OTSP,
+    frozenset({SWE_MASK, N_MASK}): FSOSP,
 }
 
 
-@dataclass(frozen=True)
-class DualBoundarySequence:
-    lattice: str
-    vertices: tuple[tuple[int, int], ...]
-    transitions: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.lattice not in (_LATTICE_MOVES):
-            raise ValidationError(f"lattice must be OTSP or FSOSP, got {self.lattice!r}")
-        if len(self.transitions) != max(len(self.vertices) - 1, 0):
-            raise ValidationError("need exactly one transition between vertices")
-        allowed = _LATTICE_MOVES[self.lattice]
-        for (a, b), tr in zip(zip(self.vertices, self.vertices[1:]), self.transitions):
-            if tr not in allowed:
-                raise ValidationError(f"move {tr} not allowed on {self.lattice}")
-            dx, dy = _MOVES[tr]
-            if (a[0] + dx, a[1] + dy) != b:
-                raise ValidationError(f"transition {tr} does not map {a} to {b}")
+def dual_lattice(measure: SupportMeasure) -> Optional[str]:
+    """The dual lattice whose blocking duality a measure's two atoms carry, if any."""
+    return _DUAL_MODEL_ATOMS.get(measure.support())
 
 
-def boundary_sequence(w: BlockingFunction, lattice: str) -> DualBoundarySequence:
+def boundary_sequence(w: BlockingFunction, lattice: str) -> tuple[tuple[int, int], ...]:
     """Enumerate the contour of w's upper complement bordering w from below.
 
-    The walk runs from the rightmost column to the leftmost.  Entering
-    column n from the right it sits at w(n+1) when that is higher than the
-    column's floor w(n)+1 (descending with Down moves on the five-move
-    lattice), then leaves left with Up moves to w(n-1) and a DiagNW, or a
-    Left, or a DiagSW, according to the sign of w(n-1) - w(n).  On the
-    three-move lattice w must be nonincreasing and no Down/DiagSW occur.
-    These are exactly the vertices whose arrows could cross w, so w blocks
-    iff every vertex in the sequence is open in the dual sense.
+    The walk runs from the rightmost column to the leftmost, as (column,
+    height) vertices.  Entering column n from the right it sits at w(n+1)
+    when that is higher than the column's floor w(n)+1 (descending with Down
+    moves (0, -1) on the five-move lattice), then leaves left with Up moves
+    (0, 1) to w(n-1) and a DiagNW (-1, 1), or a Left (-1, 0), or a DiagSW
+    (-1, -1), according to the sign of w(n-1) - w(n).  On the three-move
+    lattice w must be nonincreasing and no Down/DiagSW occur.  These are
+    exactly the vertices whose arrows could cross w, so w blocks iff every
+    vertex in the sequence is open in the dual sense.
     """
-    if lattice not in _LATTICE_MOVES:
+    if lattice not in _DUAL_OPEN_MASK:
         raise ValidationError(f"lattice must be {OTSP!r} or {FSOSP!r}")
     if w.side != UPPER:
         raise ValidationError("boundary sequences are defined for upper functions;"
                               " reflect the window vertically for the lower case")
-    x0, x1 = w.columns
-    vals = {n: w[n] for n in range(x0, x1 + 1)}
     if lattice == OTSP and not w.monotone_decreasing:
         raise ValidationError("the three-move duality needs a nonincreasing function")
-
-    vertices: list[tuple[int, int]] = []
-    transitions: list[str] = []
-
-    def emit(v, tr=None):
-        if tr is not None:
-            transitions.append(tr)
-        vertices.append(v)
-
-    h_in = vals[x1] + 1
-    emit((x1, h_in))
+    x0, x1 = w.columns
+    heights = w.values
+    h = heights[-1] + 1  # the height at which the walk enters column n
+    vertices = [(x1, h)]
     for n in range(x1, x0 - 1, -1):
-        floor = vals[n] + 1
-        k = vertices[-1][1]
-        while k > floor:  # descend along the right wall of a valley
-            emit((n, k - 1), TR_DOWN)
-            k -= 1
+        floor = heights[n - x0] + 1
+        if h > floor:  # Down to the floor
+            vertices += [(n, k) for k in range(h - 1, floor - 1, -1)]
         if n == x0:
             break
-        left = vals[n - 1]
-        if left > vals[n]:
-            while k < left:  # climb the left wall
-                emit((n, k + 1), TR_UP)
-                k += 1
-            emit((n - 1, left + 1), TR_DIAG_NW)
-        elif left == vals[n]:
-            emit((n - 1, k), TR_LEFT)
-        else:
-            emit((n - 1, k - 1), TR_DIAG_SW)
-    return DualBoundarySequence(lattice, tuple(vertices), tuple(transitions))
-
-
-_DUAL_OPEN_MASK = {OTSP: NE_MASK, FSOSP: N_MASK}
-_DUAL_MODEL_ATOMS = {
-    OTSP: frozenset({NE_MASK, SW_MASK}),
-    FSOSP: frozenset({SWE_MASK, N_MASK}),
-}
+        left = heights[n - 1 - x0]
+        if left > floor:  # Up the left wall
+            vertices += [(n, k) for k in range(floor + 1, left + 1)]
+        h = max(left + 1, floor - 1)  # DiagNW, Left or DiagSW into column n - 1
+        vertices.append((n - 1, h))
+    return tuple(vertices)
 
 
 def verify_duality(
@@ -319,15 +269,15 @@ def verify_duality(
     from .errors import ConsistencyError
 
     _require_2d(env)
-    if env.measure is None or env.measure.support() != _DUAL_MODEL_ATOMS[lattice]:
+    if env.measure is None or dual_lattice(env.measure) != lattice:
         raise ValidationError(
             f"environment atoms do not match the {lattice} duality model"
         )
-    seq = boundary_sequence(w, lattice)
+    vertices = boundary_sequence(w, lattice)
     ok_scan, _ = verify_blocking_function(env, w)  # checks w covers the window
     # the boundary sequence walks w's columns, which are the window's
     (x0, y0), (_, y1) = env.window.lo, env.window.hi
-    n, k = np.array(seq.vertices).T
+    n, k = np.array(vertices).T
     inside = (y0 <= k) & (k <= y1)
     mask = env.arrows[n - x0, np.clip(k - y0, 0, y1 - y0)]
     # a crossing edge into the window: down, or left (also right on the
@@ -340,7 +290,7 @@ def verify_duality(
     if lattice == FSOSP:
         crossing |= k <= height[col + 1]
     hits = np.flatnonzero(inside & (mask != _DUAL_OPEN_MASK[lattice]) & crossing)
-    bad = seq.vertices[hits[0]] if hits.size else None
+    bad = vertices[hits[0]] if hits.size else None
     if ok_scan == (bad is not None):
         raise ConsistencyError(
             f"duality sides disagree: edge scan {ok_scan}, contour vertex {bad}"
@@ -371,7 +321,7 @@ def exhaustive_duality_check(
     from .errors import ConsistencyError
     from itertools import product as iproduct
 
-    if lattice not in _LATTICE_MOVES:
+    if lattice not in _DUAL_OPEN_MASK:
         raise ValidationError("lattice must be OTSP or FSOSP")
     nbits = n_cols * n_rows
     if nbits > 20:
@@ -410,9 +360,8 @@ def exhaustive_duality_check(
                     cross_mask |= bit(n, k)
         no_crossing = (envs & cross_mask) == cross_mask  # all those sites open
 
-        seq = boundary_sequence(w, lattice)
         seq_mask = np.uint32(0)
-        for (n, k) in set(seq.vertices):
+        for (n, k) in set(boundary_sequence(w, lattice)):
             if in_block(n, k):
                 seq_mask |= bit(n, k)
         all_open = (envs & seq_mask) == seq_mask

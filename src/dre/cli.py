@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Subcommands: gen, cluster, classify, render, estimate, bisect, bounds,
-verify, static-classify.  Exit codes: 0 success, 1 computational failure,
-2 usage error.  Option precedence is flags > config file > defaults; the
-config file is flat `key = value` text.  Every randomized subcommand
-prints the effective seed so any run can be replayed.
+verify, static-classify.  Exit codes: 0 success, 1 computational failure
+or an output pipe closed by its reader (with no traceback), 2 usage error.
+Option precedence is flags > config file > defaults; the config file is
+flat `key = value` text.  Every randomized subcommand prints the effective
+seed so any run can be replayed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Optional
 
@@ -218,9 +220,13 @@ def _cmd_cluster(opts: _Options, infile: Optional[str]) -> int:
 
 
 def _cmd_classify(opts: _Options, infile: Optional[str]) -> int:
+    trials = opts.get("trials", cast=int)
+    single = infile or trials <= 1
+    if single and opts.get("margin") is not None:
+        raise UsageError("--margin applies to a census (--trials above 1, no --in);"
+                         " a single environment is classified whole")
     with _output(opts) as out:
-        trials = opts.get("trials", cast=int)
-        if infile or trials <= 1:
+        if single:
             env = _env_from(opts, infile)
             report = classify_b_shape(env, (0, 0))
             for line in report.record_lines():
@@ -349,31 +355,42 @@ def _cmd_static_classify(opts: _Options, list_models: bool) -> int:
     return 0
 
 
+def _run(args: argparse.Namespace) -> int:
+    opts = _Options(args, _load_config(getattr(args, "config", None)))
+    cmd = args.command
+    if cmd == "gen":
+        return _cmd_gen(opts)
+    if cmd == "cluster":
+        return _cmd_cluster(opts, args.infile)
+    if cmd == "classify":
+        return _cmd_classify(opts, args.infile)
+    if cmd == "render":
+        return _cmd_render(opts, args.infile)
+    if cmd == "estimate":
+        return _cmd_estimate(opts)
+    if cmd == "bisect":
+        return _cmd_bisect(opts)
+    if cmd == "bounds":
+        return _cmd_bounds(opts)
+    if cmd == "verify":
+        return _cmd_verify(opts, args.what)
+    if cmd == "static-classify":
+        return _cmd_static_classify(opts, args.list)
+    raise UsageError(f"unknown command {cmd!r}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args, _load_config(getattr(args, "config", None)))
-        cmd = args.command
-        if cmd == "gen":
-            return _cmd_gen(opts)
-        if cmd == "cluster":
-            return _cmd_cluster(opts, args.infile)
-        if cmd == "classify":
-            return _cmd_classify(opts, args.infile)
-        if cmd == "render":
-            return _cmd_render(opts, args.infile)
-        if cmd == "estimate":
-            return _cmd_estimate(opts)
-        if cmd == "bisect":
-            return _cmd_bisect(opts)
-        if cmd == "bounds":
-            return _cmd_bounds(opts)
-        if cmd == "verify":
-            return _cmd_verify(opts, args.what)
-        if cmd == "static-classify":
-            return _cmd_static_classify(opts, args.list)
-        raise UsageError(f"unknown command {cmd!r}")
+        status = _run(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ValidationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

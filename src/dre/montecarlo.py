@@ -37,7 +37,7 @@ from . import rng
 from .bitgrid import (atom_moves, edge_mask, mutual_stats, pack_rows, reach_batch,
                       reversed_moves)
 from .clusters import classify_b_shape
-from .directions import BIT_E, BIT_N, BIT_S, BIT_W, N_MASK, NE_MASK, SW_MASK, SWE_MASK
+from .directions import BIT_E, BIT_N, BIT_S, BIT_W, NE_MASK
 from .env import Window, sample_environment
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure
@@ -974,12 +974,7 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     reaching = 0
     mono = 0
     verified = 0
-    support = measure_for(model).support()
-    lattice = None
-    if support == frozenset({NE_MASK, SW_MASK}):
-        lattice = bounds_mod.OTSP
-    elif support == frozenset({SWE_MASK, N_MASK}):
-        lattice = bounds_mod.FSOSP
+    lattice = bounds_mod.dual_lattice(measure_for(model))
     for t in range(trials):
         env = sample_environment(model, outer, rng.spawn_seed(master_seed, t))
         report = classify_b_shape(env, (0, 0), inner=inner)

@@ -5,8 +5,8 @@ closure by boolean matrix powering for reachability, a column-by-column
 scan of a backward cluster's census, a breadth-first search that skips
 forbidden sites by predicate, a site-by-site search of the
 oriented triangular lattice, a direct recursive self-avoiding-walk
-count, a brute-force witness search, and a vertex-by-vertex scan of
-a blocking function's contour.  Nothing here shares code with
+count, a brute-force witness search, a move-by-move walk of a blocking
+function's contour, and a vertex-by-vertex scan of that contour.  Nothing here shares code with
 the package beyond the site hash that defines the environments.
 """
 
@@ -195,6 +195,47 @@ def oracle_contour_vertex(env: EnvironmentGrid, w, vertices, open_mask: int,
         if vertex_constrained(v, w, five_move, env.window):
             return v
     return None
+
+
+# the contour moves as (column, height) steps, by name
+CONTOUR_MOVES = {"Up": (0, 1), "Down": (0, -1), "Left": (-1, 0), "DiagNW": (-1, 1),
+                 "DiagSW": (-1, -1)}
+
+
+def oracle_boundary_sequence(w) -> tuple[tuple, tuple]:
+    """(vertices, transition names) of an upper function's contour, one vertex at a time.
+
+    From (x1, w(x1) + 1) leftwards: in each column descend with Down moves
+    to the floor w(n) + 1, then climb with Up moves to w(n - 1) and leave by
+    DiagNW, or leave by Left or DiagSW, by the sign of w(n - 1) - w(n).
+    """
+    x0, x1 = w.columns
+    vertices, transitions = [], []
+
+    def emit(v, tr=None):
+        if tr is not None:
+            transitions.append(tr)
+        vertices.append(v)
+
+    emit((x1, w[x1] + 1))
+    for n in range(x1, x0 - 1, -1):
+        k = vertices[-1][1]
+        while k > w[n] + 1:  # descend along the right wall of a valley
+            emit((n, k - 1), "Down")
+            k -= 1
+        if n == x0:
+            break
+        left = w[n - 1]
+        if left > w[n]:
+            while k < left:  # climb the left wall
+                emit((n, k + 1), "Up")
+                k += 1
+            emit((n - 1, left + 1), "DiagNW")
+        elif left == w[n]:
+            emit((n - 1, k), "Left")
+        else:
+            emit((n - 1, k - 1), "DiagSW")
+    return tuple(vertices), tuple(transitions)
 
 
 def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,

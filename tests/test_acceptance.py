@@ -125,9 +125,8 @@ def test_criterion_03_duality_exhaustive():
         env = EnvironmentGrid(window=window, arrows=arrows, measure=measure)
         ok_scan, _ = verify_blocking_function(env, w)
         ok_dual, _ = verify_duality(env, w, OTSP)
-        seq = boundary_sequence(w, OTSP)
         all_open = all(env.mask_at(v) == parse_token("NE")
-                       for v in seq.vertices if window.contains(v))
+                       for v in boundary_sequence(w, OTSP) if window.contains(v))
         assert ok_scan == ok_dual == all_open
         checked += 1
     elapsed = time.perf_counter() - t0

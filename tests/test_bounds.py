@@ -30,7 +30,16 @@ from dre.errors import ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
 
-from oracles import naive_saw_count, oracle_contour_vertex, vertex_constrained
+from oracles import (CONTOUR_MOVES, naive_saw_count, oracle_boundary_sequence,
+                     oracle_contour_vertex, vertex_constrained)
+
+UP, DOWN, LEFT, DIAG_NW, DIAG_SW = (CONTOUR_MOVES[name] for name in
+                                    ("Up", "Down", "Left", "DiagNW", "DiagSW"))
+LATTICE_STEPS = {OTSP: {UP, LEFT, DIAG_NW}, FSOSP: {UP, DOWN, LEFT, DIAG_NW, DIAG_SW}}
+
+
+def steps(vertices) -> list[tuple[int, int]]:
+    return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(vertices, vertices[1:])]
 
 
 def test_cubic_roots():
@@ -114,29 +123,48 @@ def test_step_laws_normalize():
 def test_boundary_sequence_constant_w_all_left():
     w = BlockingFunction.from_values("upper", (0, 4), [2] * 5)
     seq = boundary_sequence(w, OTSP)
-    assert set(seq.transitions) == {"Left"}
-    assert seq.vertices[0] == (4, 3) and seq.vertices[-1] == (0, 3)
+    assert set(steps(seq)) == {LEFT}
+    assert seq[0] == (4, 3) and seq[-1] == (0, 3)
 
 
 def test_boundary_sequence_staircase_diag():
     w = BlockingFunction.from_values("upper", (0, 4), [0, -1, -2, -3, -4])
     seq = boundary_sequence(w, OTSP)
-    assert set(seq.transitions) == {"DiagNW"}
+    assert set(steps(seq)) == {DIAG_NW}
 
 
 def test_boundary_sequence_otsp_no_repeats_and_moves():
     w = BlockingFunction.from_values("upper", (-2, 3), [4, 4, 2, 2, 1, -1])
     seq = boundary_sequence(w, OTSP)
-    assert len(set(seq.vertices)) == len(seq.vertices)
-    assert set(seq.transitions) <= {"Up", "Left", "DiagNW"}
+    assert len(set(seq)) == len(seq)
+    assert set(steps(seq)) <= {UP, LEFT, DIAG_NW}
 
 
 def test_boundary_sequence_valley_up_and_down():
     w = BlockingFunction.from_values("upper", (0, 2), [2, 0, 2])
     seq = boundary_sequence(w, FSOSP)
-    assert "Down" in seq.transitions and "Up" in seq.transitions
+    assert DOWN in steps(seq) and UP in steps(seq)
     # valley interior visited twice
-    assert len(seq.vertices) > len(set(seq.vertices))
+    assert len(seq) > len(set(seq))
+
+
+@given(lattice=st.sampled_from([OTSP, FSOSP]), x0=st.integers(-6, 0), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_boundary_sequence_matches_oracle_and_moves(lattice, x0, data):
+    # columns across 0; few heights, so plateaus, valleys and long walls are common
+    x1 = data.draw(st.integers(x0, x0 + 11), label="x1")
+    values = data.draw(st.lists(st.integers(-4, 4), min_size=x1 - x0 + 1,
+                                max_size=x1 - x0 + 1), label="w")
+    if lattice == OTSP:
+        values = sorted(values, reverse=True)
+    w = BlockingFunction.from_values("upper", (x0, x1), values)
+    seq = boundary_sequence(w, lattice)
+    vertices, transitions = oracle_boundary_sequence(w)
+    assert seq == vertices
+    assert all(type(c) is int for v in seq for c in v)
+    assert set(steps(seq)) <= LATTICE_STEPS[lattice]
+    assert steps(seq) == [CONTOUR_MOVES[t] for t in transitions]
+    assert seq[0] == (x1, w[x1] + 1) and seq[-1][0] == x0
 
 
 def test_boundary_sequence_rejects_increasing_for_otsp():
@@ -168,10 +196,9 @@ def test_verify_duality_biconditional_by_mutation():
     window = Window.box((0, 3), (0, 3))
     measure = measure_for(ModelId("NE-SW", 0.5))
     w = BlockingFunction.from_values("upper", (0, 3), [2, 1, 1, 0])
-    seq = boundary_sequence(w, OTSP)
     base = np.full(window.shape, parse_token("NE"), dtype=np.uint16)
     flipped = 0
-    for v in seq.vertices:
+    for v in boundary_sequence(w, OTSP):
         if not window.contains(v) or not vertex_constrained(v, w, False, window):
             continue
         arrows = base.copy()
@@ -207,7 +234,7 @@ def test_verify_duality_matches_contour_loop(lattice, monotone, lo_x, hi_x, lo_y
     arrows = np.where(is_open, parse_token(open_token), parse_token(closed_token))
     env = EnvironmentGrid(window=window, arrows=arrows.astype(np.uint16),
                           measure=measure_for(ModelId(model, 0.5)))
-    bad = oracle_contour_vertex(env, w, boundary_sequence(w, lattice).vertices,
+    bad = oracle_contour_vertex(env, w, boundary_sequence(w, lattice),
                                 parse_token(open_token), lattice == FSOSP)
     assert verify_duality(env, w, lattice) == (bad is None, bad)
 

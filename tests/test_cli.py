@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import dre
 from dre.cli import main
 from dre.env import Window, sample_environment
 from dre.models import ModelId, catalog_names
@@ -130,7 +136,7 @@ def test_bounds_keys(tmp_path):
     assert all(r["source"] for r in rows)
 
 
-def test_classify_single_and_census(tmp_path):
+def test_classify_single_and_census(tmp_path, capsys):
     out = tmp_path / "one.txt"
     assert run_cli("classify", "--model", "NE-SW", "--p", "0.9", "--radius", "20",
                    "--seed", "4", "--trials", "1", "--out", str(out)) == 0
@@ -140,10 +146,39 @@ def test_classify_single_and_census(tmp_path):
     one_in = tmp_path / "one_in.txt"
     assert run_cli("classify", "--in", str(snap), "--out", str(one_in)) == 0
     assert one_in.read_text() == out.read_text()
+    # a margin widens a census's sampling window; a single environment is
+    # classified whole, so a margin there is a usage error
+    for single in (["--trials", "1"], ["--in", str(snap)]):
+        capsys.readouterr()
+        assert run_cli("classify", "--model", "NE-SW", "--p", "0.9", "--radius", "20",
+                       "--seed", "4", "--margin", "30", *single,
+                       "--out", str(tmp_path / "margin.txt")) == 2
+        assert "census" in capsys.readouterr().err
+    assert not (tmp_path / "margin.txt").exists()
     out2 = tmp_path / "census.txt"
     assert run_cli("classify", "--model", "NE-SW", "--p", "0.9", "--radius", "15",
                    "--seed", "4", "--trials", "10", "--out", str(out2)) == 0
     assert "count[BlockedAbove]=" in out2.read_text()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_output_pipe_exits_1_without_traceback(unbuffered):
+    # the read end closes before the child starts: a buffered stdout meets the
+    # broken pipe at its flush, an unbuffered one at its first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(dre.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dre.cli", "bounds", "--format", "jsonl"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
 def test_verify_duality_subcommand(tmp_path):
