@@ -33,8 +33,7 @@ from dre.models import ModelId, measure_for
 from oracles import (CONTOUR_MOVES, naive_saw_count, oracle_boundary_sequence,
                      oracle_contour_vertex, vertex_constrained)
 
-UP, DOWN, LEFT, DIAG_NW, DIAG_SW = (CONTOUR_MOVES[name] for name in
-                                    ("Up", "Down", "Left", "DiagNW", "DiagSW"))
+UP, DOWN, LEFT, DIAG_NW, DIAG_SW = (0, 1), (0, -1), (-1, 0), (-1, 1), (-1, -1)
 LATTICE_STEPS = {OTSP: {UP, LEFT, DIAG_NW}, FSOSP: {UP, DOWN, LEFT, DIAG_NW, DIAG_SW}}
 
 
