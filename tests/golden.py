@@ -27,7 +27,7 @@ from dre.bounds import FSOSP, OTSP, verify_duality
 from dre.cli import main as dre_main
 from dre.clusters import (BACKWARD, FORWARD, UPPER, BlockingFunction, _bfs_run, _bfs_table,
                           backward_cluster, bfs_parents, communicating_cluster,
-                          forward_cluster)
+                          dn_trajectory, forward_cluster, interval_chain)
 from dre.env import Window, sample_environment
 from dre.measure import SupportMeasure
 from dre.models import ModelId
@@ -69,6 +69,9 @@ QUADRANT_MODELS = [("EW-NS", 0.5), ("NSEW-NE", 0.5)]
 # lattice -> (model, p, lowest and highest height): heights reach past both
 # window rows, and each lattice gives both verdicts (a small SWE-N p makes N common)
 DUALITY_INPUTS = {OTSP: ("NE-SW", 0.8, -5, 6), FSOSP: ("SWE-N", 0.05, -5, 6)}
+# at these p each model's chains both die out and reach a side column or the
+# bottom row, from the centre and from an origin off it on both axes
+CHAIN_INPUTS = [("EW-N", 0.4), ("NE-W", 0.4)]
 
 
 def _cycle_lines(cycle) -> list[str]:
@@ -193,6 +196,18 @@ def _verify_duality(lattice, name, p, lo, hi) -> list[str]:
     return lines
 
 
+def _interval_chains(name, p) -> list[str]:
+    lines = []
+    for seed in range(30):
+        env = sample_environment(ModelId(name, p), Window.box((-6, 6), (-10, 2)), seed)
+        for origin in ((0, 0), (3, -3)):
+            chain = interval_chain(env, origin)
+            lines.append(repr(chain))
+            if name == "EW-N":
+                lines.append(repr(dn_trajectory(chain)))
+    return lines
+
+
 def cases() -> dict:
     """Case name -> a function returning that case's lines."""
     out = {}
@@ -224,6 +239,8 @@ def cases() -> dict:
     for lattice, args in DUALITY_INPUTS.items():
         out[f"verify_duality/{lattice}"] = (
             lambda lattice=lattice, args=args: _verify_duality(lattice, *args))
+    for name, p in CHAIN_INPUTS:
+        out[f"interval_chain/{name}/{p}"] = lambda name=name, p=p: _interval_chains(name, p)
     out["m_size_stats/NE-SW/0.5"] = lambda: _m_size_stats("NE-SW", 0.5)
     out["check_theta_identity/SWE-./0.6"] = lambda: _theta_identity("SWE-.", 0.6)
     out["bisect_pc/SWE-."] = lambda: _bisect("SWE-.")
