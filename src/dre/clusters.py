@@ -367,117 +367,61 @@ class IntervalChain:
     truncated: bool
 
 
-def _chain_atoms(env: EnvironmentGrid) -> frozenset[int]:
-    if env.measure is None:
-        raise ValidationError("interval chains need a grid with a known measure")
-    support = env.measure.support()
-    if support == EW_N_ATOMS or support == NE_W_ATOMS:
-        return frozenset(support)
-    raise ValidationError(
-        "interval chains are defined for the horizontal/up and NE/west models only"
-    )
+# measure support -> (the atom that carries a site up, the run that chains into
+# a slice from its left, the run that chains into it from its right)
+_CHAIN_RUNS = {EW_N_ATOMS: (N_MASK, EW_MASK, EW_MASK), NE_W_ATOMS: (NE_MASK, NE_MASK, BIT_W)}
 
 
 def interval_chain(env: EnvironmentGrid, x: Site) -> IntervalChain:
     """Row-by-row construction of the backward cluster's horizontal slices.
 
-    Built forward from the origin row using the row-extension mechanics of
-    the model, independently of the BFS in backward_cluster; tests check
-    the two agree slice-for-slice.
+    Built forward from the origin row by one row rule, independently of the
+    BFS in backward_cluster; tests check the two agree slice-for-slice.  Row
+    0 widens the origin through the run that chains in from the left and the
+    run that chains in from the right.  The next row's core is the columns
+    of the slice above; the row dies out unless its core holds a site that
+    carries up.  Its slice starts at the first such site (sites left of it
+    are horizontal on EW-N and chain in anyway, and walk away west on NE-W),
+    ends at the core's right end, and widens through the runs again.  The
+    chain stops, truncated, when a slice meets a side column or no row is
+    left below.
     """
     _require_2d(env)
     _check_origin(env, x)
-    atoms = _chain_atoms(env)
-    (wx0, wy0), (wx1, wy1) = env.window.lo, env.window.hi
-    ox, oy = x
+    if env.measure is None:
+        raise ValidationError("interval chains need a grid with a known measure")
+    atoms = frozenset(env.measure.support())
+    if atoms not in _CHAIN_RUNS:
+        raise ValidationError(
+            "interval chains are defined for the horizontal/up and NE/west models only"
+        )
+    up, left_run, right_run = _CHAIN_RUNS[atoms]
+    x0, y0 = env.window.lo
+    last = env.window.shape[0] - 1
 
-    arr = env.arrows
-    x_lo = wx0
+    def widen(row, lo, hi):
+        while lo > 0 and row[lo - 1] == left_run:
+            lo -= 1
+        while hi < last and row[hi + 1] == right_run:
+            hi += 1
+        return lo, hi
 
-    def mask_row(y):
-        return arr[:, y - wy0]
-
-    if atoms == EW_N_ATOMS:
-        def row0_interval():
-            row = mask_row(oy)
-            L = ox
-            while L - 1 >= wx0 and row[L - 1 - x_lo] == EW_MASK:
-                L -= 1
-            U = ox
-            while U + 1 <= wx1 and row[U + 1 - x_lo] == EW_MASK:
-                U += 1
-            return L, U
-
-        def next_interval(L, U, y):
-            row = mask_row(y)
-            core = row[L - x_lo:U - x_lo + 1]
-            if not (core == N_MASK).any():
-                return None
-            newL = L
-            while newL - 1 >= wx0 and row[newL - 1 - x_lo] == EW_MASK:
-                newL -= 1
-            newU = U
-            while newU + 1 <= wx1 and row[newU + 1 - x_lo] == EW_MASK:
-                newU += 1
-            return newL, newU
-
-    else:  # NE or west
-        def row0_interval():
-            # NE sites chain rightward into x, west sites chain leftward into x
-            row = mask_row(oy)
-            L = ox
-            while L - 1 >= wx0 and row[L - 1 - x_lo] == NE_MASK:
-                L -= 1
-            U = ox
-            while U + 1 <= wx1 and row[U + 1 - x_lo] == BIT_W:
-                U += 1
-            return L, U
-
-        def next_interval(L, U, y):
-            # Survival needs an NE site inside the core.  The left end is the
-            # start of the NE run through L when L itself is NE, else the
-            # leftmost NE site of the core (west sites left of it walk away).
-            # West sites immediately right of U chain back in.
-            row = mask_row(y)
-            is_ne = row == NE_MASK
-            core = is_ne[L - x_lo:U - x_lo + 1]
-            if not core.any():
-                return None
-            if is_ne[L - x_lo]:
-                newL = L
-                while newL - 1 >= wx0 and is_ne[newL - 1 - x_lo]:
-                    newL -= 1
-            else:
-                newL = L + int(np.argmax(core))
-            newU = U
-            while newU + 1 <= wx1 and row[newU + 1 - x_lo] == BIT_W:
-                newU += 1
-            return newL, newU
-
-    rows: list[tuple[int, Optional[int], Optional[int]]] = []
-    truncated = False
-    L, U = row0_interval()
-    n = 0
-    rows.append((0, L, U))
-    while True:
-        if L <= wx0 or U >= wx1:
-            truncated = True
+    top = x[1] - y0
+    lo, hi = widen(env.arrows[:, top].tolist(), x[0] - x0, x[0] - x0)
+    rows: list[tuple[int, Optional[int], Optional[int]]] = [(0, lo + x0, hi + x0)]
+    for n in range(1, top + 1):
+        if lo == 0 or hi == last:
             break
-        y = oy - (n + 1)
-        if y < wy0:
-            truncated = True
-            break
-        nxt = next_interval(L, U, y)
-        n += 1
-        if nxt is None:
+        row = env.arrows[:, top - n].tolist()
+        if up not in row[lo:hi + 1]:
             rows.append((n, None, None))
             break
-        L, U = nxt
-        rows.append((n, L, U))
-        if not L <= U:
+        lo, hi = widen(row, row.index(up, lo, hi + 1), hi)
+        if not lo <= hi:
             raise ConsistencyError(f"interval row {n} is empty but not a sentinel")
+        rows.append((n, lo + x0, hi + x0))
     return IntervalChain(origin=x, model_atoms=atoms, rows=tuple(rows),
-                         truncated=truncated)
+                         truncated=rows[-1][1] is not None)
 
 
 def dn_trajectory(chain: IntervalChain) -> list[int]:
