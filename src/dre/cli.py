@@ -221,7 +221,7 @@ def _cmd_cluster(opts: _Options, infile: Optional[str]) -> int:
 
 def _cmd_classify(opts: _Options, infile: Optional[str]) -> int:
     trials = opts.get("trials", cast=int)
-    single = infile or trials <= 1
+    single = infile or trials == 1
     if single and opts.get("margin") is not None:
         raise UsageError("--margin applies to a census (--trials above 1, no --in);"
                          " a single environment is classified whole")

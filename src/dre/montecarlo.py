@@ -961,11 +961,16 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     sampled with a margin around the classification window (default equal
     to the radius) so membership near the core's edge is not truncated.
     With verify_dual, BlockedAbove reports are additionally pushed through
-    the boundary-sequence verifier of the matching dual lattice.
+    the boundary-sequence verifier of the matching dual lattice; a model
+    with no dual lattice is rejected.
     """
     from . import bounds as bounds_mod
     from .env import subgrid
 
+    _require_run(radius, trials)
+    lattice = bounds_mod.dual_lattice(measure_for(model))
+    if verify_dual and lattice is None:
+        raise ValidationError("only NE-SW and SWE-N carry a blocking duality to verify")
     if margin is None:
         margin = radius
     inner = Window.centered(radius, 2)
@@ -974,7 +979,6 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     reaching = 0
     mono = 0
     verified = 0
-    lattice = bounds_mod.dual_lattice(measure_for(model))
     for t in range(trials):
         env = sample_environment(model, outer, rng.spawn_seed(master_seed, t))
         report = classify_b_shape(env, (0, 0), inner=inner)
@@ -984,7 +988,7 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
         if report.shape == "BlockedAbove":
             if report.blocking.monotone_decreasing:
                 mono += 1
-            if verify_dual and lattice is not None:
+            if verify_dual:
                 ok, _ = bounds_mod.verify_duality(subgrid(env, inner),
                                                   report.blocking, lattice)
                 verified += bool(ok)

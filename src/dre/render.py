@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitgrid import PackedGrid
+from .clusters import _check_origin
 from .env import EnvironmentGrid, Site
 from .errors import DimensionError
 
@@ -38,6 +39,7 @@ class RenderResult:
 def membership_shades(env: EnvironmentGrid, origin: Site) -> tuple[np.ndarray, dict]:
     if env.d != 2:
         raise DimensionError("rendering requires d=2")
+    _check_origin(env, origin)
     pg = PackedGrid.from_env(env)
     ix, iy = env.window.index(origin)
     rf, _ = pg.reach(ix, iy, backward=False)

@@ -42,7 +42,7 @@ def test_gen_deterministic_and_seed_sensitive(tmp_path):
     assert hashlib.sha256(again.read_bytes()).hexdigest() in digests
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run_cli("estimate", "--model", "NE-.", "--p", "1.5",
                    "--radius", "5", "--trials", "5") == 2
     assert run_cli("estimate", "--model", "not-a-model", "--p", "0.5",
@@ -54,6 +54,16 @@ def test_usage_errors_exit_2(capsys):
                    "--radius", "5", "--trials", "0") == 2
     assert run_cli("bisect", "--model", "otsp", "--radius", "0", "--trials", "5") == 2
     assert run_cli("cluster", "--model", "NE-SW", "--radius", "4", "--origin", "1") == 2
+    out = tmp_path / "render.pgm"
+    for origin in (["--origin=-9,-9"], ["--origin", "9,9"]):
+        assert run_cli("render", "--model", "NE-SW", "--radius", "5", *origin,
+                       "--out", str(out)) == 2
+    assert not out.exists()
+    assert run_cli("classify", "--model", "NE-SW", "--radius", "5", "--trials", "0") == 2
+    assert run_cli("verify", "duality", "--model", "NE-SW", "--radius", "5",
+                   "--trials", "0") == 2
+    assert run_cli("verify", "duality", "--model", "NE-.", "--p", "0.9", "--radius", "5",
+                   "--trials", "3") == 2
 
 
 def test_estimate_csv(tmp_path):

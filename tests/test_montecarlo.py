@@ -451,7 +451,9 @@ def test_radius_and_trials_are_validated(radius, trials):
     lambda: dn_transition_test(0.5, 0),
     lambda: dn_transition_test(0.5, 10, k_max=0),
     lambda: m_size_stats(ModelId("NE-SW", 0.5), [3], 0),
-], ids=["wn no levels", "wn no trials", "dn no samples", "dn no widths", "m_size no trials"])
+    lambda: classify_shapes(ModelId("NE-SW", 0.5), 5, 0),
+], ids=["wn no levels", "wn no trials", "dn no samples", "dn no widths", "m_size no trials",
+        "census no trials"])
 def test_empty_samples_are_rejected(run):
     with pytest.raises(ValidationError):
         run()
