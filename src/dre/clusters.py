@@ -357,8 +357,9 @@ class IntervalChain:
     """Per-row slices of a backward cluster, rows counted downward from x.
 
     rows holds (n, L_n, U_n) for each computed level; a final (n, None, None)
-    sentinel marks extinction.  truncated is set when the interval reached
-    the window's side columns and the rows below it would be unreliable.
+    sentinel marks extinction.  truncated is set when the chain stopped at
+    the window's side columns, where the rows below would be unreliable, or
+    at its bottom row, and so holds exactly when the last row is no sentinel.
     """
 
     origin: Site
