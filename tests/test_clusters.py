@@ -369,6 +369,37 @@ def test_classify_inner_window_validation():
         classify_b_shape(env, (0, 0), inner=Window.centered(9))
 
 
+def test_interval_chain_matches_backward_slices_ew_n():
+    for seed in range(25):
+        env = sample_environment(ModelId("EW-N", 0.55), Window.centered(8), seed)
+        chain = interval_chain(env, (0, 0))
+        bwd = backward_cluster(env, (0, 0)).sites
+        prev = None
+        for (n, lo, hi) in chain.rows:
+            slice_cols = sorted(s[0] for s in bwd if s[1] == -n)
+            if lo is None:
+                assert slice_cols == []
+            else:
+                assert slice_cols == list(range(lo, hi + 1))
+                if prev is not None:
+                    # surviving rows only widen
+                    assert lo <= prev[0] and hi >= prev[1]
+                prev = (lo, hi)
+
+
+def test_interval_chain_matches_backward_slices_ne_w():
+    for seed in range(25):
+        env = sample_environment(ModelId("NE-W", 0.5), Window.centered(8), seed)
+        chain = interval_chain(env, (0, 0))
+        bwd = backward_cluster(env, (0, 0)).sites
+        for (n, lo, hi) in chain.rows:
+            slice_cols = sorted(s[0] for s in bwd if s[1] == -n)
+            if lo is None:
+                assert slice_cols == []
+            else:
+                assert slice_cols == list(range(lo, hi + 1))
+
+
 @given(name=st.sampled_from(["EW-N", "NE-W"]), p=st.floats(0.05, 0.95),
        seed=st.integers(0, 2**20), data=st.data())
 @settings(max_examples=200, deadline=None)
