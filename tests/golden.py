@@ -36,6 +36,7 @@ from dre.montecarlo import (REACH_B, REACH_C, REACH_M, SIZE_M, TrialPlan, bisect
                             lu_walk_test, m_size_stats, martingale_test,
                             otsp_reach_estimate, run_plan, seoa_excursion_test,
                             theta_minus_curve, w_walk_drift_test, wn_crossing_test)
+from dre.render import render_pgm
 from dre.walks import (build_open_cycle, coalescence_stats, cycle_dump_lines,
                        detect_gigantic_m, quadrant_path, seoa_path, swoa_path,
                        trace_dump_lines)
@@ -51,6 +52,13 @@ CYCLE_INPUTS = {
 }
 GIGANTIC_INPUTS = [("EW-NS", 0.5, 15, 3, 1), ("EW-NS", 0.5, 15, 3, 0),
                    ("SWE-N", 0.7, 20, 2, 2), ("NE-SW", 0.95, 15, 3, 0)]
+# sample counts beside the default 10: none, which reaches from no site, and
+# 25, which picks a quarter of the found cycles' sites
+GIGANTIC_SAMPLES = (0, 25)
+# (model, p, seed) rendered on a 30-radius window from the centre, from an
+# origin off it on both axes and from a corner of the edge ring
+RENDER_INPUTS = [("NE-SW", 0.6, 5), ("EW-NS", 0.5, 2), ("SWE-N", 0.4, 7)]
+RENDER_ORIGINS = ((0, 0), (3, -7), (-30, 30))
 BFS_MODELS = [("NE-SW", 0.5), ("EW-NS", 0.5), ("SWE-N", 0.4), ("NSEW-.", 0.55),
               ("NE-.", 0.7)]
 # d=3 atoms {+e1, +e2}, {+e3, -e1}, {+e2, -e2, -e3}; bit i is +e(i+1), bit 3+i is -e(i+1)
@@ -85,12 +93,21 @@ def _build_open_cycle(name, p, radius, m, seed) -> list[str]:
     return _cycle_lines(build_open_cycle(env, m))
 
 
-def _detect_gigantic(name, p, radius, m, seed) -> list[str]:
+def _detect_gigantic(name, p, radius, m, seed, samples=10) -> list[str]:
     env = sample_environment(ModelId(name, p), Window.centered(radius), seed)
-    rep = detect_gigantic_m(env, m, seed=seed)
+    rep = detect_gigantic_m(env, m, samples=samples, seed=seed)
     return ([f"found {int(rep.found)}"]
             + [f"check {k} {int(v)}" for k, v in sorted(rep.checks.items())]
             + [f"note {n}" for n in rep.notes] + _cycle_lines(rep.cycle))
+
+
+def _render(name, p, seed) -> list[str]:
+    env = sample_environment(ModelId(name, p), Window.centered(30), seed)
+    lines = []
+    for origin in RENDER_ORIGINS:
+        res = render_pgm(env, origin)
+        lines += res.payload.decode("ascii").splitlines() + res.legend.splitlines()
+    return lines
 
 
 def _bfs(env, origin) -> list[str]:
@@ -218,6 +235,12 @@ def cases() -> dict:
     for args in GIGANTIC_INPUTS:
         out["detect_gigantic_m/{}/{}/R{}/m{}/s{}".format(*args)] = (
             lambda args=args: _detect_gigantic(*args))
+        for samples in GIGANTIC_SAMPLES:
+            out["detect_gigantic_m/{}/{}/R{}/m{}/s{}/samples{}".format(*args, samples)] = (
+                lambda args=args, samples=samples: _detect_gigantic(*args, samples))
+    for name, p, seed in RENDER_INPUTS:
+        out[f"render_pgm/{name}/{p}/R30/s{seed}"] = (
+            lambda name=name, p=p, seed=seed: _render(name, p, seed))
     for name, p in BFS_MODELS:
         env = lambda name=name, p=p: sample_environment(ModelId(name, p), Window.centered(7), 5)
         out[f"bfs_parents/{name}/{p}"] = lambda env=env: _bfs(env(), (2, -3))
