@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .directions import BIT_E, BIT_N, BIT_S, BIT_W
-from .env import EnvironmentGrid
 from .errors import DimensionError
 
 _ONE = np.uint64(1)
@@ -61,10 +60,9 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def unpack_words(words: np.ndarray, nx: int) -> np.ndarray:
-    """(ny, nwords) uint64 -> (nx, ny) bool."""
-    bytes8 = words.view(np.uint8)
-    bits = np.unpackbits(bytes8, axis=1, bitorder="little")[:, :nx]
-    return bits.astype(bool).T
+    """(..., ny, nwords) uint64 -> (..., nx, ny) bool."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")[..., :nx]
+    return bits.astype(bool).swapaxes(-1, -2)
 
 
 def edge_mask(nx: int, ny: int) -> np.ndarray:
@@ -79,9 +77,10 @@ def move_masks(arrows: np.ndarray) -> np.ndarray:
     """(nx, ny) arrow masks -> (4, ny, nwords) packed E, N, W, S move masks,
     without the arrows that leave the window (see _drop_leaving).
 
-    It serves arrow arrays: the census's environments, PackedGrid and the
-    tests.  The Monte Carlo trials build their masks from the hash with
-    atom_moves, which drops the same arrows.
+    It serves arrow arrays: the census's environments, the cycle checks of
+    walks.detect_gigantic_m, render.membership_shades, PackedGrid (only the
+    benchmark's adapter) and the tests.  The Monte Carlo trials build their
+    masks from the hash with atom_moves, which drops the same arrows.
     """
     if arrows.ndim != 2:
         raise DimensionError("packed reachability requires d=2")
@@ -192,7 +191,7 @@ def _planes(moves: np.ndarray) -> np.ndarray:
     """
     _, b, ny, nw = moves.shape
     planes = np.zeros((8, b, ny * nw), dtype=np.uint64)
-    planes[:4] = moves.reshape(4, b, -1)
+    planes[:4] = moves.reshape(4, b, ny * nw)
     flat = planes.reshape(8, -1)
     for k in range(4):
         _or_move(flat[4 + k], flat[k], (k + 2) % 4, nw)  # move k seen one site back
@@ -223,12 +222,14 @@ def _step(plan: list[tuple]) -> None:
         f(a, b, out)
 
 
-def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
+def reach_batch(moves: np.ndarray, ix, iy, edge: np.ndarray,
                 stop_at_edge: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Forward fixpoints from site (ix, iy) on a batch of packed windows.
 
     moves is a (4, B, ny, nwords) stack from move_masks or atom_moves, or from
     reversed_moves for backward reach; edge is the (ny, nwords) edge ring.
+    ix and iy are ints, or (B,) arrays of one start per trial; moves of
+    batch 1 then serve every trial.
     Returns (sets, touched): the (B, ny, nwords) reachable sets and
     whether each meets the edge ring.  With stop_at_edge a trial stops
     soon after its first edge contact; only its flag is then defined, and
@@ -237,6 +238,9 @@ def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
     The two-site jumps of a step change how many steps a trial runs, not
     its fixpoint.
     """
+    ix, iy = np.broadcast_arrays(ix, iy)
+    if ix.ndim:
+        moves = np.broadcast_to(moves, (4, ix.size) + moves.shape[2:])
     _, b, ny, nw = moves.shape
     size = ny * nw
     planes = _planes(moves)
@@ -245,8 +249,8 @@ def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
     touched = np.empty(b, dtype=bool)
     live = np.arange(b)
     r = np.zeros((b, size), dtype=np.uint64)
-    r[:, iy * nw + ix // 64] = _ONE << np.uint64(ix % 64)
-    while True:
+    r[np.arange(b), iy * nw + ix // 64] = _ONE << (ix % 64).astype(np.uint64)
+    while live.size:
         t = np.empty_like(r)
         prev = np.empty_like(r)
         # views of this batch's arrays, so rebuilt after every compaction
@@ -266,9 +270,8 @@ def reach_batch(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
         sets[live[done]] = r[done]
         touched[live[done]] = hit[done]
         keep = ~done
-        if not keep.any():
-            return sets.reshape(b, ny, nw), touched
         live, r, planes = live[keep], r[keep], planes[:, keep]
+    return sets.reshape(b, ny, nw), touched
 
 
 def mutual_stats(moves: np.ndarray, ix: int, iy: int,
@@ -286,7 +289,11 @@ def mutual_stats(moves: np.ndarray, ix: int, iy: int,
 
 @dataclass
 class PackedGrid:
-    """Move masks of one environment, packed for fast reachability."""
+    """Move masks of one environment, packed for fast reachability.
+
+    Only the benchmark's adapter: perfbench's reach-generic cross-check and
+    its tracer name it.  The package calls reach_batch directly.
+    """
 
     nx: int
     ny: int
@@ -298,10 +305,6 @@ class PackedGrid:
         moves = move_masks(arrows)
         nx, ny = arrows.shape
         return cls(nx, ny, moves, edge_mask(nx, ny))
-
-    @classmethod
-    def from_env(cls, env: EnvironmentGrid) -> "PackedGrid":
-        return cls.from_arrows(env.arrows)
 
     def reach(self, ix: int, iy: int, backward: bool = False,
               stop_at_edge: bool = False) -> tuple[np.ndarray, bool]:
@@ -315,7 +318,4 @@ class PackedGrid:
         moves = reversed_moves(self.moves) if backward else self.moves
         sets, touched = reach_batch(moves[:, None], ix, iy, self.edge, stop_at_edge)
         return sets[0], bool(touched[0])
-
-    def unpack(self, r: np.ndarray) -> np.ndarray:
-        return unpack_words(r, self.nx)
 

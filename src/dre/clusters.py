@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .bitgrid import edge_mask, move_masks, reach_batch, reversed_moves, unpack_words
 from .directions import BIT_W, EW_MASK, N_MASK, NE_MASK, all_directions
 from .env import EnvironmentGrid, Site, Window, subgrid
 from .errors import ConsistencyError, DimensionError, ValidationError
@@ -277,7 +278,6 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
     """
     _require_2d(env)
     _check_origin(env, x)
-    from .bitgrid import PackedGrid
 
     window = env.window
     if inner is None:
@@ -288,9 +288,9 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
         if not inner.contains(x):
             raise ValidationError("origin must lie in the inner window")
 
-    pg = PackedGrid.from_env(env)
-    packed, _ = pg.reach(x[0] - window.lo[0], x[1] - window.lo[1], backward=True)
-    in_b_full = pg.unpack(packed)
+    sets, _ = reach_batch(reversed_moves(move_masks(env.arrows)[:, None]),
+                          x[0] - window.lo[0], x[1] - window.lo[1], edge_mask(*window.shape))
+    in_b_full = unpack_words(sets[0], window.shape[0])
     sl = tuple(slice(a - oa, b - oa + 1)
                for a, b, oa in zip(inner.lo, inner.hi, window.lo))
     in_b = in_b_full[sl]

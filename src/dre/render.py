@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgrid import PackedGrid
+from .bitgrid import edge_mask, move_masks, reach_batch, reversed_moves, unpack_words
 from .clusters import _check_origin
 from .env import EnvironmentGrid, Site
 from .errors import DimensionError
@@ -40,12 +40,12 @@ def membership_shades(env: EnvironmentGrid, origin: Site) -> tuple[np.ndarray, d
     if env.d != 2:
         raise DimensionError("rendering requires d=2")
     _check_origin(env, origin)
-    pg = PackedGrid.from_env(env)
+    # the forward and backward fixpoints run as one batch of two, as in mutual_stats
+    moves = move_masks(env.arrows)[:, None]
     ix, iy = env.window.index(origin)
-    rf, _ = pg.reach(ix, iy, backward=False)
-    rb, _ = pg.reach(ix, iy, backward=True)
-    fwd = pg.unpack(rf)
-    bwd = pg.unpack(rb)
+    sets, _ = reach_batch(np.concatenate([moves, reversed_moves(moves)], axis=1), ix, iy,
+                          edge_mask(*env.window.shape))
+    fwd, bwd = unpack_words(sets, env.window.shape[0])
     both = fwd & bwd
     shades = np.full(env.window.shape, SHADE_BACKGROUND, dtype=np.int64)
     shades[fwd] = SHADE_FORWARD

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .bitgrid import PackedGrid
+from .bitgrid import edge_mask, move_masks, reach_batch, reversed_moves, unpack_words
 from .clusters import BACKWARD, FORWARD, _bfs_run, _bfs_table, _require_2d
 from .directions import (BIT_N, BIT_S, N_MASK, NE_MASK, QUADRANTS, SW_MASK, SWE_MASK,
                          all_directions, token_of)
@@ -615,10 +615,15 @@ def detect_gigantic_m(
     Requires a model with almost-surely infinite forward clusters.  When a
     cycle is found, checks inside the window that sampled cycle sites
     communicate with the whole cycle, that forward clusters of sampled box
-    sites cover the cycle, and that backward clusters of cycle sites do.
+    sites cover the cycle, and that backward clusters of cycle sites do.  It
+    draws up to samples cycle sites and samples box sites; their forward
+    fixpoints run as one reach_batch and the cycle sites' backward ones as
+    another.  A negative samples raises ValidationError.
     A missing cycle is reported as not found; the construction has
     one-sided error, so this is never proof of absence.
     """
+    if samples < 0:
+        raise ValidationError("samples must be non-negative")
     _require_2d(env)
     if env.measure is None:
         raise ValidationError("gigantic detection needs a grid with a known measure")
@@ -635,40 +640,27 @@ def detect_gigantic_m(
     if cycle is None:
         return GiganticReport(False, None, {}, (f"strategy {strategy} found no cycle",))
 
-    pg = PackedGrid.from_env(env)
-    (x0, y0) = env.window.lo
     cyc_sites = list(dict.fromkeys(cycle.sites[:-1]))
-    cyc_ix = [sx - x0 for sx, _ in cyc_sites]
-    cyc_iy = [sy - y0 for _, sy in cyc_sites]
-
-    def covers(r) -> bool:
-        return bool(pg.unpack(r)[cyc_ix, cyc_iy].all())
-
     gen = np.random.default_rng(rng.spawn_seed(seed, 0x916A))
     k = min(samples, len(cyc_sites))
     picked = [cyc_sites[i] for i in
               sorted(gen.choice(len(cyc_sites), size=k, replace=False).tolist())]
-    mutual = True
-    backward_covers = True
-    for (sx, sy) in picked:
-        rf, _ = pg.reach(sx - x0, sy - y0, backward=False)
-        rb, _ = pg.reach(sx - x0, sy - y0, backward=True)
-        if not covers(rf & rb):
-            mutual = False
-        if not covers(rb):
-            backward_covers = False
-
-    forward_covers = True
     box_sites = [(int(gen.integers(-m, m + 1)), int(gen.integers(-m, m + 1)))
                  for _ in range(samples)]
-    for (sx, sy) in box_sites:
-        rf, _ = pg.reach(sx - x0, sy - y0, backward=False)
-        if not covers(rf):
-            forward_covers = False
-
+    # window indices of the n starts (the picked cycle sites, then the box
+    # sites) and then of the whole cycle
+    n = k + samples
+    ix, iy = (np.array(picked + box_sites + cyc_sites, dtype=np.intp) - env.window.lo).T
+    moves = move_masks(env.arrows)[:, None]
+    edge = edge_mask(*env.window.shape)
+    fwd, _ = reach_batch(moves, ix[:n], iy[:n], edge)
+    bwd, _ = reach_batch(reversed_moves(moves), ix[:k], iy[:k], edge)
+    # (start, cycle site) membership of each start's forward and backward set
+    fwd_on, bwd_on = (unpack_words(sets, env.window.shape[0])[:, ix[n:], iy[n:]]
+                      for sets in (fwd, bwd))
     checks = {
-        "cycle_sites_mutually_communicate": mutual,
-        "forward_clusters_cover_cycle": forward_covers,
-        "backward_clusters_cover_cycle": backward_covers,
+        "cycle_sites_mutually_communicate": bool((fwd_on[:k] & bwd_on).all()),
+        "forward_clusters_cover_cycle": bool(fwd_on[k:].all()),
+        "backward_clusters_cover_cycle": bool(bwd_on.all()),
     }
     return GiganticReport(True, cycle, checks, ())

@@ -77,11 +77,11 @@ def test_edge_mask_is_the_ring(nx, ny):
 def test_reach_matches_bfs_on_models():
     for i, model in enumerate(MIXED_MEASURES):
         env = sample_environment(model, Window.centered(6), 31 + i)
-        pg = PackedGrid.from_env(env)
+        pg = PackedGrid.from_arrows(env.arrows)
         for backward in (False, True):
             r, touched = pg.reach(6, 6, backward=backward)
             got = {(int(ix) - 6, int(iy) - 6)
-                   for ix, iy in np.argwhere(pg.unpack(r))}
+                   for ix, iy in np.argwhere(unpack_words(r, pg.nx))}
             ref = (backward_cluster if backward else forward_cluster)(env, (0, 0))
             assert got == set(ref.sites)
             assert touched == ref.touches_boundary
@@ -89,7 +89,7 @@ def test_reach_matches_bfs_on_models():
 
 def test_reach_stats_kinds():
     env = sample_environment(ModelId("EW-NS", 0.5), Window.centered(5), 9)
-    pg = PackedGrid.from_env(env)
+    pg = PackedGrid.from_arrows(env.arrows)
     (size,), (touched,) = mutual_stats(pg.moves[:, None], 5, 5, pg.edge)
     ref = communicating_cluster(env, (0, 0))
     assert size == len(ref.sites)
@@ -100,7 +100,7 @@ def test_reach_stats_kinds():
 def test_stop_at_edge_agrees_on_touch():
     for seed in range(10):
         env = sample_environment(ModelId("NE-.", 0.8), Window.centered(10), seed)
-        pg = PackedGrid.from_env(env)
+        pg = PackedGrid.from_arrows(env.arrows)
         _, full = pg.reach(10, 10)
         _, early = pg.reach(10, 10, stop_at_edge=True)
         assert full == early
@@ -133,6 +133,15 @@ def test_reach_batch_matches_bfs(model, seed, batch, lo_x, hi_x, lo_y, hi_y):
             assert touched[k] == ref.touches_boundary
             one_set, one_touched = reach_batch(moves[:, k:k + 1], ix, iy, edge)
             assert np.array_equal(one_set[0], sets[k]) and one_touched[0] == touched[k]
+        # one start per trial, all on the first window's moves
+        starts = np.random.default_rng(seed).integers(0, window.shape, (batch, 2))
+        sets, touched = reach_batch(moves[:, :1], starts[:, 0], starts[:, 1], edge)
+        for (sx, sy), got, hit in zip(starts.tolist(), sets, touched):
+            ref = cluster(envs[0], (sx + window.lo[0], sy + window.lo[1]))
+            assert _sites(window, got) == set(ref.sites) and hit == ref.touches_boundary
+        none = np.empty(0, dtype=np.intp)
+        sets, touched = reach_batch(moves[:, :1], none, none, edge)
+        assert sets.shape == (0,) + edge.shape and touched.shape == (0,)
 
 
 def _random_arrows(rng, batch, nx, ny, density):

@@ -10,9 +10,14 @@ import pytest
 
 import dre
 from dre.cli import main
+from dre.clusters import backward_cluster, forward_cluster
 from dre.env import Window, sample_environment
 from dre.models import ModelId, catalog_names
+from dre.render import (SHADE_BACKGROUND, SHADE_BACKWARD, SHADE_COMMUNICATING, SHADE_FORWARD,
+                        membership_shades)
 from dre.snapshot import load_snapshot, save_snapshot
+
+from conftest import MIXED_MEASURES
 
 
 def run_cli(*argv):
@@ -122,6 +127,25 @@ def test_render_deterministic_with_legend(tmp_path):
     assert f"forward_count={len(fwd.sites)}" in legend
     assert f"backward_count={len(bwd.sites)}" in legend
     assert f"communicating_count={len(fwd.sites & bwd.sites)}" in legend
+
+
+@pytest.mark.parametrize("model", MIXED_MEASURES, ids=str)
+def test_membership_shades_per_site(model):
+    env = sample_environment(model, Window.centered(8), 5)
+    # (in the forward cluster, in the backward cluster) -> shade
+    want = {(True, True): SHADE_COMMUNICATING, (True, False): SHADE_FORWARD,
+            (False, True): SHADE_BACKWARD, (False, False): SHADE_BACKGROUND}
+    lo_x, lo_y = env.window.lo
+    # off the centre on both axes, and a corner of the edge ring
+    for origin in ((3, -2), (-8, 8)):
+        shades, counts = membership_shades(env, origin)
+        fwd = forward_cluster(env, origin).sites
+        bwd = backward_cluster(env, origin).sites
+        for ix, iy in np.ndindex(shades.shape):
+            site = (ix + lo_x, iy + lo_y)
+            assert shades[ix, iy] == want[site in fwd, site in bwd]
+        assert counts == {"forward": len(fwd), "backward": len(bwd),
+                          "communicating": len(fwd & bwd)}
 
 
 def test_render_svg(tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dre import walks
+from dre.bitgrid import reach_batch
 from dre.directions import BIT_E, BIT_N, BIT_S, BIT_W, parse_token
 from dre.env import EnvironmentGrid, Window, sample_environment
 from dre.errors import ModelAssumptionError, ValidationError
@@ -291,6 +293,23 @@ def test_detect_gigantic_checks_pass():
         "forward_clusters_cover_cycle",
         "backward_clusters_cover_cycle",
     }
+
+
+def test_detect_gigantic_samples(monkeypatch):
+    env = sample_environment(ModelId("EW-NS", 0.5), Window.centered(35), 1)
+    with pytest.raises(ValidationError):
+        detect_gigantic_m(env, 4, samples=-1, seed=1)
+    # no sample: every check holds vacuously, and no start is reached
+    batches = []
+
+    def counting(moves, ix, iy, *args):
+        batches.append(np.size(ix))
+        return reach_batch(moves, ix, iy, *args)
+
+    monkeypatch.setattr(walks, "reach_batch", counting)
+    report = detect_gigantic_m(env, 4, samples=0, seed=1)
+    assert report.found and report.checks_passed and len(report.checks) == 3
+    assert not any(batches)
 
 
 def test_detect_gigantic_requires_infinite_forward():
