@@ -222,8 +222,8 @@ def _step(plan: list[tuple]) -> None:
         f(a, b, out)
 
 
-def reach_batch(moves: np.ndarray, ix, iy, edge: np.ndarray,
-                stop_at_edge: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
+                edge: np.ndarray, stop_at_edge: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Forward fixpoints from site (ix, iy) on a batch of packed windows.
 
     moves is a (4, B, ny, nwords) stack from move_masks or atom_moves, or from
@@ -318,4 +318,3 @@ class PackedGrid:
         moves = reversed_moves(self.moves) if backward else self.moves
         sets, touched = reach_batch(moves[:, None], ix, iy, self.edge, stop_at_edge)
         return sets[0], bool(touched[0])
-
