@@ -70,6 +70,17 @@ RUN_PLAN_RAW = {"raw4": SupportMeasure(2, ((0, 0.15), (0b0011, 0.3), (0b1100, 0.
                                            (0b0111, 0.25))),
                 "raw1": SupportMeasure(2, ((0b1101, 1.0),))}
 RADII = (1, 63, 64, 65)
+# reach_C and reach_B on the oriented row sweep, at rows of one word and across
+# its edge: N-E and NE-N give E and N different gate planes (N-E's atom 0 is
+# N), NE4 has all four NE-oriented atoms, and NE-top's one threshold rounds to
+# 2^53, so no site draws its second atom and it has no threshold plane.  Every
+# site of N-E and NE-N can step forward, and every NE-N site steps N, so their
+# reach_C and NE-N's reach_B are 1 on every trial, as NE-top's are
+SWEEP_PLAN_MODELS = {"N-E/0.4": ModelId("N-E", 0.4), "NE-N/0.4": ModelId("NE-N", 0.4),
+                     "NE4": SupportMeasure(2, ((0b0011, 0.4), (0b0001, 0.25), (0b0010, 0.25),
+                                               (0, 0.1))),
+                     "NE-top": SupportMeasure(2, ((0b0011, 1 - 1e-17), (0, 1e-17)))}
+SWEEP_RADII = (63, 64, 65)
 # windows of 63, 65, 127, 129 and 131 columns: one word, and across one or two word edges
 M_SIZE_RADII = (31, 32, 63, 64, 65)
 # EW-NS offers one arrow per quadrant at every site; NSEW-NE draws tiebreaks
@@ -131,10 +142,10 @@ def _clusters(env, origins) -> list[str]:
     return lines
 
 
-def _run_plan(model, statistic) -> list[str]:
+def _run_plan(model, statistic, radii=RADII, trials=6) -> list[str]:
     lines = []
-    for radius in RADII:
-        rec = run_plan(TrialPlan(model, radius, 6, 11, statistic))
+    for radius in radii:
+        rec = run_plan(TrialPlan(model, radius, trials, 11, statistic))
         lines.append(f"{rec.radius} {rec.trials} {rec.estimate!r} {rec.se!r}")
     return lines
 
@@ -253,6 +264,11 @@ def cases() -> dict:
         for statistic in (REACH_C, REACH_B, REACH_M, SIZE_M):
             out[f"run_plan/{label}/{statistic}"] = (
                 lambda model=model, statistic=statistic: _run_plan(model, statistic))
+    for label, model in SWEEP_PLAN_MODELS.items():
+        for statistic in (REACH_C, REACH_B):
+            out[f"run_plan/sweep/{label}/{statistic}"] = (
+                lambda model=model, statistic=statistic: _run_plan(model, statistic,
+                                                                   SWEEP_RADII, 40))
     for name, p in (("NE-SW", 0.9), ("SWE-N", 0.5)):
         out[f"classify_shapes/{name}/{p}"] = lambda name=name, p=p: _classify_shapes(name, p)
     # an 81-column sampling window: the census reach crosses a word edge
