@@ -93,27 +93,35 @@ def move_masks(arrows: np.ndarray) -> np.ndarray:
 def atom_moves(above: list[np.ndarray], masks: np.ndarray, nx: int,
                out: np.ndarray) -> np.ndarray:
     """Packed E, N, W, S move masks of an nx-column window, written into out
-    (4, ny, nwords), from the packed planes of its sites' atoms.
-
-    above[j - 1] is the (ny, nwords) plane of the sites whose atom is j or
-    above, for j from 1 to len(above), and no site's atom is past
-    len(above) (see rng.passed); masks are the atoms' arrow masks.  A
-    move's plane is the XOR of the planes where the move's bit changes from
-    atom j - 1 to atom j, complemented on the window when atom 0 has it.
-    Arrows that leave the window are dropped, as in move_masks.
+    (4, ny, nwords), from the packed planes of its sites' atoms (see
+    atom_plane).  Arrows that leave the window are dropped, as in
+    move_masks.
     """
-    tail = np.uint64((1 << ((nx - 1) % 64 + 1)) - 1)  # the last word's bits in the window
-    atoms = [int(m) for m in masks[:len(above) + 1]]
+    masks = masks.tolist()
     for k, bit in enumerate(_MOVE_BITS.tolist()):
-        plane = out[k]
-        plane.fill(0)
-        for j, plane_j in enumerate(above):
-            if (atoms[j] ^ atoms[j + 1]) & bit:
-                plane ^= plane_j
-        if atoms[0] & bit:
-            np.invert(plane, out=plane)
-            plane[:, -1] &= tail
+        atom_plane(above, masks, bit, nx, out[k])
     return _drop_leaving(out, nx)
+
+
+def atom_plane(above: list[np.ndarray], masks: list[int], bit: int, nx: int,
+               out: np.ndarray) -> np.ndarray:
+    """The packed plane of the sites whose atom's mask has bit, written into
+    out (..., nwords) over rows of nx columns.
+
+    above[j - 1] is the plane of the sites whose atom is j or above, for j
+    from 1 to len(above), and no site's atom is past len(above) (see
+    rng.passed); masks are the atoms' masks.  The plane is the XOR of the
+    planes where bit changes from atom j - 1 to atom j, complemented on the
+    row's nx columns when atom 0 has it.
+    """
+    out.fill(0)
+    for j, plane in enumerate(above):
+        if (masks[j] ^ masks[j + 1]) & bit:
+            out ^= plane
+    if masks[0] & bit:
+        np.invert(out, out=out)
+        out[..., -1] &= np.uint64((1 << ((nx - 1) % 64 + 1)) - 1)  # the last word's columns
+    return out
 
 
 def _drop_leaving(moves: np.ndarray, nx: int) -> np.ndarray:

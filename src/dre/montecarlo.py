@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .bitgrid import (atom_moves, edge_mask, mutual_stats, pack_rows, reach_batch,
-                      reversed_moves)
+from .bitgrid import (atom_moves, atom_plane, edge_mask, mutual_stats, pack_rows,
+                      reach_batch, reversed_moves)
 from .clusters import classify_b_shape
 from .directions import BIT_E, BIT_N, BIT_S, BIT_W, NE_MASK
 from .env import Window, sample_environment
@@ -247,24 +247,28 @@ def _lazy_sweep(trials: int, batch: int, n: int,
     return out
 
 
-RowDraw = Callable[[np.ndarray, np.ndarray, int], np.ndarray]  # (trials, xs, y) -> atoms
+RowDraw = Callable[[np.ndarray, np.ndarray, int], np.ndarray]  # (trials, xs, y) -> hashes
 
 
-def _site_draw(thresholds: Sequence[int], master_seed: int, trials: int) -> RowDraw:
+def _site_draw(master_seed: int, trials: int) -> RowDraw:
     """The package rule: site (x, y) of trial t keyed on (spawn_seed(master_seed, t), x, y).
 
     The hash chain's state after (seed, x) does not depend on the row, so
-    it is held for the trials of the latest call and compacted with them;
-    a row only finishes it with y.  A call the held trials or columns do
-    not cover (a sweep's first row of a batch) hashes a new prefix.  The
-    held trial array is the caller's, taken to stay unchanged.
+    it is held, advanced for the next step, for the trials of the latest
+    call and compacted with them; a row only finishes it with y.  A call
+    the held trials or columns do not cover (a sweep's first row of a
+    batch) hashes a new prefix.  The held trial and column arrays are the
+    caller's, taken to stay unchanged.  The rows are finished into hash
+    and scratch buffers kept for the draw, so a row it returns holds until
+    the next call.
     """
     seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
-    held = None  # (trials, xs, prefix)
+    held = None  # (trials, xs, advanced prefix)
+    buf = np.empty((2, 0), dtype=np.uint64)
 
     def draw(live: np.ndarray, xs: np.ndarray, y: int) -> np.ndarray:
-        nonlocal held
-        if held is not None and np.array_equal(held[1], xs):
+        nonlocal held, buf
+        if held is not None and held[1] is xs:
             have, _, prefix = held
             if live is not have:
                 pos = np.searchsorted(have, live).clip(max=len(have) - 1)
@@ -272,18 +276,63 @@ def _site_draw(thresholds: Sequence[int], master_seed: int, trials: int) -> RowD
         else:
             held = None
         if held is None:
-            held = (live, xs, rng.hash_parts(seeds[live][:, None], (xs,)))
-        return rng.atoms_from(held[2], (y,), thresholds)
+            held = (live, xs, rng.advanced(rng.hash_parts(seeds[live][:, None], (xs,))))
+        prefix = held[2]
+        if buf.shape[1] < prefix.size:
+            buf = np.empty((2, prefix.size), dtype=np.uint64)
+        h, scratch = buf[:, :prefix.size].reshape((2,) + prefix.shape)
+        return rng.finish(prefix, y, h, scratch)
 
     return draw
 
 
-def _up_or_right_draw(thresholds: Sequence[int], master_seed: int) -> RowDraw:
+def _up_or_right_draw(master_seed: int) -> RowDraw:
     """Site (x, y) of trial t keyed on (master_seed, t, -(x + y), -y), as in the fronts."""
     def draw(live: np.ndarray, xs: np.ndarray, y) -> np.ndarray:
-        return rng.atoms(master_seed, (live[:, None], -(xs + y), -y), thresholds)
+        return rng.hash_parts(master_seed, (live[:, None], -(xs + y), -y))
 
     return draw
+
+
+def _sweep_gates(measure: SupportMeasure, draw: RowDraw, xs: np.ndarray, backward: bool,
+                 origin: Optional[int], batch: int):
+    """The gates(live, k) of a NE-oriented sweep over columns xs (see
+    _oriented_reach_trials); row k is drawn at y = k, or -k backward.
+
+    Each threshold's plane of the row's hashes is compared into a bool
+    buffer kept for the sweep, padded to whole words so that its packed
+    bytes are the words, and bitgrid.atom_plane maps those planes to the E
+    and N gates; when the same atoms carry E and N, one plane serves both.
+    """
+    n = len(xs)
+    nwords = -(-n // 64)
+    above = np.zeros((batch, 64 * nwords), dtype=bool)
+    thresholds, masks = measure.thresholds, measure.masks.tolist()
+    same = all(bool(m & BIT_E) == bool(m & BIT_N) for m in masks)
+    bits = (BIT_E,) if same else (BIT_E, BIT_N)
+    dy = -1 if backward else 1
+    word, bit = divmod(n - 1, 64)
+    last = np.uint64(1 << bit)
+
+    def gates(live: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = above[:len(live)]
+        passed = [np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
+                  for _ in rng.passed(draw(live, xs, dy * k), thresholds, rows[:, :n])]
+        made = [atom_plane(passed, masks, bit, n, np.empty((len(live), nwords), np.uint64))
+                for bit in bits]
+        e, up = made[0], made[-1]
+        if k == 0 and origin is not None:  # bit 0 takes the origin's gates
+            e, up = e.copy(), up.copy()
+            e[:, 0] = e[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_E))
+            up[:, 0] = up[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_N))
+        if backward:  # e[i] = e[i + 1] for i < n - 1; bit n - 1 keeps its gate
+            back = e >> _ONE
+            back[:, :-1] |= e[:, 1:] << np.uint64(63)
+            back[:, word] |= e[:, word] & last
+            e = back
+        return up, e
+
+    return gates
 
 
 def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
@@ -296,23 +345,13 @@ def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
     one in [-radius, 0]^2.  Backward reach is swept in the reflected
     coordinates (-column, -row): there a gate sits at the destination, so
     an E gate moves one column back and a row's N gate opens the step into
-    it.  draw gives the sites' atoms of measure; origin, when given,
-    replaces the origin's draw.  batch bounds the trials hashed per row.
+    it.  draw gives the sites' hashes, drawn as atoms of measure; origin,
+    when given, replaces the origin's draw.  batch bounds the trials hashed
+    per row.
     """
     n = radius + 1
-    sign = -1 if backward else 1
-    xs = sign * np.arange(n, dtype=np.int64)
-    masks = measure.masks.astype(np.uint8)  # d = 2
-
-    def gates(live: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        arrows = masks.take(draw(live, xs, sign * k))
-        e, up = (arrows & BIT_E) != 0, (arrows & BIT_N) != 0
-        if k == 0 and origin is not None:
-            e[:, 0], up[:, 0] = bool(origin & BIT_E), bool(origin & BIT_N)
-        if backward:
-            e[:, :-1] = e[:, 1:]
-        return pack_rows(up), pack_rows(e)
-
+    xs = (-1 if backward else 1) * np.arange(n, dtype=np.int64)
+    gates = _sweep_gates(measure, draw, xs, backward, origin, batch)
     return _lazy_sweep(trials, batch, n, gates, up_at_source=not backward, diagonal=False)
 
 
@@ -393,7 +432,7 @@ def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
     """
     origin = int(np.bitwise_or.reduce(measure.masks)) if live_origin else None
     if statistic in (REACH_C, REACH_B) and _is_ne_oriented(measure):
-        draw = _site_draw(measure.thresholds, master_seed, trials)
+        draw = _site_draw(master_seed, trials)
         return _oriented_reach_trials(measure, radius, trials, draw, statistic == REACH_B,
                                       origin)
     return _packed_values(measure, radius, trials, master_seed, statistic, origin)
@@ -507,16 +546,11 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
     the trials hashed per row.
     """
     n = radius + 1
-    xs = -np.arange(n, dtype=np.int64)  # origin at column 0, west is +1
-    draw = _site_draw(rng.thresholds((p, 1.0 - p)), master_seed, trials)
-
-    def gates(live: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        is_open = draw(live, xs, k) == 0
-        if k == 0 and origin_open:
-            is_open[:, 0] = True
-        gate = pack_rows(is_open)
-        return gate, gate
-
+    # an open site carries NE: its gates are a NE-. site's, on columns
+    # x = -i (origin at column 0, west is +1)
+    gates = _sweep_gates(measure_for(ModelId("NE-.", p)), _site_draw(master_seed, trials),
+                         -np.arange(n, dtype=np.int64), False, NE_MASK if origin_open else None,
+                         batch)
     return _lazy_sweep(trials, batch, n, gates, up_at_source=True, diagonal=True)
 
 
@@ -569,6 +603,8 @@ def bisect_pc(
     without it the dead-origin mass inflates the crossing point by a factor
     the finite-size literature numbers do not carry.
     """
+    if not (0.0 < target < 1.0 and 0.0 < tol < math.inf):
+        raise ValidationError(f"need target in (0, 1) and a finite tol > 0, got {target!r}, {tol!r}")
     probes: list[tuple[float, float, float]] = []
 
     if callable(model):
@@ -833,12 +869,14 @@ def _up_or_right_fronts(p: float, trials: int, master_seed: int):
     steps up (to index i-1 of front n-1) or right (to index i).
     """
     live = np.arange(trials, dtype=np.int64)
-    draw = _up_or_right_draw(rng.thresholds((p, 1.0 - p)), master_seed)
+    draw = _up_or_right_draw(master_seed)
+    thresholds = rng.thresholds((p, 1.0 - p))
     b = np.ones((trials, 1), dtype=bool)
     yield b
     for n in itertools.count(1):
         i = np.arange(n + 1, dtype=np.int64)
-        up = draw(live, i - n, -i) == 0
+        (above,) = rng.passed(draw(live, i - n, -i), thresholds)  # one plane, as p < 1
+        up = ~above  # atom 0
         padded = np.zeros((trials, n + 2), dtype=bool)
         padded[:, 1:-1] = b
         b = np.where(up, padded[:, :-1], padded[:, 1:])
@@ -879,7 +917,7 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
     measure = measure_for(ModelId("N-E", p))
     for radius in radii:
         _require_run(radius, trials)
-    draw = _up_or_right_draw(measure.thresholds, master_seed)
+    draw = _up_or_right_draw(master_seed)
     out = []
     for radius in radii:
         t0 = time.perf_counter()

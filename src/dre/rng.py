@@ -31,17 +31,35 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _M64 = (1 << 64) - 1
 
+# The same constants as plain ints.  A step on single integers runs in
+# Python ints, where numpy's per-call overhead would dominate: the lazy
+# row-by-row simulators draw single sites millions of times, and a sweep
+# row has one link.  Must stay bit-identical to the array steps.
+_GOLDEN_I = int(_GOLDEN)
+_MUL1_I = int(_MUL1)
+_MUL2_I = int(_MUL2)
 
-def _finalize(z, scratch=None):
-    """splitmix64 output stage: full avalanche on 64 bits.
 
-    An array is finalized in place, through one scratch buffer of its shape
-    for the shifts (a new one unless given); a scalar gives a new scalar.
+def _finalize_int(z: int) -> int:
+    z = ((z ^ (z >> 30)) * _MUL1_I) & _M64
+    z = ((z ^ (z >> 27)) * _MUL2_I) & _M64
+    return z ^ (z >> 31)
+
+
+def _link(part: int) -> int:
+    """The chain's link of an integer part, wrapped to 64 bits."""
+    return _finalize_int((part * _MUL1_I + _GOLDEN_I) & _M64)
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, int) or np.ndim(value) == 0
+
+
+def _finalize(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """splitmix64 output stage, in place on a uint64 array: full avalanche
+    on 64 bits, through one scratch buffer of z's shape for the shifts (a
+    new one unless given).
     """
-    if not isinstance(z, np.ndarray):
-        z = (z ^ (z >> _S30)) * _MUL1
-        z = (z ^ (z >> _S27)) * _MUL2
-        return z ^ (z >> _S31)
     if scratch is None:
         scratch = np.empty_like(z)
     for shift, mul in ((_S30, _MUL1), (_S27, _MUL2)):
@@ -53,18 +71,17 @@ def _finalize(z, scratch=None):
 
 def _as_u64(value) -> np.ndarray:
     # negative values wrap via two's complement, deterministically
-    if isinstance(value, (int, np.integer)):
-        return np.uint64(int(value) & _M64)
     arr = np.asarray(value)
     if arr.dtype == np.uint64:
         return arr
     return arr.astype(np.int64).astype(np.uint64)
 
 
-def hash_parts(seed: int, parts: Iterable) -> np.ndarray:
+def hash_parts(seed, parts: Iterable) -> np.ndarray:
     """Hash (seed, part_1, part_2, ...) to uint64, broadcasting array parts."""
-    with np.errstate(over="ignore"):
-        return hash_from(_finalize(_as_u64(seed) + _GOLDEN), parts)
+    if _is_scalar(seed):
+        return hash_from(_finalize_int((int(seed) + _GOLDEN_I) & _M64), parts)
+    return hash_from(_finalize(_as_u64(seed) + _GOLDEN), parts)
 
 
 def hash_from(state, parts: Iterable, out: Optional[np.ndarray] = None,
@@ -75,22 +92,37 @@ def hash_from(state, parts: Iterable, out: Optional[np.ndarray] = None,
     Given out, a uint64 array of the result's shape, the last of the parts
     (a sequence then) is finalized there instead, through scratch of the
     same shape when given, so a caller hashing many keys of one shape
-    allocates nothing of that size again.
+    allocates nothing of that size again.  Steps on scalars run in Python
+    ints, and a scalar result is a numpy uint64.
     """
-    h = state
+    h = int(state) if _is_scalar(state) else state
     last = len(parts) - 1 if out is not None else -1
-    with np.errstate(over="ignore"):
-        for i, part in enumerate(parts):
+    for i, part in enumerate(parts):
+        if _is_scalar(part):
+            link = _link(int(part))
+        else:
             link = _finalize(_as_u64(part) * _MUL1 + _GOLDEN)
-            shape = np.broadcast(h, link).shape
-            if not shape:
-                h = _finalize((h + _GOLDEN) ^ link)
-                continue
-            kept = i == last
-            z = np.add(h, _GOLDEN, out=out if kept else np.empty(shape, dtype=np.uint64))
-            z ^= link
-            h = _finalize(z, scratch if kept else None)
-    return h
+        if isinstance(h, int) and isinstance(link, int):
+            h = _finalize_int(((h + _GOLDEN_I) & _M64) ^ link)
+            continue
+        shape = np.broadcast_shapes(np.shape(h), np.shape(link))
+        z = np.add(h, _GOLDEN, out=out if i == last else np.empty(shape, dtype=np.uint64))
+        z ^= link
+        h = _finalize(z, scratch if i == last else None)
+    return np.uint64(h) if isinstance(h, int) else h
+
+
+def advanced(state: np.ndarray) -> np.ndarray:
+    """A new array of a chain state with the next step's increment added."""
+    return np.add(state, _GOLDEN)
+
+
+def finish(prefix: np.ndarray, part: int, out: np.ndarray,
+           scratch: np.ndarray) -> np.ndarray:
+    """hash_from(state, (part,), out, scratch) for prefix = advanced(state)
+    and an integer part: one xor and the finalizer, in place in out."""
+    np.bitwise_xor(prefix, _link(part), out=out)
+    return _finalize(out, scratch)
 
 
 def thresholds(probs: Sequence[float]) -> tuple[int, ...]:
@@ -101,11 +133,6 @@ def thresholds(probs: Sequence[float]) -> tuple[int, ...]:
 def atoms(seed, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
     """Atom index of every draw keyed on (seed, parts), broadcasting array parts."""
     return _pick(hash_parts(seed, parts), thresholds)
-
-
-def atoms_from(state, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
-    """atoms() continued from a chain state: atoms_from(hash_parts(s, a), b, t) == atoms(s, a + b, t)."""
-    return _pick(hash_from(state, parts), thresholds)
 
 
 def passed(h, thresholds: Sequence[int],
@@ -141,25 +168,11 @@ def spawn_seed(master_seed: int, *indices: int) -> int:
     return int(hash_parts(master_seed, indices))
 
 
-# Scalar mirror of the vectorized path, in plain ints: the lazy row-by-row
-# simulators draw single sites millions of times and the numpy call
-# overhead dominates there.  Must stay bit-identical to hash_parts.
-
-_GOLDEN_I = int(_GOLDEN)
-_MUL1_I = int(_MUL1)
-_MUL2_I = int(_MUL2)
-
-
-def _finalize_int(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MUL1_I) & _M64
-    z = ((z ^ (z >> 27)) * _MUL2_I) & _M64
-    return z ^ (z >> 31)
-
+# The scalar mirror of atoms(), for the lazy simulators' single sites.
 
 def atom_one(thresholds: Sequence[int], seed: int, *parts: int) -> int:
     """Scalar atom index equal to atoms(seed, parts, thresholds) elementwise."""
     h = _finalize_int((seed + _GOLDEN_I) & _M64)
     for part in parts:
-        pm = _finalize_int((part * _MUL1_I + _GOLDEN_I) & _M64)
-        h = _finalize_int(((h + _GOLDEN_I) & _M64) ^ pm)
+        h = _finalize_int(((h + _GOLDEN_I) & _M64) ^ _link(part))
     return bisect_right(thresholds, h >> 11)  # thresholds never decrease

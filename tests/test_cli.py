@@ -58,6 +58,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run_cli("estimate", "--statistic", "reach_otsp", "--p", "0.5",
                    "--radius", "5", "--trials", "0") == 2
     assert run_cli("bisect", "--model", "otsp", "--radius", "0", "--trials", "5") == 2
+    capsys.readouterr()
+    for bad in (["--target", "nan"], ["--tol", "nan"], ["--target", "1.5"], ["--target", "0"],
+                ["--tol", "0"], ["--tol", "inf"]):
+        assert run_cli("bisect", "--model", "otsp", "--radius", "5", "--trials", "5", *bad) == 2
+        assert "probe" not in capsys.readouterr().out, bad  # rejected before any probe
     assert run_cli("cluster", "--model", "NE-SW", "--radius", "4", "--origin", "1") == 2
     out = tmp_path / "render.pgm"
     for origin in (["--origin=-9,-9"], ["--origin", "9,9"]):

@@ -5,17 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dre import montecarlo, rng
 from dre.bitgrid import move_masks, pack_rows
 from dre.clusters import backward_cluster, forward_cluster
-from dre.directions import NE_MASK, parse_token
+from dre.directions import BIT_E, BIT_N, NE_MASK, parse_token
 from dre.env import EnvironmentGrid, Window, sample_environment, sample_masks
 from dre.errors import ValidationError
 from dre.measure import SupportMeasure
-from dre.models import ModelId, measure_for, two_valued
+from dre.models import ModelId, measure_for
 from dre.montecarlo import (
     CSV_HEADER,
     EstimateRecord,
@@ -124,27 +124,94 @@ def test_fast_oriented_path_matches_generic():
     measure = measure_for(model)
     assert _is_ne_oriented(measure)
     for stat, backward in ((REACH_C, False), (REACH_B, True)):
-        fast = _oriented_reach_trials(measure, 20, 40, _site_draw(measure.thresholds, 13, 40),
+        fast = _oriented_reach_trials(measure, 20, 40, _site_draw(13, 40),
                                       backward=backward)
         slow = _packed_values(measure, 20, 40, 13, stat).astype(bool)
         assert np.array_equal(fast, slow)
 
 
-@given(tokens=st.permutations([".", "E", "N", "NE"]), p=OPEN_P, radius=st.integers(1, 12),
+@st.composite
+def _ne_oriented_measures(draw):
+    """Measures of 1-4 of the atoms NE, E, N and none, in any order; with
+    top, the last atom gets 1e-17, so the last cumulative sum rounds to 1
+    and its threshold to 2^53: no draw passes it, and it makes no plane."""
+    masks = draw(st.permutations([NE_MASK, 1, 2, 0]))[:draw(st.integers(1, 4))]
+    weights = [draw(st.floats(0.05, 1.0)) for _ in masks]
+    top = len(masks) > 1 and draw(st.booleans())
+    probs = [w / sum(weights[:-1] if top else weights) for w in weights]
+    if top:
+        probs[-1] = 1e-17
+    measure = SupportMeasure(2, tuple(zip(masks, probs)))
+    assume(not top or measure.thresholds[-1] == 2**53)  # the sum may round below 1
+    return measure
+
+
+@given(measure=_ne_oriented_measures(), radius=st.integers(1, 12),
        seed=st.integers(0, 2**32), batch=st.integers(1, 4),
        mode=st.sampled_from(["forward", "backward", "live origin"]))
-@settings(max_examples=60, deadline=None)
-def test_oriented_sweep_matches_generic(tokens, p, radius, seed, batch, mode):
-    measure = two_valued(tokens[0], tokens[1], p)
+@settings(max_examples=80, deadline=None)
+def test_oriented_sweep_matches_generic(measure, radius, seed, batch, mode):
     assert _is_ne_oriented(measure)
     trials = 9
-    origin = parse_token(tokens[0]) | parse_token(tokens[1]) if mode == "live origin" else None
-    fast = _oriented_reach_trials(measure, radius, trials,
-                                  _site_draw(measure.thresholds, seed, trials),
+    origin = int(np.bitwise_or.reduce(measure.masks)) if mode == "live origin" else None
+    fast = _oriented_reach_trials(measure, radius, trials, _site_draw(seed, trials),
                                   backward=mode == "backward", origin=origin, batch=batch)
     slow = _packed_values(measure, radius, trials, seed,
                           REACH_B if mode == "backward" else REACH_C, origin).astype(bool)
     assert np.array_equal(fast, slow)
+
+
+def _captured_gates(sweep):
+    """The gates(live, k) callable that sweep() hands the row sweep."""
+    seen = []
+
+    def capture(trials, batch, n, gates, up_at_source, diagonal):
+        seen.append(gates)
+        return np.zeros(trials, dtype=bool)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(montecarlo, "_lazy_sweep", capture)
+        sweep()
+    return seen[0]
+
+
+# (live trials, row) calls as a sweep makes them: a batch's rows in order, with
+# trials dropped, then the next batch
+GATE_CALLS = [([0, 1, 2, 3], 0), ([0, 1, 2, 3], 1), ([0, 2, 3], 2), ([2], 3), ([4, 5], 0),
+              ([4, 5], 1), ([5], 2)]
+
+
+@given(measure=_ne_oriented_measures(), n=st.sampled_from([1, 2, 5, 63, 64, 65, 129]),
+       seed=st.integers(0, 2**64 - 1),
+       mode=st.sampled_from(["forward", "backward", "origin", "otsp"]),
+       origin=st.integers(0, NE_MASK))
+@settings(max_examples=80, deadline=None)
+def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
+    # every row's packed gates against a lookup of each site's atom mask on the same keys
+    backward, sign = mode == "backward", -1 if mode == "backward" else 1
+    if mode == "otsp":
+        thresholds, masks = rng.thresholds((0.6, 0.4)), np.array([1, 0])  # open: atom 0
+        gates = _captured_gates(lambda: _otsp_reach_trials(0.6, n - 1, 6, seed, origin & 1, 4))
+        bits, origin = (1, 1), (origin & 1) or None
+    else:
+        thresholds, masks = measure.thresholds, measure.masks
+        origin = origin if mode == "origin" else None
+        gates = _captured_gates(lambda: _oriented_reach_trials(
+            measure, n - 1, 6, _site_draw(seed, 6), backward, origin, batch=4))
+        bits = (BIT_N, BIT_E)
+    xs = (1 if mode in ("forward", "origin") else -1) * np.arange(n)  # otsp runs west
+    for live, k in GATE_CALLS:
+        live = np.array(live)
+        got = gates(live, k)
+        seeds = [rng.spawn_seed(seed, t) for t in live.tolist()]
+        arrows = masks[np.array([rng.atoms(s, (xs, sign * k), thresholds) for s in seeds])]
+        for plane, bit in zip(got, bits):
+            want = (arrows & bit) != 0
+            if k == 0 and origin is not None:
+                want[:, 0] = bool(origin & bit)
+            if backward and bit == BIT_E:
+                want[:, :-1] = want[:, 1:]
+            assert np.array_equal(plane, pack_rows(want)), (live, k, bit)
 
 
 @given(p=OPEN_P, radius=st.integers(1, 12), trials=st.integers(1, 12),
@@ -205,7 +272,7 @@ def test_sweeps_at_word_boundaries(radius):
     measure = measure_for(ModelId("NE-.", 0.75))
     for stat, backward, origin in ((REACH_C, False, None), (REACH_B, True, None),
                                    (REACH_C, False, NE_MASK)):
-        draw = _site_draw(measure.thresholds, radius, 8)
+        draw = _site_draw(radius, 8)
         fast = _oriented_reach_trials(measure, radius, 8, draw, backward, origin, batch=3)
         slow = _packed_values(measure, radius, 8, radius, stat, origin).astype(bool)
         assert np.array_equal(fast, slow)
@@ -310,6 +377,16 @@ def test_bisect_allowlist_and_bracketing():
         bisect_pc(lambda p: 1.0, radius=10)  # lower endpoint already above target
 
 
+@pytest.mark.parametrize("target, tol", [(math.nan, 0.005), (0.5, math.nan), (1.5, 0.005),
+                                         (0.0, 0.005), (1.0, 0.005), (0.5, 0.0), (0.5, -0.1),
+                                         (0.5, math.inf)])
+def test_bisect_target_and_tol_are_validated_before_probing(target, tol):
+    calls = []
+    with pytest.raises(ValidationError):
+        bisect_pc(lambda p: calls.append(p) or 0.5, radius=10, target=target, tol=tol)
+    assert calls == []
+
+
 def test_survival_curve_grid_validation():
     with pytest.raises(ValidationError):
         survival_curve("NE-.", [0.5, 0.5], 10, 5)
@@ -407,7 +484,7 @@ def test_theta_minus_sweep_matches_up_or_right_oracle(p, radius, trials, seed):
         hits.append(backward_cluster(env, (0, 0)).touches_boundary)
     measure = measure_for(ModelId("N-E", p))
     swept = _oriented_reach_trials(measure, radius, trials,
-                                   _up_or_right_draw(measure.thresholds, seed), backward=True)
+                                   _up_or_right_draw(seed), backward=True)
     assert swept.tolist() == hits
     assert theta_minus_curve(p, [radius], trials, seed)[0].estimate == np.mean(hits)
 
@@ -471,7 +548,7 @@ def test_site_draw_holds_one_batch_of_prefix(monkeypatch):
         return out
 
     def sweep(batch):
-        return _oriented_reach_trials(measure, 65, 8, _site_draw(measure.thresholds, 4, 8),
+        return _oriented_reach_trials(measure, 65, 8, _site_draw(4, 8),
                                       backward=False, origin=NE_MASK, batch=batch)
 
     with monkeypatch.context() as m:

@@ -60,16 +60,38 @@ def test_row_draw_equals_full_grid_row(signs):
                               grid[[3, 1], :, k])
     # the sweep's row draw holds the (trial, column) prefix of one batch and
     # compacts it with the live trials; every site must still be its own hash
-    draw = _site_draw(THREE_ATOMS, 11, 7)
+    draw = _site_draw(11, 7)
     live = np.arange(4)
     calls = [(live, 0), (live, 1), (np.array([0, 2, 3]), 2), (np.array([0, 2, 3]), 63),
              (np.array([3]), 64), (np.arange(4, 7), 0), (np.array([4, 6]), 69),
              (np.array([1, 5]), 3)]  # trials the held prefix does not cover
     for trials, k in calls:
         got = draw(trials, cols, sy * k)
-        want = [[rng.atoms(rng.spawn_seed(11, t), (x, sy * k), THREE_ATOMS) for x in cols]
+        want = [[rng.hash_parts(rng.spawn_seed(11, t), (x, sy * k)) for x in cols]
                 for t in trials.tolist()]
         assert np.array_equal(got, want), (trials, k)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**64 - 1, 2**64 - 2, 2**63])
+def test_row_finish_matches_hash_parts(seed):
+    # the sweep's row draw: the (trial, column) prefix advanced once, then
+    # finished per row with a link made in Python ints; seeds near 2^64 are
+    # the negative ones, wrapped
+    assert rng.spawn_seed(seed, 3) == rng.spawn_seed(seed - 2**64, 3)
+    seeds = rng.hash_parts(seed, (np.arange(4, dtype=np.int64),))
+    cols = np.arange(-3, 67, dtype=np.int64)
+    state = rng.hash_parts(seeds[:, None], (cols,))
+    kept = state.copy()
+    prefix = rng.advanced(state)
+    out, scratch = np.empty((2,) + state.shape, dtype=np.uint64)
+    for y in (-2**63, -1, 0, 1, 2**63 - 1):
+        assert rng.finish(prefix, y, out, scratch) is out
+        assert np.array_equal(out, rng.hash_parts(seeds[:, None], (cols, y)))
+        assert np.array_equal(out, rng.hash_from(state, (np.int64(y),)))
+        for t, i in ((0, 0), (3, 69)):  # scalar chains, all in Python ints
+            assert out[t, i] == rng.hash_parts(int(seeds[t]), (int(cols[i]), y))
+            assert out[t, i] == rng.hash_parts(seeds[t], (np.array(cols[i]), np.uint64(y % 2**64)))
+    assert np.array_equal(state, kept)
 
 
 def _layout(values, layout, dtype):
@@ -94,9 +116,7 @@ def test_chain_continues_from_a_prefix(seed, values, cut, layout, dtype):
     full = rng.hash_parts(seed, parts)
     for _ in range(2):  # the second draw sees what the first one left
         assert np.array_equal(rng.hash_from(state, b), full)
-        assert np.array_equal(rng.atoms_from(state, b, THREE_ATOMS),
-                              rng.atoms(seed, parts, THREE_ATOMS))
-    drawn = rng.atoms_from(state, b, THREE_ATOMS)
+    drawn = rng.atoms(seed, parts, THREE_ATOMS)
     scalars = [np.broadcast_to(part, np.shape(full)) for part in parts]
     for i in np.ndindex(np.shape(full)):
         key = [int(part[i]) for part in scalars]  # equal mod 2^64 to the int64 value
