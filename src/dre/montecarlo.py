@@ -153,7 +153,8 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # Row k is drawn only for the trials still alive when the sweep gets there,
 # by the caller's row draw, which owns the key: a draw is a pure hash of its
 # key, so a trial whose cluster dies after a few rows costs a few rows of hash.
-# A row is a (B, nwords) uint64 bit set; its right gates close it in one
+# The row's gates are packed straight from those hashes, one threshold plane
+# at a time (_sweep_gates).  A row is a (B, nwords) uint64 bit set; its right gates close it in one
 # carry pass (_row_propagate) and its up gates (plus, on otsp, a one-bit
 # shift) carry it to the next row.  A trial leaves the sweep once its row
 # is empty or meets the last column, and the sweep stops when none is left.
