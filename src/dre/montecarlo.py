@@ -150,11 +150,12 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # lattice, reachability never leaves one quadrant and a single row sweep
 # decides it.  The quadrant is taken in sweep order: the source is corner
 # (row 0, column 0) and every move goes right, up, or (otsp) up-right.
-# Row k is drawn only for the trials still alive when the sweep gets there,
-# by the caller's row draw, which owns the key: a draw is a pure hash of its
-# key, so a trial whose cluster dies after a few rows costs a few rows of hash.
-# The row's gates are packed straight from those hashes, one threshold plane
-# at a time (_sweep_gates).  A row is a (B, nwords) uint64 bit set; its right gates close it in one
+# Row k is drawn only for the trials still alive when the sweep
+# (_oriented_reach_trials) gets there, by the caller's row draw, which owns
+# the key: a draw is a pure hash of its key, so a trial whose cluster dies
+# after a few rows costs a few rows of hash.  The row's gates are packed
+# straight from those hashes, one threshold plane at a time (_row_gates).
+# A row is a (B, nwords) uint64 bit set; its right gates close it in one
 # carry pass (_row_propagate) and its up gates (plus, on otsp, a one-bit
 # shift) carry it to the next row.  A trial leaves the sweep once its row
 # is empty or meets the last column, and the sweep stops when none is left.
@@ -204,35 +205,115 @@ def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return s
 
 
-def _lazy_sweep(trials: int, batch: int, n: int,
-                gates: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
-                up_at_source: bool, diagonal: bool) -> np.ndarray:
-    """Edge contact of the corner's cluster on an n x n quadrant, per trial.
+# A row draw is a pair (start, finish): start(live) gives the key state of
+# the trials with indices live, one trial per entry of axis 0, and
+# finish(state, y) the (B, n) uint64 hashes of their row y over the draw's
+# n columns.
+RowDraw = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, int], np.ndarray]]
 
-    Trials run batch at a time.  gates(live, k) draws row k of the trials
-    with indices live and returns its packed (up, right) gates: right
-    bit i opens the step from column i to i + 1 in row k; up bit i opens
-    the step from column i of row k to row k + 1 (up_at_source) or into
-    column i of row k from row k - 1 (otherwise), and with diagonal the up
-    gate also opens the step to column i + 1 of row k + 1.  Contact is
-    meeting the last column or the last row.
+
+def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
+    """The package rule on columns xs: site (x, y) of trial t keyed on
+    (spawn_seed(master_seed, t), x, y).
+
+    The hash chain's state after (seed, x) does not depend on the row, so
+    start hashes it once, advanced for the next step, and finish completes
+    it with y into hash and scratch buffers kept for the draw: a row it
+    returns holds until the next finish.
     """
+    seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
+    buf = np.empty((2, 0), dtype=np.uint64)
+
+    def start(live: np.ndarray) -> np.ndarray:
+        return rng.advanced(rng.hash_parts(seeds[live][:, None], (xs,)))
+
+    def finish(prefix: np.ndarray, y: int) -> np.ndarray:
+        nonlocal buf
+        if buf.shape[1] < prefix.size:
+            buf = np.empty((2, prefix.size), dtype=np.uint64)
+        h, scratch = buf[:, :prefix.size].reshape((2,) + prefix.shape)
+        return rng.finish(prefix, y, h, scratch)
+
+    return start, finish
+
+
+def _up_or_right_hash(master_seed: int, trials: np.ndarray, xs, ys) -> np.ndarray:
+    """Hashes of sites (x, y) of the trials, keyed on (master_seed, t, -(x + y), -y);
+    trials run along axis 0, and xs and ys broadcast along axis 1."""
+    return rng.hash_parts(master_seed, (trials[:, None], -(xs + ys), -ys))
+
+
+def _row_gates(h: np.ndarray, thresholds: Sequence[int], masks: list[int], n: int,
+               backward: bool, origin: Optional[int], above: np.ndarray):
+    """The packed (E, N) gates of a (B, n) row of hashes drawn as atoms with masks.
+
+    Each threshold's plane of h is compared into above, a bool buffer of at
+    least B rows, False past column n and padded to whole words so that its
+    packed bytes are the words, and bitgrid.atom_plane maps those planes to
+    the E and N gates; when the same atoms carry E and N, one plane serves
+    both.  origin, when given, replaces column 0's draw.  Backward, the E
+    gates move one column back (e[i] = e[i + 1]; bit n - 1 keeps its own).
+    """
+    rows = above[:len(h)]
+    passed = [np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
+              for _ in rng.passed(h, thresholds, rows[:, :n])]
+    shape = (len(h), -(-n // 64))
+    e = atom_plane(passed, masks, BIT_E, n, np.empty(shape, np.uint64))
+    if origin is None and all(bool(m & BIT_E) == bool(m & BIT_N) for m in masks):
+        up = e
+    else:
+        up = atom_plane(passed, masks, BIT_N, n, np.empty(shape, np.uint64))
+    if origin is not None:  # bit 0 takes the origin's gates
+        e[:, 0] = e[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_E))
+        up[:, 0] = up[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_N))
+    if backward:
+        word, bit = divmod(n - 1, 64)
+        back = e >> _ONE
+        back[:, :-1] |= e[:, 1:] << np.uint64(63)
+        back[:, word] |= e[:, word] & np.uint64(1 << bit)
+        e = back
+    return e, up
+
+
+def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, n: int,
+                           backward: bool, origin: Optional[int] = None,
+                           diagonal: bool = False, batch: int = 256) -> np.ndarray:
+    """Edge contact of the corner's cluster on an n x n quadrant of a
+    NE-oriented model, per trial: meeting the last column or the last row.
+
+    Trials run batch at a time, row by row; row k is drawn at y = k, or
+    y = -k backward, as atoms of measure, and origin, when given, replaces
+    the corner's draw.  Forward, a gate sits at its source: E at column i
+    opens the step to i + 1, and N the step up.  Backward reach is swept in
+    the reflected coordinates (-column, -row), where a gate sits at its
+    destination: the E gates move one column back, and a row's N gates open
+    the steps into it.  With diagonal (forward), an N gate also opens the
+    step to column i + 1 of the next row.
+    """
+    start, finish = draw
+    nwords = -(-n // 64)
     word, bit = divmod(n - 1, 64)
     last = np.uint64(1 << bit)
+    thresholds, masks = measure.thresholds, measure.masks.tolist()
+    above = np.zeros((batch, 64 * nwords), dtype=bool)
+    dy = -1 if backward else 1
     out = np.zeros(trials, dtype=bool)
     for lo in range(0, trials, batch):
         live = np.arange(lo, min(lo + batch, trials), dtype=np.int64)
-        row = np.zeros((len(live), word + 1), dtype=np.uint64)
+        state = start(live)
+        row = np.zeros((len(live), nwords), dtype=np.uint64)
         row[:, 0] = 1
         for k in range(n):
-            up, right = gates(live, k)
+            e, up = _row_gates(finish(state, dy * k), thresholds, masks, n, backward,
+                               origin if k == 0 else None, above)
             if k:
-                row &= up_prev if up_at_source else up
+                if backward:  # an N gate at its destination opens the step into row k
+                    row &= up
                 if diagonal:  # bit n - 1 of a live row is clear, so nothing falls off
-                    shifted = row << np.uint64(1)
+                    shifted = row << _ONE
                     shifted[:, 1:] |= row[:, :-1] >> np.uint64(63)
                     row |= shifted
-            row = _row_propagate(row, right)
+            row = _row_propagate(row, e)
             alive = row.any(axis=1)
             if k == n - 1:
                 out[live] = alive
@@ -242,118 +323,11 @@ def _lazy_sweep(trials: int, batch: int, n: int,
             keep = alive & ~hit
             if not keep.any():
                 break
+            if not backward:  # an N gate at its source opens the step out of row k
+                row &= up
             if not keep.all():
-                live, row, up = live[keep], row[keep], up[keep]
-            up_prev = up
+                live, state, row = live[keep], state[keep], row[keep]
     return out
-
-
-RowDraw = Callable[[np.ndarray, np.ndarray, int], np.ndarray]  # (trials, xs, y) -> hashes
-
-
-def _site_draw(master_seed: int, trials: int) -> RowDraw:
-    """The package rule: site (x, y) of trial t keyed on (spawn_seed(master_seed, t), x, y).
-
-    The hash chain's state after (seed, x) does not depend on the row, so
-    it is held, advanced for the next step, for the trials of the latest
-    call and compacted with them; a row only finishes it with y.  A call
-    the held trials or columns do not cover (a sweep's first row of a
-    batch) hashes a new prefix.  The held trial and column arrays are the
-    caller's, taken to stay unchanged.  The rows are finished into hash
-    and scratch buffers kept for the draw, so a row it returns holds until
-    the next call.
-    """
-    seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
-    held = None  # (trials, xs, advanced prefix)
-    buf = np.empty((2, 0), dtype=np.uint64)
-
-    def draw(live: np.ndarray, xs: np.ndarray, y: int) -> np.ndarray:
-        nonlocal held, buf
-        if held is not None and held[1] is xs:
-            have, _, prefix = held
-            if live is not have:
-                pos = np.searchsorted(have, live).clip(max=len(have) - 1)
-                held = (live, xs, prefix[pos]) if np.array_equal(have[pos], live) else None
-        else:
-            held = None
-        if held is None:
-            held = (live, xs, rng.advanced(rng.hash_parts(seeds[live][:, None], (xs,))))
-        prefix = held[2]
-        if buf.shape[1] < prefix.size:
-            buf = np.empty((2, prefix.size), dtype=np.uint64)
-        h, scratch = buf[:, :prefix.size].reshape((2,) + prefix.shape)
-        return rng.finish(prefix, y, h, scratch)
-
-    return draw
-
-
-def _up_or_right_draw(master_seed: int) -> RowDraw:
-    """Site (x, y) of trial t keyed on (master_seed, t, -(x + y), -y), as in the fronts."""
-    def draw(live: np.ndarray, xs: np.ndarray, y) -> np.ndarray:
-        return rng.hash_parts(master_seed, (live[:, None], -(xs + y), -y))
-
-    return draw
-
-
-def _sweep_gates(measure: SupportMeasure, draw: RowDraw, xs: np.ndarray, backward: bool,
-                 origin: Optional[int], batch: int):
-    """The gates(live, k) of a NE-oriented sweep over columns xs (see
-    _oriented_reach_trials); row k is drawn at y = k, or -k backward.
-
-    Each threshold's plane of the row's hashes is compared into a bool
-    buffer kept for the sweep, padded to whole words so that its packed
-    bytes are the words, and bitgrid.atom_plane maps those planes to the E
-    and N gates; when the same atoms carry E and N, one plane serves both.
-    """
-    n = len(xs)
-    nwords = -(-n // 64)
-    above = np.zeros((batch, 64 * nwords), dtype=bool)
-    thresholds, masks = measure.thresholds, measure.masks.tolist()
-    same = all(bool(m & BIT_E) == bool(m & BIT_N) for m in masks)
-    bits = (BIT_E,) if same else (BIT_E, BIT_N)
-    dy = -1 if backward else 1
-    word, bit = divmod(n - 1, 64)
-    last = np.uint64(1 << bit)
-
-    def gates(live: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = above[:len(live)]
-        passed = [np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
-                  for _ in rng.passed(draw(live, xs, dy * k), thresholds, rows[:, :n])]
-        made = [atom_plane(passed, masks, bit, n, np.empty((len(live), nwords), np.uint64))
-                for bit in bits]
-        e, up = made[0], made[-1]
-        if k == 0 and origin is not None:  # bit 0 takes the origin's gates
-            e, up = e.copy(), up.copy()
-            e[:, 0] = e[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_E))
-            up[:, 0] = up[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_N))
-        if backward:  # e[i] = e[i + 1] for i < n - 1; bit n - 1 keeps its gate
-            back = e >> _ONE
-            back[:, :-1] |= e[:, 1:] << np.uint64(63)
-            back[:, word] |= e[:, word] & last
-            e = back
-        return up, e
-
-    return gates
-
-
-def _oriented_reach_trials(measure: SupportMeasure, radius: int, trials: int,
-                           draw: RowDraw, backward: bool,
-                           origin: Optional[int] = None,
-                           batch: int = 256) -> np.ndarray:
-    """Edge contact of the forward (or backward) cluster of a NE-oriented model.
-
-    The forward cluster lives in the quadrant [0, radius]^2, the backward
-    one in [-radius, 0]^2.  Backward reach is swept in the reflected
-    coordinates (-column, -row): there a gate sits at the destination, so
-    an E gate moves one column back and a row's N gate opens the step into
-    it.  draw gives the sites' hashes, drawn as atoms of measure; origin,
-    when given, replaces the origin's draw.  batch bounds the trials hashed
-    per row.
-    """
-    n = radius + 1
-    xs = (-1 if backward else 1) * np.arange(n, dtype=np.int64)
-    gates = _sweep_gates(measure, draw, xs, backward, origin, batch)
-    return _lazy_sweep(trials, batch, n, gates, up_at_source=not backward, diagonal=False)
 
 
 # Trials per reach_batch call on the generic path.  Trials are hashed and
@@ -391,10 +365,10 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
         iy, site = -window.lo[1], np.uint64(1 << bit)
         origin_has = np.array([bool(origin & b) for b in (BIT_E, BIT_N, BIT_W, BIT_S)])
     for lo in range(0, trials, REACH_CHUNK):
-        prefixes = rng.hash_parts(seeds[lo:lo + REACH_CHUNK, None], (xs,))
+        prefixes = rng.advanced(rng.hash_parts(seeds[lo:lo + REACH_CHUNK, None], (xs,)))
         moves = np.empty((4, len(prefixes), ny, -(-nx // 64)), dtype=np.uint64)
         for i, prefix in enumerate(prefixes):
-            rng.hash_from(prefix, (ys,), h, scratch)
+            rng.finish(prefix, ys, h, scratch)
             atom_moves([pack_rows(p) for p in rng.passed(h, thresholds, above)], masks, nx,
                        moves[:, i])
             if origin is not None:
@@ -433,9 +407,12 @@ def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
     """
     origin = int(np.bitwise_or.reduce(measure.masks)) if live_origin else None
     if statistic in (REACH_C, REACH_B) and _is_ne_oriented(measure):
-        draw = _site_draw(master_seed, trials)
-        return _oriented_reach_trials(measure, radius, trials, draw, statistic == REACH_B,
-                                      origin)
+        # the forward cluster lives in the quadrant [0, radius]^2, the
+        # backward one in [-radius, 0]^2, swept in reflected coordinates
+        backward, n = statistic == REACH_B, radius + 1
+        xs = (-1 if backward else 1) * np.arange(n, dtype=np.int64)
+        return _oriented_reach_trials(measure, trials, _site_draw(master_seed, trials, xs), n,
+                                      backward, origin)
     return _packed_values(measure, radius, trials, master_seed, statistic, origin)
 
 
@@ -546,13 +523,12 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
     but not left, matching the site-percolation convention.  batch bounds
     the trials hashed per row.
     """
-    n = radius + 1
     # an open site carries NE: its gates are a NE-. site's, on columns
     # x = -i (origin at column 0, west is +1)
-    gates = _sweep_gates(measure_for(ModelId("NE-.", p)), _site_draw(master_seed, trials),
-                         -np.arange(n, dtype=np.int64), False, NE_MASK if origin_open else None,
-                         batch)
-    return _lazy_sweep(trials, batch, n, gates, up_at_source=True, diagonal=True)
+    n = radius + 1
+    draw = _site_draw(master_seed, trials, -np.arange(n, dtype=np.int64))
+    return _oriented_reach_trials(measure_for(ModelId("NE-.", p)), trials, draw, n, False,
+                                  NE_MASK if origin_open else None, diagonal=True, batch=batch)
 
 
 def otsp_reach_estimate(p: float, radius: int, trials: int,
@@ -870,13 +846,12 @@ def _up_or_right_fronts(p: float, trials: int, master_seed: int):
     steps up (to index i-1 of front n-1) or right (to index i).
     """
     live = np.arange(trials, dtype=np.int64)
-    draw = _up_or_right_draw(master_seed)
     thresholds = rng.thresholds((p, 1.0 - p))
     b = np.ones((trials, 1), dtype=bool)
     yield b
     for n in itertools.count(1):
         i = np.arange(n + 1, dtype=np.int64)
-        (above,) = rng.passed(draw(live, i - n, -i), thresholds)  # one plane, as p < 1
+        (above,) = rng.passed(_up_or_right_hash(master_seed, live, i - n, -i), thresholds)  # one plane, as p < 1
         up = ~above  # atom 0
         padded = np.zeros((trials, n + 2), dtype=bool)
         padded[:, 1:-1] = b
@@ -894,8 +869,8 @@ def martingale_test(p: float, radius: int, trials: int, n_levels: int = 30,
     """
     require_p(p)
     _require_two(trials, "trials")
-    if n_levels >= radius:
-        raise ValidationError("keep n_levels < radius so no level is truncated")
+    if not 1 <= n_levels < radius:
+        raise ValidationError(f"need 1 <= n_levels < radius, so no level is truncated, got {n_levels}")
     fronts = _up_or_right_fronts(p, trials, master_seed)
     counts = np.array([front.sum(axis=1) for front in itertools.islice(fronts, n_levels + 1)])
     means = counts.mean(axis=1)
@@ -918,11 +893,13 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
     measure = measure_for(ModelId("N-E", p))
     for radius in radii:
         _require_run(radius, trials)
-    draw = _up_or_right_draw(master_seed)
     out = []
     for radius in radii:
         t0 = time.perf_counter()
-        touched = _oriented_reach_trials(measure, radius, trials, draw, backward=True)
+        n = radius + 1
+        xs = -np.arange(n, dtype=np.int64)
+        draw = (lambda live: live, lambda live, y: _up_or_right_hash(master_seed, live, xs, y))
+        touched = _oriented_reach_trials(measure, trials, draw, n, backward=True)
         out.append(_record("N-E", p, radius, REACH_B, touched, master_seed, t0))
     return out
 

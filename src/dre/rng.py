@@ -46,11 +46,6 @@ def _finalize_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _link(part: int) -> int:
-    """The chain's link of an integer part, wrapped to 64 bits."""
-    return _finalize_int((part * _MUL1_I + _GOLDEN_I) & _M64)
-
-
 def _is_scalar(value) -> bool:
     return isinstance(value, int) or np.ndim(value) == 0
 
@@ -77,6 +72,14 @@ def _as_u64(value) -> np.ndarray:
     return arr.astype(np.int64).astype(np.uint64)
 
 
+def _link(part):
+    """The chain's link of a part, wrapped to 64 bits: a Python int for a
+    scalar part, else a new uint64 array of the part's shape."""
+    if _is_scalar(part):
+        return _finalize_int((int(part) * _MUL1_I + _GOLDEN_I) & _M64)
+    return _finalize(_as_u64(part) * _MUL1 + _GOLDEN)
+
+
 def hash_parts(seed, parts: Iterable) -> np.ndarray:
     """Hash (seed, part_1, part_2, ...) to uint64, broadcasting array parts."""
     if _is_scalar(seed):
@@ -84,31 +87,23 @@ def hash_parts(seed, parts: Iterable) -> np.ndarray:
     return hash_from(_finalize(_as_u64(seed) + _GOLDEN), parts)
 
 
-def hash_from(state, parts: Iterable, out: Optional[np.ndarray] = None,
-              scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def hash_from(state, parts: Iterable) -> np.ndarray:
     """Continue a hash chain: hash_from(hash_parts(s, a), b) == hash_parts(s, a + b).
 
     state is never written: each step finalizes a fresh array in place.
-    Given out, a uint64 array of the result's shape, the last of the parts
-    (a sequence then) is finalized there instead, through scratch of the
-    same shape when given, so a caller hashing many keys of one shape
-    allocates nothing of that size again.  Steps on scalars run in Python
-    ints, and a scalar result is a numpy uint64.
+    Steps on scalars run in Python ints, and a scalar result is a numpy
+    uint64.
     """
     h = int(state) if _is_scalar(state) else state
-    last = len(parts) - 1 if out is not None else -1
-    for i, part in enumerate(parts):
-        if _is_scalar(part):
-            link = _link(int(part))
-        else:
-            link = _finalize(_as_u64(part) * _MUL1 + _GOLDEN)
+    for part in parts:
+        link = _link(part)
         if isinstance(h, int) and isinstance(link, int):
             h = _finalize_int(((h + _GOLDEN_I) & _M64) ^ link)
             continue
         shape = np.broadcast_shapes(np.shape(h), np.shape(link))
-        z = np.add(h, _GOLDEN, out=out if i == last else np.empty(shape, dtype=np.uint64))
+        z = np.add(h, _GOLDEN, out=np.empty(shape, dtype=np.uint64))
         z ^= link
-        h = _finalize(z, scratch if i == last else None)
+        h = _finalize(z)
     return np.uint64(h) if isinstance(h, int) else h
 
 
@@ -117,10 +112,12 @@ def advanced(state: np.ndarray) -> np.ndarray:
     return np.add(state, _GOLDEN)
 
 
-def finish(prefix: np.ndarray, part: int, out: np.ndarray,
-           scratch: np.ndarray) -> np.ndarray:
-    """hash_from(state, (part,), out, scratch) for prefix = advanced(state)
-    and an integer part: one xor and the finalizer, in place in out."""
+def finish(prefix: np.ndarray, part, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """hash_from(state, (part,)) for prefix = advanced(state), written into
+    out through scratch, both of the result's shape: one xor of the part's
+    link, broadcast against prefix, and the finalizer in place.  A caller
+    hashing many keys of one shape allocates nothing of that size again.
+    """
     np.bitwise_xor(prefix, _link(part), out=out)
     return _finalize(out, scratch)
 

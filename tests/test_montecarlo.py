@@ -27,14 +27,14 @@ from dre.montecarlo import (
     SIZE_M,
     TrialPlan,
     _is_ne_oriented,
-    _lazy_sweep,
     _oriented_reach_trials,
     _otsp_reach_trials,
     _packed_chunks,
     _packed_values,
+    _row_gates,
     _row_propagate,
     _site_draw,
-    _up_or_right_draw,
+    _up_or_right_hash,
     bisect_pc,
     check_theta_identity,
     classify_shapes,
@@ -119,13 +119,20 @@ def test_batch_size_does_not_change_estimates(monkeypatch):
             assert a.estimate == b.estimate and a.se == b.se
 
 
+def _ne_sweep(measure, radius, trials, seed, backward, origin=None, batch=256):
+    """The row sweep on the package's site draw, as run_plan runs it: forward
+    on columns x = i, backward on x = -i."""
+    xs = (-1 if backward else 1) * np.arange(radius + 1, dtype=np.int64)
+    return _oriented_reach_trials(measure, trials, _site_draw(seed, trials, xs), radius + 1,
+                                  backward, origin, batch=batch)
+
+
 def test_fast_oriented_path_matches_generic():
     model = ModelId("NE-.", 0.7)
     measure = measure_for(model)
     assert _is_ne_oriented(measure)
     for stat, backward in ((REACH_C, False), (REACH_B, True)):
-        fast = _oriented_reach_trials(measure, 20, 40, _site_draw(13, 40),
-                                      backward=backward)
+        fast = _ne_sweep(measure, 20, 40, 13, backward)
         slow = _packed_values(measure, 20, 40, 13, stat).astype(bool)
         assert np.array_equal(fast, slow)
 
@@ -154,29 +161,14 @@ def test_oriented_sweep_matches_generic(measure, radius, seed, batch, mode):
     assert _is_ne_oriented(measure)
     trials = 9
     origin = int(np.bitwise_or.reduce(measure.masks)) if mode == "live origin" else None
-    fast = _oriented_reach_trials(measure, radius, trials, _site_draw(seed, trials),
-                                  backward=mode == "backward", origin=origin, batch=batch)
+    fast = _ne_sweep(measure, radius, trials, seed, mode == "backward", origin, batch)
     slow = _packed_values(measure, radius, trials, seed,
                           REACH_B if mode == "backward" else REACH_C, origin).astype(bool)
     assert np.array_equal(fast, slow)
 
 
-def _captured_gates(sweep):
-    """The gates(live, k) callable that sweep() hands the row sweep."""
-    seen = []
-
-    def capture(trials, batch, n, gates, up_at_source, diagonal):
-        seen.append(gates)
-        return np.zeros(trials, dtype=bool)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(montecarlo, "_lazy_sweep", capture)
-        sweep()
-    return seen[0]
-
-
-# (live trials, row) calls as a sweep makes them: a batch's rows in order, with
-# trials dropped, then the next batch
+# (live trials, row) as a sweep draws them: a batch's rows in order, with
+# trials dropped, then the next batch, which starts a new key state
 GATE_CALLS = [([0, 1, 2, 3], 0), ([0, 1, 2, 3], 1), ([0, 2, 3], 2), ([2], 3), ([4, 5], 0),
               ([4, 5], 1), ([5], 2)]
 
@@ -187,25 +179,27 @@ GATE_CALLS = [([0, 1, 2, 3], 0), ([0, 1, 2, 3], 1), ([0, 2, 3], 2), ([2], 3), ([
        origin=st.integers(0, NE_MASK))
 @settings(max_examples=80, deadline=None)
 def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
-    # every row's packed gates against a lookup of each site's atom mask on the same keys
+    # every row's packed gates, built from the site draw's hashes with its
+    # key state compacted as the sweep does, against a lookup of each site's
+    # atom mask on the same keys
     backward, sign = mode == "backward", -1 if mode == "backward" else 1
-    if mode == "otsp":
-        thresholds, masks = rng.thresholds((0.6, 0.4)), np.array([1, 0])  # open: atom 0
-        gates = _captured_gates(lambda: _otsp_reach_trials(0.6, n - 1, 6, seed, origin & 1, 4))
-        bits, origin = (1, 1), (origin & 1) or None
-    else:
-        thresholds, masks = measure.thresholds, measure.masks
-        origin = origin if mode == "origin" else None
-        gates = _captured_gates(lambda: _oriented_reach_trials(
-            measure, n - 1, 6, _site_draw(seed, 6), backward, origin, batch=4))
-        bits = (BIT_N, BIT_E)
+    if mode == "otsp":  # NE-.'s gates: an open site (atom 0) carries NE
+        measure, origin = measure_for(ModelId("NE-.", 0.6)), NE_MASK if origin & 1 else None
+    elif mode != "origin":
+        origin = None
+    thresholds, masks = measure.thresholds, measure.masks
     xs = (1 if mode in ("forward", "origin") else -1) * np.arange(n)  # otsp runs west
+    start, finish = _site_draw(seed, 6, xs)
+    above = np.zeros((4, 64 * -(-n // 64)), dtype=bool)  # the sweep's buffer at batch 4
     for live, k in GATE_CALLS:
         live = np.array(live)
-        got = gates(live, k)
+        state = start(live) if k == 0 else state[np.isin(have, live)]
+        have = live
+        got = _row_gates(finish(state, sign * k), thresholds, masks.tolist(), n, backward,
+                         origin if k == 0 else None, above)
         seeds = [rng.spawn_seed(seed, t) for t in live.tolist()]
         arrows = masks[np.array([rng.atoms(s, (xs, sign * k), thresholds) for s in seeds])]
-        for plane, bit in zip(got, bits):
+        for plane, bit in zip(got, (BIT_E, BIT_N)):
             want = (arrows & bit) != 0
             if k == 0 and origin is not None:
                 want[:, 0] = bool(origin & bit)
@@ -272,8 +266,7 @@ def test_sweeps_at_word_boundaries(radius):
     measure = measure_for(ModelId("NE-.", 0.75))
     for stat, backward, origin in ((REACH_C, False, None), (REACH_B, True, None),
                                    (REACH_C, False, NE_MASK)):
-        draw = _site_draw(radius, 8)
-        fast = _oriented_reach_trials(measure, radius, 8, draw, backward, origin, batch=3)
+        fast = _ne_sweep(measure, radius, 8, radius, backward, origin, batch=3)
         slow = _packed_values(measure, radius, 8, radius, stat, origin).astype(bool)
         assert np.array_equal(fast, slow)
     got = _otsp_reach_trials(0.65, radius, 6, radius, origin_open=True, batch=4)
@@ -282,15 +275,19 @@ def test_sweeps_at_word_boundaries(radius):
 
 @pytest.mark.parametrize("n", [66, 129, 130])
 def test_diagonal_step_carries_across_words(n):
-    # sites open on the diagonal only: the cluster climbs it by diagonal
-    # steps alone, through bit 63 -> 64; trial 1's stair is closed at row 64
-    def gates(live, k):
-        is_open = np.zeros((len(live), n), dtype=bool)
-        is_open[:, k] = (live != 1) | (k != 64)
-        gate = pack_rows(is_open)
-        return gate, gate
+    # sites open (hash 0: atom 0 of NE-., NE) on the diagonal only and
+    # closed (all ones) elsewhere: the cluster climbs the diagonal by
+    # diagonal steps alone, through bit 63 -> 64; trial 1's stair is closed
+    # at row 64
+    closed = np.uint64(2**64 - 1)
 
-    got = _lazy_sweep(2, 256, n, gates, up_at_source=True, diagonal=True)
+    def finish(live, y):
+        h = np.full((len(live), n), closed)
+        h[:, y] = np.where((live != 1) | (y != 64), 0, closed)
+        return h
+
+    got = _oriented_reach_trials(measure_for(ModelId("NE-.", 0.5)), 2,
+                                 (lambda live: live, finish), n, False, diagonal=True)
     assert got.tolist() == [True, False]
 
 
@@ -483,8 +480,9 @@ def test_theta_minus_sweep_matches_up_or_right_oracle(p, radius, trials, seed):
         env = EnvironmentGrid(window, np.where(atom == 0, up, right))
         hits.append(backward_cluster(env, (0, 0)).touches_boundary)
     measure = measure_for(ModelId("N-E", p))
-    swept = _oriented_reach_trials(measure, radius, trials,
-                                   _up_or_right_draw(seed), backward=True)
+    cols = -np.arange(radius + 1, dtype=np.int64)  # swept backward, on x = -i
+    draw = (lambda live: live, lambda live, y: _up_or_right_hash(seed, live, cols, y))
+    swept = _oriented_reach_trials(measure, trials, draw, radius + 1, backward=True)
     assert swept.tolist() == hits
     assert theta_minus_curve(p, [radius], trials, seed)[0].estimate == np.mean(hits)
 
@@ -529,8 +527,10 @@ def test_radius_and_trials_are_validated(radius, trials):
     lambda: dn_transition_test(0.5, 10, k_max=0),
     lambda: m_size_stats(ModelId("NE-SW", 0.5), [3], 0),
     lambda: classify_shapes(ModelId("NE-SW", 0.5), 5, 0),
+    lambda: martingale_test(0.5, 10, 20, n_levels=0),
+    lambda: martingale_test(0.5, 10, 20, n_levels=-1),
 ], ids=["wn no levels", "wn no trials", "dn no samples", "dn no widths", "m_size no trials",
-        "census no trials"])
+        "census no trials", "martingale no levels", "martingale negative levels"])
 def test_empty_samples_are_rejected(run):
     with pytest.raises(ValidationError):
         run()
@@ -548,8 +548,7 @@ def test_site_draw_holds_one_batch_of_prefix(monkeypatch):
         return out
 
     def sweep(batch):
-        return _oriented_reach_trials(measure, 65, 8, _site_draw(4, 8),
-                                      backward=False, origin=NE_MASK, batch=batch)
+        return _ne_sweep(measure, 65, 8, 4, False, NE_MASK, batch)
 
     with monkeypatch.context() as m:
         m.setattr(rng, "hash_parts", recording)

@@ -58,18 +58,26 @@ def test_row_draw_equals_full_grid_row(signs):
         assert np.array_equal(row, grid[:, :, k])
         assert np.array_equal(rng.atoms(seeds[[3, 1], None], (cols, sy * k), THREE_ATOMS),
                               grid[[3, 1], :, k])
-    # the sweep's row draw holds the (trial, column) prefix of one batch and
-    # compacts it with the live trials; every site must still be its own hash
-    draw = _site_draw(11, 7)
-    live = np.arange(4)
-    calls = [(live, 0), (live, 1), (np.array([0, 2, 3]), 2), (np.array([0, 2, 3]), 63),
-             (np.array([3]), 64), (np.arange(4, 7), 0), (np.array([4, 6]), 69),
-             (np.array([1, 5]), 3)]  # trials the held prefix does not cover
+    # the sweep's row draw: start hashes the (trial, column) prefix of a
+    # batch, the sweep compacts it with the live trials, and finish completes
+    # it with each row; every site must still be its own hash, and no state
+    # may be written
+    start, finish = _site_draw(11, 7, cols)
+    calls = [(range(4), 0), (range(4), 1), ([0, 2, 3], 2), ([0, 2, 3], 63), ([3], 64),
+             (range(4, 7), 0), ([4, 6], 69), ([1, 5], 3)]  # a new batch starts anew
+    have = np.array([], dtype=np.int64)
     for trials, k in calls:
-        got = draw(trials, cols, sy * k)
+        trials = np.array(trials)
+        if np.isin(trials, have).all():
+            state = state[np.isin(have, trials)]
+        else:
+            state = start(trials)
+        have, kept = trials, state.copy()
+        got = finish(state, sy * k)
         want = [[rng.hash_parts(rng.spawn_seed(11, t), (x, sy * k)) for x in cols]
                 for t in trials.tolist()]
         assert np.array_equal(got, want), (trials, k)
+        assert np.array_equal(state, kept)
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1, 2**64 - 2, 2**63])
@@ -126,20 +134,20 @@ def test_chain_continues_from_a_prefix(seed, values, cut, layout, dtype):
 
 
 def test_kept_buffers_carry_nothing_between_windows():
-    # windows of different seeds hashed one after another into the same
+    # windows of different seeds finished one after another into the same
     # buffers: each must be its own fresh hash, and no chain state written
     xs = np.arange(-70, 61, dtype=np.int64)
     ys = np.arange(-3, 5, dtype=np.int64)[:, None]
     out, scratch = np.empty((2, len(ys), len(xs)), dtype=np.uint64)
     for seed in (3, 4, 2**63 + 5, -1, 3):
-        state = rng.hash_parts(seed, (xs,))
-        kept = state.copy()
-        assert rng.hash_from(state, (ys,), out, scratch) is out
+        prefix = rng.advanced(rng.hash_parts(seed, (xs,)))
+        kept = prefix.copy()
+        assert rng.finish(prefix, ys, out, scratch) is out
         assert np.array_equal(out, rng.hash_parts(seed, (xs, ys)))
-        assert np.array_equal(state, kept)
-        # a longer chain, and one finalized without a kept scratch
+        assert np.array_equal(prefix, kept)
+        # a longer chain, from the seed's state alone
         chain = rng.hash_parts(seed, ())
-        assert np.array_equal(rng.hash_from(chain, (xs, ys), out), rng.hash_parts(seed, (xs, ys)))
+        assert np.array_equal(rng.hash_from(chain, (xs, ys)), rng.hash_parts(seed, (xs, ys)))
         assert chain == rng.hash_parts(seed, ())
     assert rng.spawn_seed(7, 5) == int(rng.hash_parts(7, (np.arange(8),))[5])
 
