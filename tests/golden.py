@@ -91,6 +91,10 @@ DUALITY_INPUTS = {OTSP: ("NE-SW", 0.8, -5, 6), FSOSP: ("SWE-N", 0.05, -5, 6)}
 # at these p each model's chains both die out and reach a side column or the
 # bottom row, from the centre and from an origin off it on both axes
 CHAIN_INPUTS = [("EW-N", 0.4), ("NE-W", 0.4)]
+# sweeps whose row counts end on and between the sweep's blocks of up to four
+# rows: 1-4 rows, and 67 rows in a batch of 256 trials and a batch of 44
+BLOCK_RADII = (1, 2, 3, 66)
+BLOCK_CURVE_RADII = (1, 2, 3, 4, 66)
 
 
 def _cycle_lines(cycle) -> list[str]:
@@ -199,9 +203,12 @@ def _dre_gen() -> list[str]:
     return out.getvalue().splitlines()
 
 
-def _bisect(name) -> list[str]:
-    res = bisect_pc(name, 33, tol=0.02, trials_per_probe=100, master_seed=2)
+def _bisect_lines(res) -> list[str]:
     return [repr(res.p_hat), repr(res.bracket)] + [repr(probe) for probe in res.probes]
+
+
+def _bisect(name) -> list[str]:
+    return _bisect_lines(bisect_pc(name, 33, tol=0.02, trials_per_probe=100, master_seed=2))
 
 
 def _classify_shapes(name, p, radius=8, margin=None) -> list[str]:
@@ -293,6 +300,12 @@ def cases() -> dict:
         [otsp_reach_estimate(0.6, 20, 100, 4), otsp_reach_estimate(0.6, 20, 100, 4, True)])
     out["theta_minus_curve/0.6"] = lambda: _record_lines(
         theta_minus_curve(0.6, (5, 10, 20), 100, 4))
+    out["bisect_pc/NE-./R66/trials300"] = lambda: _bisect_lines(
+        bisect_pc("NE-.", 66, trials_per_probe=300, bracket=(0.55, 0.9)))
+    out["otsp_reach_estimate/0.6/blocks"] = lambda: _record_lines(
+        [otsp_reach_estimate(0.6, r, 300, origin_open=True) for r in BLOCK_RADII])
+    out["theta_minus_curve/0.5/blocks"] = lambda: _record_lines(
+        theta_minus_curve(0.5, BLOCK_CURVE_RADII, 300))
     out["martingale_test/0.5"] = lambda: [repr(martingale_test(0.5, 20, 50, 10, 4))]
     out["dn_transition_test/0.4"] = lambda: [repr(dn_transition_test(0.4, 200, 4, 4))]
     out["lu_walk_test/0.5"] = lambda: [repr(lu_walk_test(0.5, 200, 4))]
