@@ -41,8 +41,10 @@ _MOVE_BITS = np.array([BIT_E, BIT_N, BIT_W, BIT_S], dtype=np.uint8)
 # A step moves the set up to three sites along each direction (one site,
 # then a two-site jump) at twice the numpy calls of a one-site step.  A
 # 401x401 NE-SW backward fixpoint (seed 0) then takes 212 steps instead of
-# 492 at p=0.5, and 80 instead of 220 at p=0.9.
-_CHECK_EVERY = 4
+# 492 at p=0.5, and 80 instead of 220 at p=0.9.  The oriented row sweep
+# (montecarlo) settles its trials on the same cadence, at most every
+# CHECK_EVERY rows.
+CHECK_EVERY = 4
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -265,7 +267,7 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
         plan = _plan(r.reshape(-1), planes.reshape(8, -1), t.reshape(-1),
                      np.empty(r.size, dtype=np.uint64), nw)
         while True:
-            for _ in range(_CHECK_EVERY - 1):
+            for _ in range(CHECK_EVERY - 1):
                 _step(plan)
             np.copyto(prev, r)
             _step(plan)

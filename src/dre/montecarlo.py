@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .bitgrid import (atom_moves, atom_plane, edge_mask, mutual_stats, pack_rows,
-                      reach_batch, reversed_moves)
+from .bitgrid import (CHECK_EVERY, atom_moves, atom_plane, edge_mask, mutual_stats,
+                      pack_rows, reach_batch, reversed_moves)
 from .clusters import classify_b_shape
 from .directions import BIT_E, BIT_N, BIT_S, BIT_W, NE_MASK
 from .env import Window, sample_environment
@@ -150,15 +150,18 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # lattice, reachability never leaves one quadrant and a single row sweep
 # decides it.  The quadrant is taken in sweep order: the source is corner
 # (row 0, column 0) and every move goes right, up, or (otsp) up-right.
-# Row k is drawn only for the trials still alive when the sweep
-# (_oriented_reach_trials) gets there, by the caller's row draw, which owns
-# the key: a draw is a pure hash of its key, so a trial whose cluster dies
-# after a few rows costs a few rows of hash.  The row's gates are packed
-# straight from those hashes, one threshold plane at a time (_row_gates).
-# A row is a (B, nwords) uint64 bit set; its right gates close it in one
-# carry pass (_row_propagate) and its up gates (plus, on otsp, a one-bit
-# shift) carry it to the next row.  A trial leaves the sweep once its row
-# is empty or meets the last column, and the sweep stops when none is left.
+# The sweep (_oriented_reach_trials) runs in blocks of up to CHECK_EVERY
+# rows.  A block's rows are drawn at once, for the trials still alive at
+# its start, by the caller's row draw, which owns the key: a draw is a pure
+# hash of its key, so a trial whose cluster dies after a few rows costs a
+# few blocks of hash.  The block's gates are packed straight from those
+# hashes, one threshold plane at a time (_row_gates).  A row is a
+# (B, nwords) uint64 bit set; its right gates close it in one carry pass
+# (_row_propagate) and its up gates (plus, on otsp, a one-bit shift) carry
+# it to the next row.  At a block's end a trial leaves the sweep once its
+# row is empty or has met the last column, and the sweep stops when none is
+# left.  Settling once a block changes no result: an empty row stays empty,
+# and a meeting with the last column is kept however the row goes on.
 
 _NE_ORIENTED_MASKS = frozenset({0, BIT_E, BIT_N, NE_MASK})
 _ONE = np.uint64(1)
@@ -179,8 +182,8 @@ def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
     from word to word as in a long addition, resolved by lookahead: a word
     whose sum overflows generates a carry, one whose sum is all ones passes
     the incoming carry on, and any other word stops it.  An open gate at
-    the last column of a row carries past it; the sweep drops a row once
-    it reaches that column, so those bits are never read.
+    the last column of a row carries past it; only a row that has met that
+    column has such a carry, and the sweep reads no bit past it.
     """
     s = row & gate
     s += gate
@@ -207,9 +210,9 @@ def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
 
 # A row draw is a pair (start, finish): start(live) gives the key state of
 # the trials with indices live, one trial per entry of axis 0, and
-# finish(state, y) the (B, n) uint64 hashes of their row y over the draw's
-# n columns.
-RowDraw = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, int], np.ndarray]]
+# finish(state, ys) the (K, B, n) uint64 hashes of their rows ys, an int64
+# array of K row coordinates, over the draw's n columns.
+RowDraw = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
@@ -218,8 +221,8 @@ def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
 
     The hash chain's state after (seed, x) does not depend on the row, so
     start hashes it once, advanced for the next step, and finish completes
-    it with y into hash and scratch buffers kept for the draw: a row it
-    returns holds until the next finish.
+    it with a block of rows into hash and scratch buffers kept for the
+    draw: a block it returns holds until the next finish.
     """
     seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
     buf = np.empty((2, 0), dtype=np.uint64)
@@ -227,52 +230,56 @@ def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
     def start(live: np.ndarray) -> np.ndarray:
         return rng.advanced(rng.hash_parts(seeds[live][:, None], (xs,)))
 
-    def finish(prefix: np.ndarray, y: int) -> np.ndarray:
+    def finish(prefix: np.ndarray, ys: np.ndarray) -> np.ndarray:
         nonlocal buf
-        if buf.shape[1] < prefix.size:
-            buf = np.empty((2, prefix.size), dtype=np.uint64)
-        h, scratch = buf[:, :prefix.size].reshape((2,) + prefix.shape)
-        return rng.finish(prefix, y, h, scratch)
+        size = len(ys) * prefix.size
+        if buf.shape[1] < size:
+            buf = np.empty((2, size), dtype=np.uint64)
+        h, scratch = buf[:, :size].reshape((2, len(ys)) + prefix.shape)
+        return rng.finish(prefix, ys[:, None, None], h, scratch)
 
     return start, finish
 
 
 def _up_or_right_hash(master_seed: int, trials: np.ndarray, xs, ys) -> np.ndarray:
     """Hashes of sites (x, y) of the trials, keyed on (master_seed, t, -(x + y), -y);
-    trials run along axis 0, and xs and ys broadcast along axis 1."""
+    the trials form a (B, 1) column, which xs and ys broadcast against."""
     return rng.hash_parts(master_seed, (trials[:, None], -(xs + ys), -ys))
 
 
 def _row_gates(h: np.ndarray, thresholds: Sequence[int], masks: list[int], n: int,
                backward: bool, origin: Optional[int], above: np.ndarray):
-    """The packed (E, N) gates of a (B, n) row of hashes drawn as atoms with masks.
+    """The packed (E, N) gates, each (K, B, nwords), of a (K, B, n) block of
+    hashes, K rows of B trials, drawn as atoms with masks.
 
     Each threshold's plane of h is compared into above, a bool buffer of at
-    least B rows, False past column n and padded to whole words so that its
-    packed bytes are the words, and bitgrid.atom_plane maps those planes to
-    the E and N gates; when the same atoms carry E and N, one plane serves
-    both.  origin, when given, replaces column 0's draw.  Backward, the E
-    gates move one column back (e[i] = e[i + 1]; bit n - 1 keeps its own).
+    least K * B rows, False past column n and padded to whole words so that
+    its packed bytes are the words, and bitgrid.atom_plane maps those planes
+    to the E and N gates; when the same atoms carry E and N, one plane
+    serves both.  origin, when given, replaces column 0's draw in the
+    block's row 0.  Backward, the E gates move one column back
+    (e[i] = e[i + 1]; bit n - 1 keeps its own).
     """
-    rows = above[:len(h)]
+    k, b, _ = h.shape
+    rows = above[:k * b]
     passed = [np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
-              for _ in rng.passed(h, thresholds, rows[:, :n])]
-    shape = (len(h), -(-n // 64))
+              for _ in rng.passed(h.reshape(k * b, n), thresholds, rows[:, :n])]
+    shape = (k * b, -(-n // 64))
     e = atom_plane(passed, masks, BIT_E, n, np.empty(shape, np.uint64))
     if origin is None and all(bool(m & BIT_E) == bool(m & BIT_N) for m in masks):
         up = e
     else:
         up = atom_plane(passed, masks, BIT_N, n, np.empty(shape, np.uint64))
-    if origin is not None:  # bit 0 takes the origin's gates
-        e[:, 0] = e[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_E))
-        up[:, 0] = up[:, 0] & ~_ONE | np.uint64(bool(origin & BIT_N))
+    if origin is not None:  # bit 0 of row 0 takes the origin's gates
+        e[:b, 0] = e[:b, 0] & ~_ONE | np.uint64(bool(origin & BIT_E))
+        up[:b, 0] = up[:b, 0] & ~_ONE | np.uint64(bool(origin & BIT_N))
     if backward:
         word, bit = divmod(n - 1, 64)
         back = e >> _ONE
         back[:, :-1] |= e[:, 1:] << np.uint64(63)
         back[:, word] |= e[:, word] & np.uint64(1 << bit)
         e = back
-    return e, up
+    return e.reshape(k, b, -1), up.reshape(k, b, -1)
 
 
 def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, n: int,
@@ -283,9 +290,12 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
 
     Trials run batch at a time, row by row; row k is drawn at y = k, or
     y = -k backward, as atoms of measure, and origin, when given, replaces
-    the corner's draw.  Forward, a gate sits at its source: E at column i
-    opens the step to i + 1, and N the step up.  Backward reach is swept in
-    the reflected coordinates (-column, -row), where a gate sits at its
+    the corner's draw.  Rows are drawn, gated and settled in blocks of up to
+    CHECK_EVERY, as many as keep a block within 2 * batch (trial, row)
+    pairs, so batch bounds both the trials swept together and the hashes
+    drawn at once.  Forward, a gate sits at its source: E at column i opens
+    the step to i + 1, and N the step up.  Backward reach is swept in the
+    reflected coordinates (-column, -row), where a gate sits at its
     destination: the E gates move one column back, and a row's N gates open
     the steps into it.  With diagonal (forward), an N gate also opens the
     step to column i + 1 of the next row.
@@ -295,7 +305,7 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
     word, bit = divmod(n - 1, 64)
     last = np.uint64(1 << bit)
     thresholds, masks = measure.thresholds, measure.masks.tolist()
-    above = np.zeros((batch, 64 * nwords), dtype=bool)
+    above = np.zeros((2 * batch, 64 * nwords), dtype=bool)
     dy = -1 if backward else 1
     out = np.zeros(trials, dtype=bool)
     for lo in range(0, trials, batch):
@@ -303,30 +313,37 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
         state = start(live)
         row = np.zeros((len(live), nwords), dtype=np.uint64)
         row[:, 0] = 1
-        for k in range(n):
-            e, up = _row_gates(finish(state, dy * k), thresholds, masks, n, backward,
-                               origin if k == 0 else None, above)
-            if k:
-                if backward:  # an N gate at its destination opens the step into row k
-                    row &= up
-                if diagonal:  # bit n - 1 of a live row is clear, so nothing falls off
-                    shifted = row << _ONE
-                    shifted[:, 1:] |= row[:, :-1] >> np.uint64(63)
-                    row |= shifted
-            row = _row_propagate(row, e)
+        first = 0
+        while True:
+            stop = min(first + min(CHECK_EVERY, max(1, 2 * batch // len(live))), n)
+            e, up = _row_gates(finish(state, dy * np.arange(first, stop, dtype=np.int64)),
+                               thresholds, masks, n, backward,
+                               origin if first == 0 else None, above)
+            ends = np.zeros(len(live), dtype=np.uint64)  # the rows' last words, or-ed
+            for j, k in enumerate(range(first, stop)):
+                if k:
+                    if backward:  # an N gate at its destination opens the step into row k
+                        row &= up[j]
+                    if diagonal:  # only a row that met the last column shifts a bit past it
+                        shifted = row << _ONE
+                        shifted[:, 1:] |= row[:, :-1] >> np.uint64(63)
+                        row |= shifted
+                row = _row_propagate(row, e[j])
+                ends |= row[:, word]
+                if not backward and k < n - 1:  # an N gate at its source opens the step out
+                    row &= up[j]
+            hit = (ends & last) != 0
             alive = row.any(axis=1)
-            if k == n - 1:
-                out[live] = alive
+            if stop == n:
+                out[live] = hit | alive
                 break
-            hit = (row[:, word] & last) != 0
             out[live[hit]] = True
             keep = alive & ~hit
             if not keep.any():
                 break
-            if not backward:  # an N gate at its source opens the step out of row k
-                row &= up
             if not keep.all():
                 live, state, row = live[keep], state[keep], row[keep]
+            first = stop
     return out
 
 
@@ -521,7 +538,8 @@ def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
     northwest quadrant and the row sweep runs on columns x = -i with the
     open sites as gates and a diagonal step.  Closed sites can be reached
     but not left, matching the site-percolation convention.  batch bounds
-    the trials hashed per row.
+    the trials swept together, and a block of rows draws at most 2 * batch
+    rows of hashes (see _oriented_reach_trials).
     """
     # an open site carries NE: its gates are a NE-. site's, on columns
     # x = -i (origin at column 0, west is +1)
@@ -582,6 +600,8 @@ def bisect_pc(
     """
     if not (0.0 < target < 1.0 and 0.0 < tol < math.inf):
         raise ValidationError(f"need target in (0, 1) and a finite tol > 0, got {target!r}, {tol!r}")
+    if max_probes < 2:
+        raise ValidationError(f"need max_probes >= 2, one per bracket end, got {max_probes!r}")
     probes: list[tuple[float, float, float]] = []
 
     if callable(model):
@@ -898,7 +918,8 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
         t0 = time.perf_counter()
         n = radius + 1
         xs = -np.arange(n, dtype=np.int64)
-        draw = (lambda live: live, lambda live, y: _up_or_right_hash(master_seed, live, xs, y))
+        draw = (lambda live: live,
+                lambda live, ys: _up_or_right_hash(master_seed, live, xs, ys[:, None, None]))
         touched = _oriented_reach_trials(measure, trials, draw, n, backward=True)
         out.append(_record("N-E", p, radius, REACH_B, touched, master_seed, t0))
     return out
@@ -1035,10 +1056,13 @@ def wn_crossing_test(p: float, trials: int, levels: int, start_gap: int = 10,
     environment (shared draws matter when they come close).  The SE column
     advances +j with probability p^j (1-p); the edge follows the
     lower-edge walk.  Crossing is the first level where the SE column is
-    at or right of the edge.
+    at or right of the edge, so the SE column starts start_gap >= 1 columns
+    left of it; w_cells lists the steps j = 0..j_max, j_max >= 0.
     """
     require_p(p)
     _require_run(levels, trials)
+    if start_gap < 1 or j_max < 0:
+        raise ValidationError(f"need start_gap >= 1 and j_max >= 0, got {start_gap}, {j_max}")
     crossings = 0
     dw_counts: dict[int, int] = {}
     dw_total = 0

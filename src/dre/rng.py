@@ -117,6 +117,8 @@ def finish(prefix: np.ndarray, part, out: np.ndarray, scratch: np.ndarray) -> np
     out through scratch, both of the result's shape: one xor of the part's
     link, broadcast against prefix, and the finalizer in place.  A caller
     hashing many keys of one shape allocates nothing of that size again.
+    A (K, 1, 1) part of row coordinates completes a (B, n) prefix into a
+    (K, B, n) block of K rows, as the row sweep does.
     """
     np.bitwise_xor(prefix, _link(part), out=out)
     return _finalize(out, scratch)

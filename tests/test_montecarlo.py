@@ -195,8 +195,9 @@ def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
         live = np.array(live)
         state = start(live) if k == 0 else state[np.isin(have, live)]
         have = live
-        got = _row_gates(finish(state, sign * k), thresholds, masks.tolist(), n, backward,
-                         origin if k == 0 else None, above)
+        got = [plane[0] for plane in _row_gates(finish(state, np.array([sign * k])), thresholds,
+                                                masks.tolist(), n, backward,
+                                                origin if k == 0 else None, above)]
         seeds = [rng.spawn_seed(seed, t) for t in live.tolist()]
         arrows = masks[np.array([rng.atoms(s, (xs, sign * k), thresholds) for s in seeds])]
         for plane, bit in zip(got, (BIT_E, BIT_N)):
@@ -281,13 +282,37 @@ def test_diagonal_step_carries_across_words(n):
     # at row 64
     closed = np.uint64(2**64 - 1)
 
-    def finish(live, y):
-        h = np.full((len(live), n), closed)
-        h[:, y] = np.where((live != 1) | (y != 64), 0, closed)
+    def finish(live, ys):
+        h = np.full((len(ys), len(live), n), closed)
+        for j, y in enumerate(ys.tolist()):
+            h[j, :, y] = np.where((live != 1) | (y != 64), 0, closed)
         return h
 
     got = _oriented_reach_trials(measure_for(ModelId("NE-.", 0.5)), 2,
                                  (lambda live: live, finish), n, False, diagonal=True)
+    assert got.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("n", [5, 64, 65])
+def test_block_keeps_contact_of_a_row_that_dies(n):
+    # atoms NE (hash 0), E (2^63) and none (all ones).  Trial 0 climbs from
+    # the corner to a row of E sites, meets the last column in row 1, and has
+    # no N gate to leave it: it dies in row 2, within the sweep's first block
+    # of rows.  Trial 1 steps E from the corner onto a closed site and dies
+    # in row 1.
+    measure = SupportMeasure(2, ((NE_MASK, 0.25), (BIT_E, 0.5), (0, 0.25)))
+    ne, e, none = np.uint64(0), np.uint64(2**63), np.uint64(2**64 - 1)
+
+    def finish(live, ys):
+        h = np.full((len(ys), len(live), n), none)
+        for j, y in enumerate(ys.tolist()):
+            if y == 0:
+                h[j, :, 0] = np.where(live == 0, ne, e)
+            elif y == 1:
+                h[j, live == 0] = e
+        return h
+
+    got = _oriented_reach_trials(measure, 2, (lambda live: live, finish), n, False)
     assert got.tolist() == [True, False]
 
 
@@ -374,13 +399,16 @@ def test_bisect_allowlist_and_bracketing():
         bisect_pc(lambda p: 1.0, radius=10)  # lower endpoint already above target
 
 
-@pytest.mark.parametrize("target, tol", [(math.nan, 0.005), (0.5, math.nan), (1.5, 0.005),
-                                         (0.0, 0.005), (1.0, 0.005), (0.5, 0.0), (0.5, -0.1),
-                                         (0.5, math.inf)])
-def test_bisect_target_and_tol_are_validated_before_probing(target, tol):
+@pytest.mark.parametrize("target, tol, max_probes", [
+    pytest.param(target, tol, 25, id=f"{target}-{tol}")
+    for target, tol in ((math.nan, 0.005), (0.5, math.nan), (1.5, 0.005), (0.0, 0.005),
+                        (1.0, 0.005), (0.5, 0.0), (0.5, -0.1), (0.5, math.inf))
+] + [pytest.param(0.5, 0.005, m, id=f"max_probes {m}") for m in (1, 0, -5)])
+def test_bisect_target_and_tol_are_validated_before_probing(target, tol, max_probes):
     calls = []
     with pytest.raises(ValidationError):
-        bisect_pc(lambda p: calls.append(p) or 0.5, radius=10, target=target, tol=tol)
+        bisect_pc(lambda p: calls.append(p) or 0.5, radius=10, target=target, tol=tol,
+                  max_probes=max_probes)
     assert calls == []
 
 
@@ -481,7 +509,8 @@ def test_theta_minus_sweep_matches_up_or_right_oracle(p, radius, trials, seed):
         hits.append(backward_cluster(env, (0, 0)).touches_boundary)
     measure = measure_for(ModelId("N-E", p))
     cols = -np.arange(radius + 1, dtype=np.int64)  # swept backward, on x = -i
-    draw = (lambda live: live, lambda live, y: _up_or_right_hash(seed, live, cols, y))
+    draw = (lambda live: live,
+            lambda live, ys: _up_or_right_hash(seed, live, cols, ys[:, None, None]))
     swept = _oriented_reach_trials(measure, trials, draw, radius + 1, backward=True)
     assert swept.tolist() == hits
     assert theta_minus_curve(p, [radius], trials, seed)[0].estimate == np.mean(hits)
@@ -529,8 +558,12 @@ def test_radius_and_trials_are_validated(radius, trials):
     lambda: classify_shapes(ModelId("NE-SW", 0.5), 5, 0),
     lambda: martingale_test(0.5, 10, 20, n_levels=0),
     lambda: martingale_test(0.5, 10, 20, n_levels=-1),
+    lambda: wn_crossing_test(0.5, 3, 5, start_gap=-3),
+    lambda: wn_crossing_test(0.5, 3, 5, start_gap=0),
+    lambda: wn_crossing_test(0.5, 3, 5, j_max=-1),
 ], ids=["wn no levels", "wn no trials", "dn no samples", "dn no widths", "m_size no trials",
-        "census no trials", "martingale no levels", "martingale negative levels"])
+        "census no trials", "martingale no levels", "martingale negative levels",
+        "wn negative gap", "wn no gap", "wn negative j_max"])
 def test_empty_samples_are_rejected(run):
     with pytest.raises(ValidationError):
         run()

@@ -47,7 +47,7 @@ def test_scalar_matches_vector(seed, parts, cuts, shift):
 @pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (-1, 1)],
                          ids=["forward NE", "backward NE", "otsp"])
 def test_row_draw_equals_full_grid_row(signs):
-    # the lazy oriented sweep hashes one row at a time, for the live trials only
+    # the lazy oriented sweep hashes a block of rows at a time, for the live trials only
     sx, sy = signs
     seeds = rng.hash_parts(11, (np.arange(5, dtype=np.int64),))
     cols = sx * np.arange(70, dtype=np.int64)
@@ -60,23 +60,24 @@ def test_row_draw_equals_full_grid_row(signs):
                               grid[[3, 1], :, k])
     # the sweep's row draw: start hashes the (trial, column) prefix of a
     # batch, the sweep compacts it with the live trials, and finish completes
-    # it with each row; every site must still be its own hash, and no state
-    # may be written
+    # it with a block of rows; every site of a (K, B, n) block must still be
+    # its own hash, and no state may be written
     start, finish = _site_draw(11, 7, cols)
-    calls = [(range(4), 0), (range(4), 1), ([0, 2, 3], 2), ([0, 2, 3], 63), ([3], 64),
-             (range(4, 7), 0), ([4, 6], 69), ([1, 5], 3)]  # a new batch starts anew
+    calls = [(range(4), [0, 1]), ([0, 2, 3], [2, 3, 4, 5]), ([0, 3], [63]), ([3], [64, 65, 66]),
+             (range(4, 7), [0, 1, 2, 3]), ([4, 6], [69]), ([1, 5], [3, 4])]  # a new batch
     have = np.array([], dtype=np.int64)
-    for trials, k in calls:
+    for trials, ks in calls:
         trials = np.array(trials)
         if np.isin(trials, have).all():
             state = state[np.isin(have, trials)]
         else:
             state = start(trials)
         have, kept = trials, state.copy()
-        got = finish(state, sy * k)
-        want = [[rng.hash_parts(rng.spawn_seed(11, t), (x, sy * k)) for x in cols]
-                for t in trials.tolist()]
-        assert np.array_equal(got, want), (trials, k)
+        got = finish(state, sy * np.array(ks, dtype=np.int64))
+        want = [[[rng.hash_parts(rng.spawn_seed(11, t), (x, sy * k)) for x in cols]
+                 for t in trials.tolist()] for k in ks]
+        assert got.shape == (len(ks), len(trials), len(cols))
+        assert np.array_equal(got, want), (trials, ks)
         assert np.array_equal(state, kept)
 
 
