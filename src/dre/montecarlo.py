@@ -212,7 +212,8 @@ def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
 # the trials with indices live, one trial per entry of axis 0, and
 # finish(state, ys) the (K, B, n) uint64 hashes of their rows ys, an int64
 # array of K row coordinates, over the draw's n columns.
-RowDraw = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray, np.ndarray], np.ndarray]]
+RowDraw = tuple[Callable[[np.ndarray], np.ndarray],
+                Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:

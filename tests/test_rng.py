@@ -64,7 +64,7 @@ def test_row_draw_equals_full_grid_row(signs):
     # its own hash, and no state may be written
     start, finish = _site_draw(11, 7, cols)
     calls = [(range(4), [0, 1]), ([0, 2, 3], [2, 3, 4, 5]), ([0, 3], [63]), ([3], [64, 65, 66]),
-             (range(4, 7), [0, 1, 2, 3]), ([4, 6], [69]), ([1, 5], [3, 4])]  # a new batch
+             (range(4, 7), [0, 1, 2, 3]), ([4, 6], [69]), ([1, 5], [3, 4])]  # then a new batch
     have = np.array([], dtype=np.int64)
     for trials, ks in calls:
         trials = np.array(trials)
