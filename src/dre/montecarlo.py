@@ -150,18 +150,21 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # lattice, reachability never leaves one quadrant and a single row sweep
 # decides it.  The quadrant is taken in sweep order: the source is corner
 # (row 0, column 0) and every move goes right, up, or (otsp) up-right.
-# The sweep (_oriented_reach_trials) runs in blocks of up to CHECK_EVERY
-# rows.  A block's rows are drawn at once, for the trials still alive at
-# its start, by the caller's row draw, which owns the key: a draw is a pure
-# hash of its key, so a trial whose cluster dies after a few rows costs a
-# few blocks of hash.  The block's gates are packed straight from those
-# hashes, one threshold plane at a time (_row_gates).  A row is a
-# (B, nwords) uint64 bit set; its right gates close it in one carry pass
-# (_row_propagate) and its up gates (plus, on otsp, a one-bit shift) carry
-# it to the next row.  At a block's end a trial leaves the sweep once its
-# row is empty or has met the last column, and the sweep stops when none is
-# left.  Settling once a block changes no result: an empty row stays empty,
-# and a meeting with the last column is kept however the row goes on.
+# _statistic_values alone picks the sweep, oriented by _SWEEPS, or the
+# generic path.  The sweep (_oriented_reach_trials) runs SWEEP_BATCH trials
+# at a time in blocks of up to CHECK_EVERY rows.  A block's rows are drawn
+# at once, for the trials still alive at its start, by the caller's row
+# draw, which owns the key (the package rule, _site_draw, also draws the
+# generic path): a draw is a pure hash of its key, so a trial whose cluster
+# dies after a few rows costs a few blocks of hash.  The block's gates are
+# packed straight from those hashes, one threshold plane at a time
+# (_row_gates).  A row is a (B, nwords) uint64 bit set; its right gates
+# close it in one carry pass (_row_propagate) and its up gates (plus, on
+# otsp, a one-bit shift) carry it to the next row.  At a block's end a trial
+# leaves the sweep once its row is empty or has met the last column, and
+# the sweep stops when none is left.  Settling once a block changes no
+# result: an empty row stays empty, and a meeting with the last column is
+# kept however the row goes on.
 
 _NE_ORIENTED_MASKS = frozenset({0, BIT_E, BIT_N, NE_MASK})
 _ONE = np.uint64(1)
@@ -285,17 +288,17 @@ def _row_gates(h: np.ndarray, thresholds: Sequence[int], masks: list[int], n: in
 
 def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, n: int,
                            backward: bool, origin: Optional[int] = None,
-                           diagonal: bool = False, batch: int = 256) -> np.ndarray:
+                           diagonal: bool = False) -> np.ndarray:
     """Edge contact of the corner's cluster on an n x n quadrant of a
     NE-oriented model, per trial: meeting the last column or the last row.
 
-    Trials run batch at a time, row by row; row k is drawn at y = k, or
-    y = -k backward, as atoms of measure, and origin, when given, replaces
-    the corner's draw.  Rows are drawn, gated and settled in blocks of up to
-    CHECK_EVERY, as many as keep a block within 2 * batch (trial, row)
-    pairs, so batch bounds both the trials swept together and the hashes
-    drawn at once.  Forward, a gate sits at its source: E at column i opens
-    the step to i + 1, and N the step up.  Backward reach is swept in the
+    Trials run SWEEP_BATCH at a time, row by row; row k is drawn at y = k,
+    or y = -k backward, as atoms of measure, and origin, when given,
+    replaces the corner's draw.  Rows are drawn, gated and settled in blocks
+    of up to CHECK_EVERY, as many as keep a block within 2 * SWEEP_BATCH
+    (trial, row) pairs, so SWEEP_BATCH bounds both the trials swept together
+    and the hashes drawn at once.  Forward, a gate sits at its source: E at
+    column i opens the step to i + 1, and N the step up.  Backward reach is swept in the
     reflected coordinates (-column, -row), where a gate sits at its
     destination: the E gates move one column back, and a row's N gates open
     the steps into it.  With diagonal (forward), an N gate also opens the
@@ -306,17 +309,17 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
     word, bit = divmod(n - 1, 64)
     last = np.uint64(1 << bit)
     thresholds, masks = measure.thresholds, measure.masks.tolist()
-    above = np.zeros((2 * batch, 64 * nwords), dtype=bool)
+    above = np.zeros((2 * SWEEP_BATCH, 64 * nwords), dtype=bool)
     dy = -1 if backward else 1
     out = np.zeros(trials, dtype=bool)
-    for lo in range(0, trials, batch):
-        live = np.arange(lo, min(lo + batch, trials), dtype=np.int64)
+    for lo in range(0, trials, SWEEP_BATCH):
+        live = np.arange(lo, min(lo + SWEEP_BATCH, trials), dtype=np.int64)
         state = start(live)
         row = np.zeros((len(live), nwords), dtype=np.uint64)
         row[:, 0] = 1
         first = 0
         while True:
-            stop = min(first + min(CHECK_EVERY, max(1, 2 * batch // len(live))), n)
+            stop = min(first + min(CHECK_EVERY, max(1, 2 * SWEEP_BATCH // len(live))), n)
             e, up = _row_gates(finish(state, dy * np.arange(first, stop, dtype=np.int64)),
                                thresholds, masks, n, backward,
                                origin if first == 0 else None, above)
@@ -348,6 +351,10 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
     return out
 
 
+# Trials swept together by the row sweep, read at call time; a block of
+# rows draws at most 2 * SWEEP_BATCH (trial, row) pairs of hashes.
+SWEEP_BATCH = 256
+
 # Trials per reach_batch call on the generic path.  Trials are hashed and
 # packed one at a time into buffers kept for the call, and only their packed
 # masks are stacked, so a chunk costs 4 * REACH_CHUNK packed grids of
@@ -360,22 +367,20 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
     """Yield (4, B, ny, nwords) move masks of the trials, REACH_CHUNK at a time.
 
     Trial t draws the window from seed spawn_seed(master_seed, t), as
-    sample_masks does, but hashed in row order: x is a (1, nx) part and y
-    an (ny, 1) one, so the hash holds sample_masks' keys transposed.  The
-    hash and its scratch are made once per call.  Each threshold's plane of
-    the sites at or past it is packed as it is compared, and atom_moves
-    builds the trial's moves from those words in the chunk's array, so no
-    atom or arrow array is made.  origin, when given, replaces the origin's
-    draw; the origin lies off the window's edge ring (every caller centres
-    the window on it), so none of its moves leaves the window.
+    sample_masks does, but through _site_draw in row order: a chunk's
+    (trial, x) prefixes are started at once, and each trial's window is
+    finished with the ny rows into the draw's kept buffers, so the hash
+    holds sample_masks' keys transposed.  Each threshold's plane of the
+    sites at or past it is packed as it is compared, and atom_moves builds
+    the trial's moves from those words in the chunk's array, so no atom or
+    arrow array is made.  origin, when given, replaces the origin's draw;
+    the origin lies off the window's edge ring (every caller centres the
+    window on it), so none of its moves leaves the window.
     """
     nx, ny = window.shape
-    xs = np.arange(window.lo[0], window.hi[0] + 1, dtype=np.int64)
-    ys = np.arange(window.lo[1], window.hi[1] + 1, dtype=np.int64)[:, None]
-    seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
-    # one block: glibc gave two freed 323 KB blocks (R=100) back to the
-    # system after each call, and their pages faulted in again on the next
-    h, scratch = np.empty((2, ny, nx), dtype=np.uint64)
+    ys = np.arange(window.lo[1], window.hi[1] + 1, dtype=np.int64)
+    start, finish = _site_draw(master_seed, trials,
+                               np.arange(window.lo[0], window.hi[0] + 1, dtype=np.int64))
     above = np.empty((ny, nx), dtype=bool)
     thresholds, masks = measure.thresholds, measure.masks
     if origin is not None:
@@ -383,10 +388,10 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
         iy, site = -window.lo[1], np.uint64(1 << bit)
         origin_has = np.array([bool(origin & b) for b in (BIT_E, BIT_N, BIT_W, BIT_S)])
     for lo in range(0, trials, REACH_CHUNK):
-        prefixes = rng.advanced(rng.hash_parts(seeds[lo:lo + REACH_CHUNK, None], (xs,)))
+        prefixes = start(np.arange(lo, min(lo + REACH_CHUNK, trials)))
         moves = np.empty((4, len(prefixes), ny, -(-nx // 64)), dtype=np.uint64)
-        for i, prefix in enumerate(prefixes):
-            rng.finish(prefix, ys, h, scratch)
+        for i in range(len(prefixes)):
+            h = finish(prefixes[i:i + 1], ys)[:, 0]
             atom_moves([pack_rows(p) for p in rng.passed(h, thresholds, above)], masks, nx,
                        moves[:, i])
             if origin is not None:
@@ -415,6 +420,14 @@ def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_see
     return np.concatenate(values).astype(np.float64)
 
 
+# The sweep's (column sign, backward, diagonal) per reach statistic: the
+# forward cluster lives in [0, radius]^2, the backward one in [-radius, 0]^2
+# (swept reflected), and otsp's in the northwest quadrant, on NE-.'s measure
+# (an open site carries NE's gates) with a diagonal step.
+_SWEEPS = {REACH_C: (1, False, False), REACH_B: (-1, True, False),
+           REACH_OTSP: (-1, False, True)}
+
+
 def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
                       master_seed: int, statistic: str,
                       live_origin: bool = False) -> np.ndarray:
@@ -424,13 +437,11 @@ def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
     convention for oriented growth.
     """
     origin = int(np.bitwise_or.reduce(measure.masks)) if live_origin else None
-    if statistic in (REACH_C, REACH_B) and _is_ne_oriented(measure):
-        # the forward cluster lives in the quadrant [0, radius]^2, the
-        # backward one in [-radius, 0]^2, swept in reflected coordinates
-        backward, n = statistic == REACH_B, radius + 1
-        xs = (-1 if backward else 1) * np.arange(n, dtype=np.int64)
-        return _oriented_reach_trials(measure, trials, _site_draw(master_seed, trials, xs), n,
-                                      backward, origin)
+    if statistic in _SWEEPS and _is_ne_oriented(measure):
+        sign, backward, diagonal = _SWEEPS[statistic]
+        n = radius + 1
+        draw = _site_draw(master_seed, trials, sign * np.arange(n, dtype=np.int64))
+        return _oriented_reach_trials(measure, trials, draw, n, backward, origin, diagonal)
     return _packed_values(measure, radius, trials, master_seed, statistic, origin)
 
 
@@ -530,34 +541,16 @@ def check_theta_identity(model: ModelId, radius: int, trials: int,
 # Direct simulation of the dual triangular lattice
 # ---------------------------------------------------------------------------
 
-def _otsp_reach_trials(p: float, radius: int, trials: int, master_seed: int,
-                       origin_open: bool = False, batch: int = 256) -> np.ndarray:
-    """Open-site clusters of the three-move triangular lattice reaching the edge.
-
-    Sites are open with probability p; an open site points to its west,
-    north, and northwest neighbors, so the cluster lives in the origin's
-    northwest quadrant and the row sweep runs on columns x = -i with the
-    open sites as gates and a diagonal step.  Closed sites can be reached
-    but not left, matching the site-percolation convention.  batch bounds
-    the trials swept together, and a block of rows draws at most 2 * batch
-    rows of hashes (see _oriented_reach_trials).
-    """
-    # an open site carries NE: its gates are a NE-. site's, on columns
-    # x = -i (origin at column 0, west is +1)
-    n = radius + 1
-    draw = _site_draw(master_seed, trials, -np.arange(n, dtype=np.int64))
-    return _oriented_reach_trials(measure_for(ModelId("NE-.", p)), trials, draw, n, False,
-                                  NE_MASK if origin_open else None, diagonal=True, batch=batch)
-
-
-def otsp_reach_estimate(p: float, radius: int, trials: int,
-                        master_seed: int = 0,
+def otsp_reach_estimate(p: float, radius: int, trials: int, master_seed: int = 0,
                         origin_open: bool = False) -> EstimateRecord:
+    """Edge reach of the oriented triangular lattice: a site is open with
+    probability p and points to its west, north and northwest neighbors; a
+    closed site can be reached but not left, as in site percolation."""
     require_p(p)
     _require_run(radius, trials)
     t0 = time.perf_counter()
-    hits = _otsp_reach_trials(p, radius, trials, master_seed,
-                              origin_open=origin_open)
+    hits = _statistic_values(measure_for(ModelId("NE-.", p)), radius, trials, master_seed,
+                             REACH_OTSP, live_origin=origin_open)
     return _record("otsp", p, radius, REACH_OTSP, hits, master_seed, t0)
 
 
@@ -611,26 +604,19 @@ def bisect_pc(
             probes.append((p, est, 0.0))
             return est
     else:
-        direct_otsp = model.lower() == "otsp"
-        if not direct_otsp:
-            name = canonical_name(model)
-            if name not in BISECTABLE:
-                raise ValidationError(
-                    f"{name!r} is not on the monotone allowlist {BISECTABLE};"
-                    " chart a survival curve instead"
-                )
+        name, statistic = (("NE-.", REACH_OTSP) if model.strip().lower() == "otsp"
+                           else (canonical_name(model), REACH_C))
+        if name not in BISECTABLE:
+            raise ValidationError(f"{name!r} is not on the monotone allowlist {BISECTABLE};"
+                                  " chart a survival curve instead")
         _require_run(radius, trials_per_probe)
 
         def probe(p: float, idx: int) -> float:
             seed = rng.spawn_seed(master_seed, idx)
-            if direct_otsp:
-                rec = otsp_reach_estimate(p, radius, trials_per_probe, seed,
-                                          origin_open=True)
-            else:
-                t0 = time.perf_counter()
-                vals = _statistic_values(measure_for(ModelId(name, p)), radius,
-                                         trials_per_probe, seed, REACH_C, live_origin=True)
-                rec = _record(name, p, radius, REACH_C, vals, seed, t0)
+            t0 = time.perf_counter()
+            vals = _statistic_values(measure_for(ModelId(name, p)), radius, trials_per_probe,
+                                     seed, statistic, live_origin=True)
+            rec = _record(name, p, radius, statistic, vals, seed, t0)
             probes.append((p, rec.estimate, rec.se))
             return rec.estimate
 
@@ -770,6 +756,8 @@ def lu_walk_test(p: float, samples: int, master_seed: int = 0,
     from .bounds import drift_formulas, lu_step_prob
 
     _require_two(samples, "samples")
+    if j_range < 0:
+        raise ValidationError(f"need j_range >= 0, got {j_range}")
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0x10))
     at_l_is_ne = gen.random(samples) < p
     ne_run = gen.geometric(1.0 - p, samples) - 1      # extra NE sites going left
@@ -1011,6 +999,8 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
         raise ValidationError("only NE-SW and SWE-N carry a blocking duality to verify")
     if margin is None:
         margin = radius
+    if margin < 0:
+        raise ValidationError(f"need margin >= 0, got {margin}")
     inner = Window.centered(radius, 2)
     outer = Window.centered(radius + margin, 2)
     counts: dict[str, int] = {}

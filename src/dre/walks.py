@@ -240,6 +240,10 @@ def coalescence_stats(
     are apart; its empirical step law is returned.
     """
     require_p(p)
+    if trials < 1 or max_levels < 1:
+        raise ValidationError(f"need trials >= 1 and max_levels >= 1, got {trials}, {max_levels}")
+    if not all(len(s) == 2 and all(isinstance(c, (int, np.integer)) for c in s) for s in (x, y)):
+        raise ValidationError(f"starts must be 2-D integer sites, got {x!r}, {y!r}")
     thresholds = rng.thresholds((p, 1.0 - p))
     met = 0
     meeting_levels: dict[int, int] = {}

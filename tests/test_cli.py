@@ -70,6 +70,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                        "--out", str(out)) == 2
     assert not out.exists()
     assert run_cli("classify", "--model", "NE-SW", "--radius", "5", "--trials", "0") == 2
+    capsys.readouterr()
+    for margin in ("-1", "-3", "-10"):  # the message names the input
+        assert run_cli("classify", "--model", "NE-SW", "--radius", "5", "--trials", "3",
+                       f"--margin={margin}") == 2
+        assert "margin" in capsys.readouterr().err, margin
     assert run_cli("verify", "duality", "--model", "NE-SW", "--radius", "5",
                    "--trials", "0") == 2
     assert run_cli("verify", "duality", "--model", "NE-.", "--p", "0.9", "--radius", "5",

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,16 +25,17 @@ from dre.montecarlo import (
     REACH_B,
     REACH_C,
     REACH_M,
+    REACH_OTSP,
     SIZE_M,
     TrialPlan,
     _is_ne_oriented,
     _oriented_reach_trials,
-    _otsp_reach_trials,
     _packed_chunks,
     _packed_values,
     _row_gates,
     _row_propagate,
     _site_draw,
+    _statistic_values,
     _up_or_right_hash,
     bisect_pc,
     check_theta_identity,
@@ -119,12 +121,19 @@ def test_batch_size_does_not_change_estimates(monkeypatch):
             assert a.estimate == b.estimate and a.se == b.se
 
 
-def _ne_sweep(measure, radius, trials, seed, backward, origin=None, batch=256):
-    """The row sweep on the package's site draw, as run_plan runs it: forward
-    on columns x = i, backward on x = -i."""
-    xs = (-1 if backward else 1) * np.arange(radius + 1, dtype=np.int64)
-    return _oriented_reach_trials(measure, trials, _site_draw(seed, trials, xs), radius + 1,
-                                  backward, origin, batch=batch)
+def _ne_sweep(measure, radius, trials, seed, backward, live_origin=False, batch=256):
+    """The row sweep as run_plan runs it, batch trials at a time."""
+    assert _is_ne_oriented(measure)  # so the dispatcher picks the sweep
+    with patch.object(montecarlo, "SWEEP_BATCH", batch):
+        return _statistic_values(measure, radius, trials, seed, REACH_B if backward else REACH_C,
+                                 live_origin)
+
+
+def _otsp_sweep(p, radius, trials, seed, origin_open, batch):
+    """The oriented triangular lattice as otsp_reach_estimate runs it."""
+    with patch.object(montecarlo, "SWEEP_BATCH", batch):
+        return _statistic_values(measure_for(ModelId("NE-.", p)), radius, trials, seed,
+                                 REACH_OTSP, origin_open)
 
 
 def test_fast_oriented_path_matches_generic():
@@ -161,7 +170,7 @@ def test_oriented_sweep_matches_generic(measure, radius, seed, batch, mode):
     assert _is_ne_oriented(measure)
     trials = 9
     origin = int(np.bitwise_or.reduce(measure.masks)) if mode == "live origin" else None
-    fast = _ne_sweep(measure, radius, trials, seed, mode == "backward", origin, batch)
+    fast = _ne_sweep(measure, radius, trials, seed, mode == "backward", origin is not None, batch)
     slow = _packed_values(measure, radius, trials, seed,
                           REACH_B if mode == "backward" else REACH_C, origin).astype(bool)
     assert np.array_equal(fast, slow)
@@ -213,8 +222,9 @@ def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
        seed=st.integers(0, 2**32), batch=st.integers(1, 5), origin_open=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_otsp_sweep_matches_oracle(p, radius, trials, seed, batch, origin_open):
-    got = _otsp_reach_trials(p, radius, trials, seed, origin_open=origin_open, batch=batch)
-    assert got.tolist() == otsp_reach_oracle(p, radius, trials, seed, origin_open)
+    want = otsp_reach_oracle(p, radius, trials, seed, origin_open)
+    assert _otsp_sweep(p, radius, trials, seed, origin_open, batch).tolist() == want
+    assert otsp_reach_estimate(p, radius, trials, seed, origin_open).estimate == np.mean(want)
 
 
 def _naive_closure(row, gate):
@@ -267,10 +277,10 @@ def test_sweeps_at_word_boundaries(radius):
     measure = measure_for(ModelId("NE-.", 0.75))
     for stat, backward, origin in ((REACH_C, False, None), (REACH_B, True, None),
                                    (REACH_C, False, NE_MASK)):
-        fast = _ne_sweep(measure, radius, 8, radius, backward, origin, batch=3)
+        fast = _ne_sweep(measure, radius, 8, radius, backward, origin is not None, batch=3)
         slow = _packed_values(measure, radius, 8, radius, stat, origin).astype(bool)
         assert np.array_equal(fast, slow)
-    got = _otsp_reach_trials(0.65, radius, 6, radius, origin_open=True, batch=4)
+    got = _otsp_sweep(0.65, radius, 6, radius, True, batch=4)
     assert got.tolist() == otsp_reach_oracle(0.65, radius, 6, radius, origin_open=True)
 
 
@@ -390,6 +400,12 @@ def test_identity_implication_random_windows(name, p, radius, seed):
 def test_bisect_synthetic_step():
     res = bisect_pc(lambda p: float(p >= 0.5), radius=10, tol=0.004)
     assert abs(res.p_hat - 0.5) <= 0.004
+
+
+def test_bisect_resolves_otsp_like_any_name():
+    # the name is stripped and read in any case, then checked on the allowlist
+    args = dict(radius=8, tol=0.1, trials_per_probe=20, bracket=(0.3, 0.9))
+    assert bisect_pc(" OTSP ", **args) == bisect_pc("otsp", **args)
 
 
 def test_bisect_allowlist_and_bracketing():
@@ -561,16 +577,17 @@ def test_radius_and_trials_are_validated(radius, trials):
     lambda: wn_crossing_test(0.5, 3, 5, start_gap=-3),
     lambda: wn_crossing_test(0.5, 3, 5, start_gap=0),
     lambda: wn_crossing_test(0.5, 3, 5, j_max=-1),
+    lambda: lu_walk_test(0.5, 10, j_range=-1),
 ], ids=["wn no levels", "wn no trials", "dn no samples", "dn no widths", "m_size no trials",
         "census no trials", "martingale no levels", "martingale negative levels",
-        "wn negative gap", "wn no gap", "wn negative j_max"])
+        "wn negative gap", "wn no gap", "wn negative j_max", "lu negative j_range"])
 def test_empty_samples_are_rejected(run):
     with pytest.raises(ValidationError):
         run()
 
 
 def test_site_draw_holds_one_batch_of_prefix(monkeypatch):
-    # the row draw keeps the (trial, column) hash prefix of one batch only
+    # the row draw keeps the (trial, column) hash prefix of one SWEEP_BATCH only
     measure = measure_for(ModelId("NE-.", 0.75))
     largest = 0
 
@@ -581,7 +598,7 @@ def test_site_draw_holds_one_batch_of_prefix(monkeypatch):
         return out
 
     def sweep(batch):
-        return _ne_sweep(measure, 65, 8, 4, False, NE_MASK, batch)
+        return _ne_sweep(measure, 65, 8, 4, False, True, batch)
 
     with monkeypatch.context() as m:
         m.setattr(rng, "hash_parts", recording)

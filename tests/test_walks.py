@@ -178,6 +178,17 @@ def test_coalescence_same_start():
     assert stats.met == 10 and stats.meeting_levels == {0: 10}
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(trials=-3), dict(trials=0), dict(max_levels=-1), dict(max_levels=0),
+    dict(x=(0, 0, 0)), dict(y=(1,)), dict(x=(0.5, 0)),
+], ids=["negative trials", "no trials", "negative levels", "no levels", "3-D start",
+        "1-D start", "float start"])
+def test_coalescence_rejects_bad_runs_and_starts(kwargs):
+    args = dict(p=0.5, x=(0, 0), y=(2, -2), trials=5, max_levels=10) | kwargs
+    with pytest.raises(ValidationError):
+        coalescence_stats(**args)
+
+
 def test_coalescence_difference_law_and_meeting():
     # symmetric-walk hitting: survival from gap 2 after ~n/2 active moves
     # decays like sqrt(8/(pi n)), so 900 levels push meeting past 0.9
