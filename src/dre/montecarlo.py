@@ -229,6 +229,8 @@ def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
     draw: a block it returns holds until the next finish.
     """
     seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
+    # hash and scratch in one block: glibc gave two freed 323 KB blocks (a
+    # generic R=100 window) back after each call, and they faulted in again
     buf = np.empty((2, 0), dtype=np.uint64)
 
     def start(live: np.ndarray) -> np.ndarray:
