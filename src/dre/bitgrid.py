@@ -99,31 +99,31 @@ def atom_moves(above: list[np.ndarray], masks: np.ndarray, nx: int,
     atom_plane).  Arrows that leave the window are dropped, as in
     move_masks.
     """
-    masks = masks.tolist()
+    masks, full = masks.tolist(), pack_rows(np.ones(nx, dtype=bool))
+    out.fill(0)
     for k, bit in enumerate(_MOVE_BITS.tolist()):
-        atom_plane(above, masks, bit, nx, out[k])
+        atom_plane(above, masks, bit, full, out[k])
     return _drop_leaving(out, nx)
 
 
-def atom_plane(above: list[np.ndarray], masks: list[int], bit: int, nx: int,
-               out: np.ndarray) -> np.ndarray:
-    """The packed plane of the sites whose atom's mask has bit, written into
-    out (..., nwords) over rows of nx columns.
+def atom_plane(above: list, masks: list[int], bit: int, full, plane=0):
+    """The packed plane of the sites whose atom's mask has bit, over rows
+    whose columns are the set bits of full.
 
     above[j - 1] is the plane of the sites whose atom is j or above, for j
     from 1 to len(above), and no site's atom is past len(above) (see
     rng.passed); masks are the atoms' masks.  The plane is the XOR of the
-    planes where bit changes from atom j - 1 to atom j, complemented on the
-    row's nx columns when atom 0 has it.
+    planes where bit changes from atom j - 1 to atom j, XOR-ed with full
+    when atom 0 has it.  Planes are Python ints, and plane is 0 and the
+    result a new int, or uint64 word arrays, and plane is a zeroed array
+    that the result is written into.
     """
-    out.fill(0)
-    for j, plane in enumerate(above):
+    for j, above_j in enumerate(above):
         if (masks[j] ^ masks[j + 1]) & bit:
-            out ^= plane
+            plane ^= above_j
     if masks[0] & bit:
-        np.invert(out, out=out)
-        out[..., -1] &= np.uint64((1 << ((nx - 1) % 64 + 1)) - 1)  # the last word's columns
-    return out
+        plane ^= full
+    return plane
 
 
 def _drop_leaving(moves: np.ndarray, nx: int) -> np.ndarray:

@@ -225,26 +225,25 @@ def _cmd_classify(opts: _Options, infile: Optional[str]) -> int:
     if single and opts.get("margin") is not None:
         raise UsageError("--margin applies to a census (--trials above 1, no --in);"
                          " a single environment is classified whole")
+    # classified before --out is opened, so rejected input leaves no file
+    if single:
+        lines = classify_b_shape(_env_from(opts, infile), (0, 0)).record_lines()
+    else:
+        model = opts.require_model()
+        census = classify_shapes(
+            model, opts.get("radius", cast=int), trials,
+            master_seed=opts.get("seed", cast=int),
+            margin=opts.get("margin", cast=int),
+        )
+        print(f"# model={model.label()} seed={opts.get('seed', cast=int)}",
+              file=sys.stderr)
+        lines = [f"model={census.model} p={census.p!r} M={census.radius}"
+                 f" trials={census.trials} reaching={census.reaching}",
+                 *(f"count[{shape}]={census.counts[shape]}" for shape in sorted(census.counts)),
+                 f"blocked_above_monotone={census.blocked_above_monotone}"]
     with _output(opts) as out:
-        if single:
-            env = _env_from(opts, infile)
-            report = classify_b_shape(env, (0, 0))
-            for line in report.record_lines():
-                out.write(line + "\n")
-        else:
-            model = opts.require_model()
-            census = classify_shapes(
-                model, opts.get("radius", cast=int), trials,
-                master_seed=opts.get("seed", cast=int),
-                margin=opts.get("margin", cast=int),
-            )
-            print(f"# model={model.label()} seed={opts.get('seed', cast=int)}",
-                  file=sys.stderr)
-            out.write(f"model={census.model} p={census.p!r} M={census.radius}"
-                      f" trials={census.trials} reaching={census.reaching}\n")
-            for shape in sorted(census.counts):
-                out.write(f"count[{shape}]={census.counts[shape]}\n")
-            out.write(f"blocked_above_monotone={census.blocked_above_monotone}\n")
+        for line in lines:
+            out.write(line + "\n")
     return 0
 
 

@@ -158,57 +158,36 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # generic path): a draw is a pure hash of its key, so a trial whose cluster
 # dies after a few rows costs a few blocks of hash.  The block's gates are
 # packed straight from those hashes, one threshold plane at a time
-# (_row_gates).  A row is a (B, nwords) uint64 bit set; its right gates
-# close it in one carry pass (_row_propagate) and its up gates (plus, on
-# otsp, a one-bit shift) carry it to the next row.  At a block's end a trial
-# leaves the sweep once its row is empty or has met the last column, and
-# the sweep stops when none is left.  Settling once a block changes no
-# result: an empty row stays empty, and a meeting with the last column is
-# kept however the row goes on.
+# (_row_gates).  The batch's row, and each of its gate rows, is one Python
+# int holding every trial's bits, with a guard column after each trial; its
+# right gates close it in one bignum add (_row_propagate), whose carry the
+# guards stop at each trial's end, and its up gates (plus, on otsp, a
+# one-bit shift) carry it to the next row.  At a block's end the row is
+# read back as (B, words) arrays: a trial leaves the sweep once its row is
+# empty or has met the last column, and the sweep stops when none is left.
+# Settling once a block changes no result: an empty row stays empty, and a
+# meeting with the last column is kept however the row goes on.
 
 _NE_ORIENTED_MASKS = frozenset({0, BIT_E, BIT_N, NE_MASK})
-_ONE = np.uint64(1)
-_ALL_ONES = np.uint64(2**64 - 1)
 
 
 def _is_ne_oriented(measure: SupportMeasure) -> bool:
     return measure.d == 2 and measure.support() <= _NE_ORIENTED_MASKS
 
 
-def _row_propagate(row: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """Close packed rows under their gates: R[i] = row[i] | (R[i-1] & gate[i-1]).
+def _row_propagate(row: int, gate: int, valid: int) -> int:
+    """Close int rows under their gates: R[i] = row[i] | (R[i-1] & gate[i-1]).
 
-    row and gate are (B, nwords) uint64 with bit i of a row in bit i % 64
-    of word i // 64; gate bit i opens the step from i to i + 1.  Adding
-    gate to row & gate runs a carry from each reached gate to the end of
-    its run of gates, and ^ gate leaves that stretch set; the carry passes
-    from word to word as in a long addition, resolved by lookahead: a word
-    whose sum overflows generates a carry, one whose sum is all ones passes
-    the incoming carry on, and any other word stops it.  An open gate at
-    the last column of a row carries past it; only a row that has met that
-    column has such a carry, and the sweep reads no bit past it.
+    Trial t's row holds column i in bit t * w + i, where w = 64 * gw and
+    gw = (n + 64) // 64 words, so column n is a guard whose gate is always
+    closed; gate bit i opens the step from i to i + 1, and valid has every
+    trial's n columns.  Adding gate to row & gate runs a carry from each
+    reached gate to the end of its run of gates, and ^ gate leaves that
+    stretch set; the addition carries across words, and the guard stops the
+    carry at the end of its trial.  An open gate at the last column carries
+    into the guard, which & valid clears.
     """
-    s = row & gate
-    s += gate
-    if row.shape[1] > 1:
-        gen = s < gate
-        passes = s == _ALL_ONES
-        # A row's last word neither generates nor passes: its carry-out is
-        # never read, and the carry must not run on into the next row.
-        gen[:, -1] = passes[:, -1] = False
-        # Code word i of the flat (B * nwords) run as 2 (i + 1) + generated,
-        # or 0 if it passes: the running maximum at each word is the code of
-        # the last word at or before it that decides its carry-out.
-        code = np.add(gen, np.arange(2, 2 * s.size + 2, 2, dtype=np.uint64).reshape(s.shape),
-                      dtype=np.uint64)
-        np.putmask(code, passes, 0)
-        flat = code.reshape(-1)
-        np.maximum.accumulate(flat, out=flat)
-        flat &= _ONE
-        s.reshape(-1)[1:] += flat[:-1]
-    s ^= gate
-    s |= row
-    return s
+    return (((row & gate) + gate) ^ gate | row) & valid
 
 
 # A row draw is a pair (start, finish): start(live) gives the key state of
@@ -253,39 +232,48 @@ def _up_or_right_hash(master_seed: int, trials: np.ndarray, xs, ys) -> np.ndarra
     return rng.hash_parts(master_seed, (trials[:, None], -(xs + ys), -ys))
 
 
-def _row_gates(h: np.ndarray, thresholds: Sequence[int], masks: list[int], n: int,
-               backward: bool, origin: Optional[int], above: np.ndarray):
-    """The packed (E, N) gates, each (K, B, nwords), of a (K, B, n) block of
-    hashes, K rows of B trials, drawn as atoms with masks.
+def _trial_columns(b: int, n: int) -> list[int]:
+    """Masks of columns 0 to n - 1, n - 1 and 0 of each trial on int rows of b
+    trials (see _row_propagate); they repeat every trial, so the masks of
+    fewer trials are these shifted right by the dropped trials' bits."""
+    nbytes = 8 * ((n + 64) // 64)
+    return [int.from_bytes(c.to_bytes(nbytes, "little") * b, "little")
+            for c in ((1 << n) - 1, 1 << (n - 1), 1)]
+
+
+def _row_gates(h: np.ndarray, thresholds: Sequence[int], masks: list[int],
+               columns: list[int], backward: bool, origin: Optional[int],
+               above: np.ndarray) -> tuple[list[int], list[int]]:
+    """The E and N gates, each a list of K int rows (see _row_propagate), of
+    a (K, B, n) block of hashes, K rows of B trials, drawn as atoms with
+    masks; columns are the rows' _trial_columns.
 
     Each threshold's plane of h is compared into above, a bool buffer of at
-    least K * B rows, False past column n and padded to whole words so that
-    its packed bytes are the words, and bitgrid.atom_plane maps those planes
-    to the E and N gates; when the same atoms carry E and N, one plane
-    serves both.  origin, when given, replaces column 0's draw in the
-    block's row 0.  Backward, the E gates move one column back
-    (e[i] = e[i + 1]; bit n - 1 keeps its own).
+    least K * B rows, False past column n and padded to a row's whole words,
+    and packed; each row reads its part of the packed plane as one int, and
+    bitgrid.atom_plane maps those planes to the E and N gates; when the same
+    atoms carry E and N, one plane serves both.  origin, when given,
+    replaces column 0's draw in the block's row 0.  Backward, the E gates
+    move one column back (e[i] = e[i + 1]; column n - 1 keeps its own, as
+    the guard's gate, shifted into it, is closed).
     """
-    k, b, _ = h.shape
+    k, b, n = h.shape
+    valid, last, col0 = columns
     rows = above[:k * b]
-    passed = [np.packbits(rows, axis=-1, bitorder="little").view(np.uint64)
+    passed = [np.packbits(rows, axis=-1, bitorder="little").reshape(k, -1)
               for _ in rng.passed(h.reshape(k * b, n), thresholds, rows[:, :n])]
-    shape = (k * b, -(-n // 64))
-    e = atom_plane(passed, masks, BIT_E, n, np.empty(shape, np.uint64))
-    if origin is None and all(bool(m & BIT_E) == bool(m & BIT_N) for m in masks):
-        up = e
-    else:
-        up = atom_plane(passed, masks, BIT_N, n, np.empty(shape, np.uint64))
-    if origin is not None:  # bit 0 of row 0 takes the origin's gates
-        e[:b, 0] = e[:b, 0] & ~_ONE | np.uint64(bool(origin & BIT_E))
-        up[:b, 0] = up[:b, 0] & ~_ONE | np.uint64(bool(origin & BIT_N))
+    same = origin is None and all(bool(m & BIT_E) == bool(m & BIT_N) for m in masks)
+    e, up = [], []
+    for j in range(k):
+        planes = [int.from_bytes(plane[j], "little") for plane in passed]
+        e.append(atom_plane(planes, masks, BIT_E, valid))
+        up.append(e[j] if same else atom_plane(planes, masks, BIT_N, valid))
+    if origin is not None:  # column 0 of row 0 takes the origin's gates
+        e[0] = e[0] & ~col0 | (col0 if origin & BIT_E else 0)
+        up[0] = up[0] & ~col0 | (col0 if origin & BIT_N else 0)
     if backward:
-        word, bit = divmod(n - 1, 64)
-        back = e >> _ONE
-        back[:, :-1] |= e[:, 1:] << np.uint64(63)
-        back[:, word] |= e[:, word] & np.uint64(1 << bit)
-        e = back
-    return e.reshape(k, b, -1), up.reshape(k, b, -1)
+        e = [g >> 1 & valid | g & last for g in e]
+    return e, up
 
 
 def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, n: int,
@@ -299,56 +287,64 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
     replaces the corner's draw.  Rows are drawn, gated and settled in blocks
     of up to CHECK_EVERY, as many as keep a block within 2 * SWEEP_BATCH
     (trial, row) pairs, so SWEEP_BATCH bounds both the trials swept together
-    and the hashes drawn at once.  Forward, a gate sits at its source: E at
-    column i opens the step to i + 1, and N the step up.  Backward reach is swept in the
-    reflected coordinates (-column, -row), where a gate sits at its
-    destination: the E gates move one column back, and a row's N gates open
-    the steps into it.  With diagonal (forward), an N gate also opens the
-    step to column i + 1 of the next row.
+    and the hashes drawn at once.  Rows and gates are ints of the whole
+    batch (see _row_propagate), read as (B, words) arrays only to settle.
+    Forward, a gate sits at its source: E at column i opens the step to i + 1,
+    and N the step up.  Backward reach is swept in the reflected coordinates
+    (-column, -row), where a gate sits at its destination: the E gates move
+    one column back, and a row's N gates open the steps into it.  With
+    diagonal (forward), an N gate also opens the step to column i + 1 of the
+    next row.
     """
     start, finish = draw
-    nwords = -(-n // 64)
-    word, bit = divmod(n - 1, 64)
-    last = np.uint64(1 << bit)
+    nbytes = 8 * ((n + 64) // 64)  # a trial's row, with column n a guard
     thresholds, masks = measure.thresholds, measure.masks.tolist()
-    above = np.zeros((2 * SWEEP_BATCH, 64 * nwords), dtype=bool)
+    above = np.zeros((2 * SWEEP_BATCH, 8 * nbytes), dtype=bool)
+    batch_columns = _trial_columns(SWEEP_BATCH, n)
     dy = -1 if backward else 1
     out = np.zeros(trials, dtype=bool)
+
+    def words(x: int) -> np.ndarray:  # the live trials' rows of x
+        return np.frombuffer(x.to_bytes(len(live) * nbytes, "little"),
+                             np.uint64).reshape(len(live), -1)
+
     for lo in range(0, trials, SWEEP_BATCH):
         live = np.arange(lo, min(lo + SWEEP_BATCH, trials), dtype=np.int64)
         state = start(live)
-        row = np.zeros((len(live), nwords), dtype=np.uint64)
-        row[:, 0] = 1
+        columns = [c >> 8 * nbytes * (SWEEP_BATCH - len(live)) for c in batch_columns]
+        valid, last, row = columns  # each trial starts at its column 0
         first = 0
         while True:
             stop = min(first + min(CHECK_EVERY, max(1, 2 * SWEEP_BATCH // len(live))), n)
             e, up = _row_gates(finish(state, dy * np.arange(first, stop, dtype=np.int64)),
-                               thresholds, masks, n, backward,
+                               thresholds, masks, columns, backward,
                                origin if first == 0 else None, above)
-            ends = np.zeros(len(live), dtype=np.uint64)  # the rows' last words, or-ed
+            ends = 0  # the block's rows, or-ed
             for j, k in enumerate(range(first, stop)):
                 if k:
                     if backward:  # an N gate at its destination opens the step into row k
                         row &= up[j]
-                    if diagonal:  # only a row that met the last column shifts a bit past it
-                        shifted = row << _ONE
-                        shifted[:, 1:] |= row[:, :-1] >> np.uint64(63)
-                        row |= shifted
-                row = _row_propagate(row, e[j])
-                ends |= row[:, word]
+                    if diagonal:
+                        row |= row << 1 & valid
+                row = _row_propagate(row, e[j], valid)
+                ends |= row
                 if not backward and k < n - 1:  # an N gate at its source opens the step out
                     row &= up[j]
-            hit = (ends & last) != 0
-            alive = row.any(axis=1)
+            rows = words(row)
+            hit = words(ends & last).any(axis=1)
+            alive = rows.any(axis=1)
             if stop == n:
                 out[live] = hit | alive
                 break
             out[live[hit]] = True
             keep = alive & ~hit
-            if not keep.any():
+            kept = int(np.count_nonzero(keep))
+            if not kept:
                 break
-            if not keep.all():
-                live, state, row = live[keep], state[keep], row[keep]
+            if kept < len(live):
+                columns = [c >> 8 * nbytes * (len(live) - kept) for c in columns]
+                valid, last, _ = columns
+                live, state, row = live[keep], state[keep], int.from_bytes(rows[keep], "little")
             first = stop
     return out
 
@@ -436,10 +432,15 @@ def _statistic_values(measure: SupportMeasure, radius: int, trials: int,
     """Per-trial values of a named statistic, on the simulator that fits it.
 
     A live origin carries every arrow of the support, the usual survival
-    convention for oriented growth.
+    convention for oriented growth.  reach_otsp runs on a NE-oriented
+    measure only.
     """
+    swept = _is_ne_oriented(measure)
+    if statistic not in _STATISTICS and not (statistic == REACH_OTSP and swept):
+        raise ValidationError(f"statistic must be one of {_STATISTICS}, or {REACH_OTSP}"
+                              f" on a NE-oriented measure; got {statistic!r}")
     origin = int(np.bitwise_or.reduce(measure.masks)) if live_origin else None
-    if statistic in _SWEEPS and _is_ne_oriented(measure):
+    if statistic in _SWEEPS and swept:
         sign, backward, diagonal = _SWEEPS[statistic]
         n = radius + 1
         draw = _site_draw(master_seed, trials, sign * np.arange(n, dtype=np.int64))

@@ -81,6 +81,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                    "--trials", "3") == 2
 
 
+def test_classify_usage_errors_leave_no_file(capsys, tmp_path):
+    # the census checks its input before --out is opened, as render does
+    out = tmp_path / "census.txt"
+    for bad in (["--radius", "5", "--trials", "3", "--margin=-3"],
+                ["--radius", "5", "--trials", "0"], ["--radius", "0", "--trials", "3"]):
+        assert run_cli("classify", "--model", "NE-SW", *bad, "--out", str(out)) == 2, bad
+        assert not out.exists(), bad
+    assert "margin" in capsys.readouterr().err
+
 def test_estimate_csv(tmp_path):
     out = tmp_path / "est.csv"
     assert run_cli("estimate", "--model", "osp", "--p", "0.75", "--radius", "20",

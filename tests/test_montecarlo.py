@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dre import montecarlo, rng
-from dre.bitgrid import move_masks, pack_rows
+from dre.bitgrid import move_masks
 from dre.clusters import backward_cluster, forward_cluster
 from dre.directions import BIT_E, BIT_N, NE_MASK, parse_token
 from dre.env import EnvironmentGrid, Window, sample_environment, sample_masks
@@ -35,6 +35,7 @@ from dre.montecarlo import (
     _row_gates,
     _row_propagate,
     _site_draw,
+    _trial_columns,
     _statistic_values,
     _up_or_right_hash,
     bisect_pc,
@@ -146,6 +147,15 @@ def test_fast_oriented_path_matches_generic():
         assert np.array_equal(fast, slow)
 
 
+
+def test_statistic_values_rejects_names_it_cannot_run():
+    # an unknown name, or otsp's sweep on a measure it cannot sweep, is an
+    # error, not the generic path's cluster sizes
+    ne_sw, ne = measure_for(ModelId("NE-SW", 0.5)), measure_for(ModelId("NE-.", 0.5))
+    for measure, statistic in ((ne_sw, "bogus"), (ne, "bogus"), (ne_sw, REACH_OTSP)):
+        with pytest.raises(ValidationError, match="statistic"):
+            _statistic_values(measure, 3, 4, 0, statistic)
+
 @st.composite
 def _ne_oriented_measures(draw):
     """Measures of 1-4 of the atoms NE, E, N and none, in any order; with
@@ -176,6 +186,22 @@ def test_oriented_sweep_matches_generic(measure, radius, seed, batch, mode):
     assert np.array_equal(fast, slow)
 
 
+def _int_row(bits):
+    """(B, n) bools as the sweep's int row: trial t's column i in bit t * w + i,
+    w = 64 * ((n + 64) // 64)."""
+    b, n = bits.shape
+    padded = np.zeros((b, 64 * ((n + 64) // 64)), dtype=bool)
+    padded[:, :n] = bits
+    return int.from_bytes(np.packbits(padded, axis=-1, bitorder="little"), "little")
+
+
+def _int_bits(row, b, n):
+    """The sweep's int row of b trials of n columns as (B, w) bools."""
+    nbytes = 8 * ((n + 64) // 64)
+    data = np.frombuffer(row.to_bytes(b * nbytes, "little"), np.uint8).reshape(b, nbytes)
+    return np.unpackbits(data, axis=1, bitorder="little").astype(bool)
+
+
 # (live trials, row) as a sweep draws them: a batch's rows in order, with
 # trials dropped, then the next batch, which starts a new key state
 GATE_CALLS = [([0, 1, 2, 3], 0), ([0, 1, 2, 3], 1), ([0, 2, 3], 2), ([2], 3), ([4, 5], 0),
@@ -199,14 +225,14 @@ def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
     thresholds, masks = measure.thresholds, measure.masks
     xs = (1 if mode in ("forward", "origin") else -1) * np.arange(n)  # otsp runs west
     start, finish = _site_draw(seed, 6, xs)
-    above = np.zeros((4, 64 * -(-n // 64)), dtype=bool)  # the sweep's buffer at batch 4
+    above = np.zeros((4, 64 * ((n + 64) // 64)), dtype=bool)  # the sweep's buffer at batch 4
     for live, k in GATE_CALLS:
         live = np.array(live)
         state = start(live) if k == 0 else state[np.isin(have, live)]
         have = live
         got = [plane[0] for plane in _row_gates(finish(state, np.array([sign * k])), thresholds,
-                                                masks.tolist(), n, backward,
-                                                origin if k == 0 else None, above)]
+                                                masks.tolist(), _trial_columns(len(live), n),
+                                                backward, origin if k == 0 else None, above)]
         seeds = [rng.spawn_seed(seed, t) for t in live.tolist()]
         arrows = masks[np.array([rng.atoms(s, (xs, sign * k), thresholds) for s in seeds])]
         for plane, bit in zip(got, (BIT_E, BIT_N)):
@@ -215,7 +241,7 @@ def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
                 want[:, 0] = bool(origin & bit)
             if backward and bit == BIT_E:
                 want[:, :-1] = want[:, 1:]
-            assert np.array_equal(plane, pack_rows(want)), (live, k, bit)
+            assert plane == _int_row(want), (live, k, bit)
 
 
 @given(p=OPEN_P, radius=st.integers(1, 12), trials=st.integers(1, 12),
@@ -259,27 +285,29 @@ def test_row_propagate_matches_naive_loop(n):
     gates.append(np.ones((1, n), dtype=bool))      # ... runs the whole row
     row, gate = np.concatenate(rows), np.concatenate(gates)
     gate[:, -1] = False
-    got = _row_propagate(pack_rows(row), pack_rows(gate))
-    bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    valid = _trial_columns(len(row), n)[0]
+    bits = _int_bits(_row_propagate(_int_row(row), _int_row(gate), valid), len(row), n)
     assert not bits[:, n:].any()
     assert np.array_equal(bits[:, :n], _naive_closure(row, gate))
     assert bits[-1].sum() == n
     # an open gate at the last column carries past the row, never into the next
     gate[:, -1] = True
-    got = _row_propagate(pack_rows(row), pack_rows(gate))
-    bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    bits = _int_bits(_row_propagate(_int_row(row), _int_row(gate), valid), len(row), n)
     assert np.array_equal(bits[:, :n], _naive_closure(row, gate))
 
 
-@pytest.mark.parametrize("radius", [62, 63, 64, 65, 127, 128])
+@pytest.mark.parametrize("radius", [62, 63, 64, 65, 127, 128, 191])
 def test_sweeps_at_word_boundaries(radius):
-    # rows of radius + 1 bits end at, or just past, a 64-bit word
-    measure = measure_for(ModelId("NE-.", 0.75))
-    for stat, backward, origin in ((REACH_C, False, None), (REACH_B, True, None),
-                                   (REACH_C, False, NE_MASK)):
-        fast = _ne_sweep(measure, radius, 8, radius, backward, origin is not None, batch=3)
-        slow = _packed_values(measure, radius, 8, radius, stat, origin).astype(bool)
-        assert np.array_equal(fast, slow)
+    # rows of radius + 1 bits end at, or just past, a 64-bit word; at 64, 128
+    # and 192 bits a guard word follows each trial's row.  NE-.'s E and N
+    # gates are one plane; on the second measure they differ
+    mixed = SupportMeasure(2, ((NE_MASK, 0.5), (BIT_E, 0.2), (BIT_N, 0.2), (0, 0.1)))
+    for measure in (measure_for(ModelId("NE-.", 0.75)), mixed):
+        for stat, backward, origin in ((REACH_C, False, None), (REACH_B, True, None),
+                                       (REACH_C, False, NE_MASK)):
+            fast = _ne_sweep(measure, radius, 8, radius, backward, origin is not None, batch=3)
+            slow = _packed_values(measure, radius, 8, radius, stat, origin).astype(bool)
+            assert np.array_equal(fast, slow), (measure, stat, origin)
     got = _otsp_sweep(0.65, radius, 6, radius, True, batch=4)
     assert got.tolist() == otsp_reach_oracle(0.65, radius, 6, radius, origin_open=True)
 
