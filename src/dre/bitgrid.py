@@ -114,9 +114,9 @@ def atom_plane(above: list, masks: list[int], bit: int, full, plane=0):
     from 1 to len(above), and no site's atom is past len(above) (see
     rng.passed); masks are the atoms' masks.  The plane is the XOR of the
     planes where bit changes from atom j - 1 to atom j, XOR-ed with full
-    when atom 0 has it.  Planes are Python ints, and plane is 0 and the
-    result a new int, or uint64 word arrays, and plane is a zeroed array
-    that the result is written into.
+    when atom 0 has it.  The planes are Python ints, and then plane is 0
+    and a new int is returned, or uint64 word arrays, and then plane is a
+    zeroed array that the result is XOR-ed into.
     """
     for j, above_j in enumerate(above):
         if (masks[j] ^ masks[j + 1]) & bit:
