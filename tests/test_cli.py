@@ -90,6 +90,7 @@ def test_classify_usage_errors_leave_no_file(capsys, tmp_path):
         assert not out.exists(), bad
     assert "margin" in capsys.readouterr().err
 
+
 def test_estimate_csv(tmp_path):
     out = tmp_path / "est.csv"
     assert run_cli("estimate", "--model", "osp", "--p", "0.75", "--radius", "20",

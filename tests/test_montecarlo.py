@@ -35,8 +35,8 @@ from dre.montecarlo import (
     _row_gates,
     _row_propagate,
     _site_draw,
-    _trial_columns,
     _statistic_values,
+    _trial_columns,
     _up_or_right_hash,
     bisect_pc,
     check_theta_identity,
@@ -147,7 +147,6 @@ def test_fast_oriented_path_matches_generic():
         assert np.array_equal(fast, slow)
 
 
-
 def test_statistic_values_rejects_names_it_cannot_run():
     # an unknown name, or otsp's sweep on a measure it cannot sweep, is an
     # error, not the generic path's cluster sizes
@@ -155,6 +154,7 @@ def test_statistic_values_rejects_names_it_cannot_run():
     for measure, statistic in ((ne_sw, "bogus"), (ne, "bogus"), (ne_sw, REACH_OTSP)):
         with pytest.raises(ValidationError, match="statistic"):
             _statistic_values(measure, 3, 4, 0, statistic)
+
 
 @st.composite
 def _ne_oriented_measures(draw):
