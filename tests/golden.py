@@ -81,6 +81,11 @@ SWEEP_PLAN_MODELS = {"N-E/0.4": ModelId("N-E", 0.4), "NE-N/0.4": ModelId("NE-N",
                                                (0, 0.1))),
                      "NE-top": SupportMeasure(2, ((0b0011, 1 - 1e-17), (0, 1e-17)))}
 SWEEP_RADII = (63, 64, 65)
+# 201 columns, where a sweep band of 65 columns must widen three times:
+# every trial of NE-top and N-E/0.4's reach_C runs to the edge, and 300
+# trials start a second batch after the first has widened
+BAND_RADII = (200,)
+BAND_MODELS = ("NE-top", "N-E/0.4")
 # windows of 63, 65, 127, 129 and 131 columns: one word, and across one or two word edges
 M_SIZE_RADII = (31, 32, 63, 64, 65)
 # EW-NS offers one arrow per quadrant at every site; NSEW-NE draws tiebreaks
@@ -276,6 +281,11 @@ def cases() -> dict:
             out[f"run_plan/sweep/{label}/{statistic}"] = (
                 lambda model=model, statistic=statistic: _run_plan(model, statistic,
                                                                    SWEEP_RADII, 40))
+    for label in BAND_MODELS:
+        for statistic in (REACH_C, REACH_B):
+            out[f"run_plan/sweep/{label}/{statistic}/R200"] = (
+                lambda model=SWEEP_PLAN_MODELS[label], statistic=statistic: _run_plan(
+                    model, statistic, BAND_RADII, 300))
     for name, p in (("NE-SW", 0.9), ("SWE-N", 0.5)):
         out[f"classify_shapes/{name}/{p}"] = lambda name=name, p=p: _classify_shapes(name, p)
     # an 81-column sampling window: the census reach crosses a word edge
@@ -298,6 +308,8 @@ def cases() -> dict:
     out["coalescence_stats/0.5"] = _coalescence
     out["otsp_reach_estimate/0.6"] = lambda: _record_lines(
         [otsp_reach_estimate(0.6, 20, 100, 4), otsp_reach_estimate(0.6, 20, 100, 4, True)])
+    out["otsp_reach_estimate/0.8/R200"] = lambda: _record_lines(
+        [otsp_reach_estimate(0.8, 200, 300, 4, True)])
     out["theta_minus_curve/0.6"] = lambda: _record_lines(
         theta_minus_curve(0.6, (5, 10, 20), 100, 4))
     out["bisect_pc/NE-./R66/trials300"] = lambda: _bisect_lines(
