@@ -68,6 +68,14 @@ def _require_run(radius: int, trials: int) -> None:
         raise ValidationError(f"window radius (or level/width count) must be >= 1, got {radius}")
 
 
+def _require_radii(radii: Sequence[int], trials: int) -> None:
+    """Reject an empty radius grid, or a run of any radius _require_run rejects."""
+    if len(radii) == 0:
+        raise ValidationError("radii must be nonempty")
+    for radius in radii:
+        _require_run(radius, trials)
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     model: ModelId | SupportMeasure
@@ -167,6 +175,13 @@ def write_records_jsonl(records: Iterable[EstimateRecord], fh) -> None:
 # empty or has met the last column, and the sweep stops when none is left.
 # Settling once a block changes no result: an empty row stays empty, and a
 # meeting with the last column is kept however the row goes on.
+#
+# A block draws only a band of columns [lo, hi): no move goes left, so no
+# row goes below the live rows' lowest bit, and a row gets past its highest
+# bit only by a run of open E gates.  Gates outside the band are zero bits,
+# so hi stops every run; it sits _BAND_MARGIN past the live rows' highest
+# bit and never shrinks within a batch.  A block whose rows meet column
+# hi - 1 may have been cut short, and is redone on a wider band.
 
 _NE_ORIENTED_MASKS = frozenset({0, BIT_E, BIT_N, NE_MASK})
 
@@ -192,10 +207,11 @@ def _row_propagate(row: int, gate: int, valid: int) -> int:
 
 # A row draw is a pair (start, finish): start(live) gives the key state of
 # the trials with indices live, one trial per entry of axis 0, and
-# finish(state, ys) the (K, B, n) uint64 hashes of their rows ys, an int64
-# array of K row coordinates, over the draw's n columns.
+# finish(state, ys, lo, hi) the (K, B, hi - lo) uint64 hashes of their rows
+# ys, a list of K int row coordinates, over columns lo to hi - 1 of the
+# draw's n.
 RowDraw = tuple[Callable[[np.ndarray], np.ndarray],
-                Callable[[np.ndarray, np.ndarray], np.ndarray]]
+                Callable[[np.ndarray, list, int, int], np.ndarray]]
 
 
 def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
@@ -204,8 +220,11 @@ def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
 
     The hash chain's state after (seed, x) does not depend on the row, so
     start hashes it once, advanced for the next step, and finish completes
-    it with a block of rows into hash and scratch buffers kept for the
-    draw: a block it returns holds until the next finish.
+    columns lo to hi - 1 of it with a block of rows into hash and scratch
+    buffers kept for the draw: a block it returns holds until the next
+    finish.  The rows are a list of ints, linked in Python ints, or a
+    (K, 1, 1) int64 array (see rng.finish).  The buffers are sized for
+    every column, so a band that widens never reallocates them.
     """
     seeds = rng.hash_parts(master_seed, (np.arange(trials, dtype=np.int64),))
     # hash and scratch in one block: glibc gave two freed 323 KB blocks (a
@@ -215,13 +234,13 @@ def _site_draw(master_seed: int, trials: int, xs: np.ndarray) -> RowDraw:
     def start(live: np.ndarray) -> np.ndarray:
         return rng.advanced(rng.hash_parts(seeds[live][:, None], (xs,)))
 
-    def finish(prefix: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def finish(prefix: np.ndarray, ys, lo: int, hi: int) -> np.ndarray:
         nonlocal buf
-        size = len(ys) * prefix.size
-        if buf.shape[1] < size:
-            buf = np.empty((2, size), dtype=np.uint64)
-        h, scratch = buf[:, :size].reshape((2, len(ys)) + prefix.shape)
-        return rng.finish(prefix, ys[:, None, None], h, scratch)
+        if buf.shape[1] < len(ys) * prefix.size:
+            buf = np.empty((2, len(ys) * prefix.size), dtype=np.uint64)
+        shape = (len(ys), len(prefix), hi - lo)
+        h, scratch = buf[:, :math.prod(shape)].reshape((2,) + shape)
+        return rng.finish(prefix[:, lo:hi], ys, h, scratch)
 
     return start, finish
 
@@ -241,33 +260,39 @@ def _trial_columns(b: int, n: int) -> list[int]:
             for c in ((1 << n) - 1, 1 << (n - 1), 1)]
 
 
-def _row_gates(h: np.ndarray, thresholds: Sequence[int], masks: list[int],
+def _row_gates(h: np.ndarray, lo: int, thresholds: Sequence[int], masks: list[int],
                columns: list[int], backward: bool, origin: Optional[int],
                above: np.ndarray) -> tuple[list[int], list[int]]:
     """The E and N gates, each a list of K int rows (see _row_propagate), of
-    a (K, B, n) block of hashes, K rows of B trials, drawn as atoms with
-    masks; columns are the rows' _trial_columns.
+    a (K, B, hi - lo) block of hashes of columns lo to hi - 1, K rows of B
+    trials, drawn as atoms with masks; columns are the rows' _trial_columns.
 
-    Each threshold's plane of h is compared into above, a bool buffer of at
-    least K * B rows, False past column n and padded to a row's whole words,
-    and packed; each row reads its part of the packed plane as one int, and
-    bitgrid.atom_plane maps those planes to the E and N gates; when the same
-    atoms carry E and N, one plane serves both.  origin, when given,
-    replaces column 0's draw in the block's row 0.  Backward, the E gates
-    move one column back (e[i] = e[i + 1]; column n - 1 keeps its own, as
-    the guard's gate, shifted into it, is closed).
+    Each threshold's plane of h is compared into above[:, lo:hi], a bool
+    buffer of at least K * B rows, False from column hi on and padded to a
+    row's whole words, and packed; each row reads its part of the packed
+    plane as one int, and bitgrid.atom_plane maps those planes to the E and
+    N gates, over columns 0 to hi - 1, so every gate from column hi on is
+    closed; when the same atoms carry E and N, one plane serves both.
+    Below lo, above keeps what earlier blocks left, so the gates there are
+    arbitrary: the caller's rows hold no bit below lo, and a gate with no
+    row bit at or below it opens nothing.  origin, when given, replaces
+    column 0's draw in the block's row 0.  Backward, the E gates move one
+    column back (e[i] = e[i + 1]; column n - 1 keeps its own, as the guard's
+    gate, shifted into it, is closed).
     """
-    k, b, n = h.shape
+    k, b, width = h.shape
     valid, last, col0 = columns
     rows = above[:k * b]
     passed = [np.packbits(rows, axis=-1, bitorder="little").reshape(k, -1)
-              for _ in rng.passed(h.reshape(k * b, n), thresholds, rows[:, :n])]
+              for _ in rng.passed(h.reshape(k * b, width), thresholds,
+                                  rows[:, lo:lo + width])]
+    full = (col0 << lo + width) - col0  # each trial's columns 0 to hi - 1
     same = origin is None and all(bool(m & BIT_E) == bool(m & BIT_N) for m in masks)
     e, up = [], []
     for j in range(k):
         planes = [int.from_bytes(plane[j], "little") for plane in passed]
-        e.append(atom_plane(planes, masks, BIT_E, valid))
-        up.append(e[j] if same else atom_plane(planes, masks, BIT_N, valid))
+        e.append(atom_plane(planes, masks, BIT_E, full))
+        up.append(e[j] if same else atom_plane(planes, masks, BIT_N, full))
     if origin is not None:  # column 0 of row 0 takes the origin's gates
         e[0] = e[0] & ~col0 | (col0 if origin & BIT_E else 0)
         up[0] = up[0] & ~col0 | (col0 if origin & BIT_N else 0)
@@ -289,6 +314,9 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
     (trial, row) pairs, so SWEEP_BATCH bounds both the trials swept together
     and the hashes drawn at once.  Rows and gates are ints of the whole
     batch (see _row_propagate), read as (B, words) arrays only to settle.
+    A block draws the columns [lo, hi) of the live rows' band only (see the
+    row sweep's comment block); above is cleared at each batch's start, and
+    as hi never shrinks, its columns from hi on stay False.
     Forward, a gate sits at its source: E at column i opens the step to i + 1,
     and N the step up.  Backward reach is swept in the reflected coordinates
     (-column, -row), where a gate sits at its destination: the E gates move
@@ -299,7 +327,7 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
     start, finish = draw
     nbytes = 8 * ((n + 64) // 64)  # a trial's row, with column n a guard
     thresholds, masks = measure.thresholds, measure.masks.tolist()
-    above = np.zeros((2 * SWEEP_BATCH, 8 * nbytes), dtype=bool)
+    above = np.empty((2 * SWEEP_BATCH, 8 * nbytes), dtype=bool)
     batch_columns = _trial_columns(SWEEP_BATCH, n)
     dy = -1 if backward else 1
     out = np.zeros(trials, dtype=bool)
@@ -308,18 +336,20 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
         return np.frombuffer(x.to_bytes(len(live) * nbytes, "little"),
                              np.uint64).reshape(len(live), -1)
 
-    for lo in range(0, trials, SWEEP_BATCH):
-        live = np.arange(lo, min(lo + SWEEP_BATCH, trials), dtype=np.int64)
+    for base in range(0, trials, SWEEP_BATCH):
+        live = np.arange(base, min(base + SWEEP_BATCH, trials), dtype=np.int64)
         state = start(live)
         columns = [c >> 8 * nbytes * (SWEEP_BATCH - len(live)) for c in batch_columns]
         valid, last, row = columns  # each trial starts at its column 0
+        above[:] = False  # the band's hi never shrinks within a batch
+        lo, hi = 0, min(n, 1 + _BAND_MARGIN)
         first = 0
         while True:
             stop = min(first + min(CHECK_EVERY, max(1, 2 * SWEEP_BATCH // len(live))), n)
-            e, up = _row_gates(finish(state, dy * np.arange(first, stop, dtype=np.int64)),
-                               thresholds, masks, columns, backward,
+            e, up = _row_gates(finish(state, [dy * k for k in range(first, stop)], lo, hi),
+                               lo, thresholds, masks, columns, backward,
                                origin if first == 0 else None, above)
-            ends = 0  # the block's rows, or-ed
+            ends, entering = 0, row  # the block's rows, or-ed, and its first row's input
             for j, k in enumerate(range(first, stop)):
                 if k:
                     if backward:  # an N gate at its destination opens the step into row k
@@ -330,6 +360,9 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
                 ends |= row
                 if not backward and k < n - 1:  # an N gate at its source opens the step out
                     row &= up[j]
+            if hi < n and ends & columns[2] << hi - 1:  # a run may go on past the band
+                hi, row = min(n, hi + _BAND_MARGIN), entering
+                continue
             rows = words(row)
             hit = words(ends & last).any(axis=1)
             alive = rows.any(axis=1)
@@ -345,8 +378,16 @@ def _oriented_reach_trials(measure: SupportMeasure, trials: int, draw: RowDraw, 
                 columns = [c >> 8 * nbytes * (len(live) - kept) for c in columns]
                 valid, last, _ = columns
                 live, state, row = live[keep], state[keep], int.from_bytes(rows[keep], "little")
+            reached = int.from_bytes(np.bitwise_or.reduce(rows[keep]).tobytes(), "little")
+            lo = (reached & -reached).bit_length() - 1
+            hi = min(n, max(hi, reached.bit_length() + _BAND_MARGIN))
             first = stop
     return out
+
+
+# Columns a sweep's band reaches past its live rows' last bit.  A block whose
+# rows meet the band's last column is redone on a band this much wider.
+_BAND_MARGIN = 32
 
 
 # Trials swept together by the row sweep, read at call time; a block of
@@ -376,7 +417,7 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
     window on it), so none of its moves leaves the window.
     """
     nx, ny = window.shape
-    ys = np.arange(window.lo[1], window.hi[1] + 1, dtype=np.int64)
+    ys = np.arange(window.lo[1], window.hi[1] + 1, dtype=np.int64)[:, None, None]
     start, finish = _site_draw(master_seed, trials,
                                np.arange(window.lo[0], window.hi[0] + 1, dtype=np.int64))
     above = np.empty((ny, nx), dtype=bool)
@@ -389,7 +430,7 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
         prefixes = start(np.arange(lo, min(lo + REACH_CHUNK, trials)))
         moves = np.empty((4, len(prefixes), ny, -(-nx // 64)), dtype=np.uint64)
         for i in range(len(prefixes)):
-            h = finish(prefixes[i:i + 1], ys)[:, 0]
+            h = finish(prefixes[i:i + 1], ys, 0, nx)[:, 0]
             atom_moves([pack_rows(p) for p in rng.passed(h, thresholds, above)], masks, nx,
                        moves[:, i])
             if origin is not None:
@@ -903,15 +944,15 @@ def theta_minus_curve(p: float, radii: Sequence[int], trials: int,
     N-E is NE-oriented, so the backward row sweep decides each trial.
     """
     measure = measure_for(ModelId("N-E", p))
-    for radius in radii:
-        _require_run(radius, trials)
+    _require_radii(radii, trials)
     out = []
     for radius in radii:
         t0 = time.perf_counter()
         n = radius + 1
         xs = -np.arange(n, dtype=np.int64)
         draw = (lambda live: live,
-                lambda live, ys: _up_or_right_hash(master_seed, live, xs, ys[:, None, None]))
+                lambda live, ys, lo, hi: _up_or_right_hash(master_seed, live, xs[lo:hi],
+                                                           np.array(ys)[:, None, None]))
         touched = _oriented_reach_trials(measure, trials, draw, n, backward=True)
         out.append(_record("N-E", p, radius, REACH_B, touched, master_seed, t0))
     return out
@@ -943,8 +984,7 @@ def m_size_stats(model: ModelId, radii: Sequence[int], trials: int,
     ring (not of its two factors).
     """
     measure = measure_for(model)
-    for radius in radii:
-        _require_run(radius, trials)
+    _require_radii(radii, trials)
     rows = []
     for radius in radii:
         window = Window.centered(radius, 2)

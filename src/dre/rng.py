@@ -118,9 +118,16 @@ def finish(prefix: np.ndarray, part, out: np.ndarray, scratch: np.ndarray) -> np
     link, broadcast against prefix, and the finalizer in place.  A caller
     hashing many keys of one shape allocates nothing of that size again.
     A (K, 1, 1) part of row coordinates completes a (B, n) prefix into a
-    (K, B, n) block of K rows, as the row sweep does.
+    (K, B, n) block of K rows.  A list of K ints does the same with links
+    made in Python ints, which for the row sweep's few rows a block cost
+    less than numpy's steps on an array.
     """
-    np.bitwise_xor(prefix, _link(part), out=out)
+    if isinstance(part, list):
+        link = np.array([_link(y) for y in part], dtype=np.uint64)
+        link = link.reshape((-1,) + (1,) * prefix.ndim)
+    else:
+        link = _link(part)
+    np.bitwise_xor(prefix, link, out=out)
     return _finalize(out, scratch)
 
 

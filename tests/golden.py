@@ -81,9 +81,9 @@ SWEEP_PLAN_MODELS = {"N-E/0.4": ModelId("N-E", 0.4), "NE-N/0.4": ModelId("NE-N",
                                                (0, 0.1))),
                      "NE-top": SupportMeasure(2, ((0b0011, 1 - 1e-17), (0, 1e-17)))}
 SWEEP_RADII = (63, 64, 65)
-# 201 columns, where a sweep band of 65 columns must widen three times:
-# every trial of NE-top and N-E/0.4's reach_C runs to the edge, and 300
-# trials start a second batch after the first has widened
+# 201 columns, past the sweep's first column band: every trial of NE-top
+# and N-E/0.4's reach_C runs to the edge, so the band widens within a
+# block, and 300 trials start a second batch after the first has widened
 BAND_RADII = (200,)
 BAND_MODELS = ("NE-top", "N-E/0.4")
 # windows of 63, 65, 127, 129 and 131 columns: one word, and across one or two word edges

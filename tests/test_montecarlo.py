@@ -230,7 +230,7 @@ def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
         live = np.array(live)
         state = start(live) if k == 0 else state[np.isin(have, live)]
         have = live
-        got = [plane[0] for plane in _row_gates(finish(state, np.array([sign * k])), thresholds,
+        got = [plane[0] for plane in _row_gates(finish(state, [sign * k], 0, n), 0, thresholds,
                                                 masks.tolist(), _trial_columns(len(live), n),
                                                 backward, origin if k == 0 else None, above)]
         seeds = [rng.spawn_seed(seed, t) for t in live.tolist()]
@@ -320,11 +320,11 @@ def test_diagonal_step_carries_across_words(n):
     # at row 64
     closed = np.uint64(2**64 - 1)
 
-    def finish(live, ys):
+    def finish(live, ys, lo, hi):
         h = np.full((len(ys), len(live), n), closed)
-        for j, y in enumerate(ys.tolist()):
+        for j, y in enumerate(ys):
             h[j, :, y] = np.where((live != 1) | (y != 64), 0, closed)
-        return h
+        return h[:, :, lo:hi]
 
     got = _oriented_reach_trials(measure_for(ModelId("NE-.", 0.5)), 2,
                                  (lambda live: live, finish), n, False, diagonal=True)
@@ -341,17 +341,44 @@ def test_block_keeps_contact_of_a_row_that_dies(n):
     measure = SupportMeasure(2, ((NE_MASK, 0.25), (BIT_E, 0.5), (0, 0.25)))
     ne, e, none = np.uint64(0), np.uint64(2**63), np.uint64(2**64 - 1)
 
-    def finish(live, ys):
+    def finish(live, ys, lo, hi):
         h = np.full((len(ys), len(live), n), none)
-        for j, y in enumerate(ys.tolist()):
+        for j, y in enumerate(ys):
             if y == 0:
                 h[j, :, 0] = np.where(live == 0, ne, e)
             elif y == 1:
                 h[j, live == 0] = e
-        return h
+        return h[:, :, lo:hi]
 
     got = _oriented_reach_trials(measure, 2, (lambda live: live, finish), n, False)
     assert got.tolist() == [True, False]
+
+
+def test_band_widens_within_a_block():
+    # atoms NE (hash 0), E (2^63) and none (all ones) on 201 columns, past the
+    # sweep's first band.  From the corner, both trials step up into row 1,
+    # where trial 0's E run reaches the last column within the first block,
+    # so the block is redone on ever wider bands; trial 1's run stops at
+    # column 100 and it dies in row 2
+    n = 201
+    measure = SupportMeasure(2, ((NE_MASK, 0.25), (BIT_E, 0.5), (0, 0.25)))
+    ne, e, none = np.uint64(0), np.uint64(2**63), np.uint64(2**64 - 1)
+    widths = []
+
+    def finish(live, ys, lo, hi):
+        widths.append(hi - lo)
+        h = np.full((len(ys), len(live), n), none)
+        for j, y in enumerate(ys):
+            if y == 0:
+                h[j, :, 0] = ne
+            elif y == 1:
+                h[j] = e
+                h[j, live == 1, 100] = none
+        return h[:, :, lo:hi]
+
+    got = _oriented_reach_trials(measure, 2, (lambda live: live, finish), n, False)
+    assert got.tolist() == [True, False]
+    assert min(widths) < n
 
 
 def test_size_statistic_full_communication():
@@ -554,7 +581,8 @@ def test_theta_minus_sweep_matches_up_or_right_oracle(p, radius, trials, seed):
     measure = measure_for(ModelId("N-E", p))
     cols = -np.arange(radius + 1, dtype=np.int64)  # swept backward, on x = -i
     draw = (lambda live: live,
-            lambda live, ys: _up_or_right_hash(seed, live, cols, ys[:, None, None]))
+            lambda live, ys, lo, hi: _up_or_right_hash(seed, live, cols[lo:hi],
+                                                       np.array(ys)[:, None, None]))
     swept = _oriented_reach_trials(measure, trials, draw, radius + 1, backward=True)
     assert swept.tolist() == hits
     assert theta_minus_curve(p, [radius], trials, seed)[0].estimate == np.mean(hits)
@@ -606,9 +634,12 @@ def test_radius_and_trials_are_validated(radius, trials):
     lambda: wn_crossing_test(0.5, 3, 5, start_gap=0),
     lambda: wn_crossing_test(0.5, 3, 5, j_max=-1),
     lambda: lu_walk_test(0.5, 10, j_range=-1),
+    lambda: theta_minus_curve(0.5, [], 10),
+    lambda: m_size_stats(ModelId("NE-SW", 0.5), [], 3),
 ], ids=["wn no levels", "wn no trials", "dn no samples", "dn no widths", "m_size no trials",
         "census no trials", "martingale no levels", "martingale negative levels",
-        "wn negative gap", "wn no gap", "wn negative j_max", "lu negative j_range"])
+        "wn negative gap", "wn no gap", "wn negative j_max", "lu negative j_range",
+        "theta_minus no radii", "m_size no radii"])
 def test_empty_samples_are_rejected(run):
     with pytest.raises(ValidationError):
         run()

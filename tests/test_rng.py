@@ -73,7 +73,7 @@ def test_row_draw_equals_full_grid_row(signs):
         else:
             state = start(trials)
         have, kept = trials, state.copy()
-        got = finish(state, sy * np.array(ks, dtype=np.int64))
+        got = finish(state, [sy * k for k in ks], 0, len(cols))
         want = [[[rng.hash_parts(rng.spawn_seed(11, t), (x, sy * k)) for x in cols]
                  for t in trials.tolist()] for k in ks]
         assert got.shape == (len(ks), len(trials), len(cols))
@@ -101,6 +101,20 @@ def test_row_finish_matches_hash_parts(seed):
             assert out[t, i] == rng.hash_parts(int(seeds[t]), (int(cols[i]), y))
             assert out[t, i] == rng.hash_parts(seeds[t], (np.array(cols[i]), np.uint64(y % 2**64)))
     assert np.array_equal(state, kept)
+
+
+def test_row_draw_band_and_int_rows_match_full_rows():
+    # a list of rows is linked in Python ints, an array of them with numpy:
+    # both finish the same hashes, and a band [lo, hi) is their columns lo to
+    # hi - 1
+    cols = np.arange(-5, 130, dtype=np.int64)
+    ys = [-2**63, -1, 0, 7]
+    start, finish = _site_draw(4, 3, cols)
+    state = start(np.arange(3))
+    full = finish(state, np.array(ys, dtype=np.int64)[:, None, None], 0, len(cols)).copy()
+    assert np.array_equal(finish(state, ys, 0, len(cols)), full)
+    for lo, hi in ((0, 1), (3, 70), (64, 135), (134, 135)):
+        assert np.array_equal(finish(state, ys, lo, hi), full[:, :, lo:hi]), (lo, hi)
 
 
 def _layout(values, layout, dtype):
