@@ -86,6 +86,10 @@ SWEEP_RADII = (63, 64, 65)
 # block, and 300 trials start a second batch after the first has widened
 BAND_RADII = (200,)
 BAND_MODELS = ("NE-top", "N-E/0.4")
+# one atom E and a rare empty one: a trial reaches the edge only through one
+# unbroken E run, so an E run cut at the band's edge, and not redone, dies
+# there and the estimates fall to 0
+BAND_E_RUN = SupportMeasure(2, ((0b0001, 0.99), (0, 0.01)))
 # windows of 63, 65, 127, 129 and 131 columns: one word, and across one or two word edges
 M_SIZE_RADII = (31, 32, 63, 64, 65)
 # EW-NS offers one arrow per quadrant at every site; NSEW-NE draws tiebreaks
@@ -151,10 +155,10 @@ def _clusters(env, origins) -> list[str]:
     return lines
 
 
-def _run_plan(model, statistic, radii=RADII, trials=6) -> list[str]:
+def _run_plan(model, statistic, radii=RADII, trials=6, seed=11) -> list[str]:
     lines = []
     for radius in radii:
-        rec = run_plan(TrialPlan(model, radius, trials, 11, statistic))
+        rec = run_plan(TrialPlan(model, radius, trials, seed, statistic))
         lines.append(f"{rec.radius} {rec.trials} {rec.estimate!r} {rec.se!r}")
     return lines
 
@@ -286,6 +290,9 @@ def cases() -> dict:
             out[f"run_plan/sweep/{label}/{statistic}/R200"] = (
                 lambda model=SWEEP_PLAN_MODELS[label], statistic=statistic: _run_plan(
                     model, statistic, BAND_RADII, 300))
+    for statistic in (REACH_C, REACH_B):
+        out[f"run_plan/sweep/E-run/{statistic}/R200/s7"] = (
+            lambda statistic=statistic: _run_plan(BAND_E_RUN, statistic, BAND_RADII, 300, 7))
     for name, p in (("NE-SW", 0.9), ("SWE-N", 0.5)):
         out[f"classify_shapes/{name}/{p}"] = lambda name=name, p=p: _classify_shapes(name, p)
     # an 81-column sampling window: the census reach crosses a word edge
