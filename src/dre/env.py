@@ -117,12 +117,22 @@ class EnvironmentGrid:
 
 
 def sample_masks(measure: SupportMeasure, window: Window, seed: int) -> np.ndarray:
-    """Raw mask array for a window; the per-site draw is hash(seed, coords)."""
+    """Raw mask array for a window; the per-site draw is hash(seed, coords).
+
+    The arrows start at atom 0's mask, and the j-th plane rng.passed yields
+    flips the bits that change from atom j - 1 to atom j.
+    """
     if measure.d != window.d:
         raise ValidationError(f"measure dimension {measure.d} != window dimension {window.d}")
     axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(window.lo, window.hi)]
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    return measure.masks[rng.atoms(seed, grids, measure.thresholds)]
+    *lead, last = np.meshgrid(*axes, indexing="ij", sparse=True)
+    h, scratch = np.empty((2,) + window.shape, dtype=np.uint64)
+    rng.finish(rng.advanced(rng.hash_parts(seed, lead)), last, h, scratch)
+    masks = measure.masks
+    arrows = np.full(window.shape, masks[0], dtype=np.uint16)
+    for j, plane in enumerate(rng.passed(h, measure.thresholds)):
+        arrows ^= plane * (masks[j] ^ masks[j + 1])
+    return arrows
 
 
 def sample_environment(

@@ -7,8 +7,8 @@ generators cannot give that, so sites are hashed instead: a splitmix64-style
 finalizer chained over the seed and the integer coordinates, evaluated
 vectorially with wrapping uint64 arithmetic.
 
-This is the one place where a hash h becomes a draw.  With cumulative sums
-c_1..c_{K-1} of the atom probabilities, the draw is atom
+passed is the one place where a hash h becomes a draw.  With cumulative
+sums c_1..c_{K-1} of the atom probabilities, the draw is atom
 #{k : (h >> 11) >= ceil(c_k 2^53)}: exactly the atom the uniform
 u = (h >> 11) 2^-53 falls in, since c <= u iff (h >> 11) >= ceil(c 2^53).
 No float is made, and the last atom needs no threshold, so float dust at
@@ -136,15 +136,11 @@ def thresholds(probs: Sequence[float]) -> tuple[int, ...]:
     return tuple(math.ceil(c * 2.0**53) for c in np.cumsum(probs, dtype=np.float64)[:-1])
 
 
-def atoms(seed, parts: Iterable, thresholds: Sequence[int]) -> np.ndarray:
-    """Atom index of every draw keyed on (seed, parts), broadcasting array parts."""
-    return _pick(hash_parts(seed, parts), thresholds)
-
-
 def passed(h, thresholds: Sequence[int],
            out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
     """Yield, for each threshold in turn, where the draw of h is at or past
-    it; the atom index is the count of thresholds passed.
+    it: this is where a hash becomes a draw, and the atom index is the count
+    of thresholds passed.
 
     out, when given, is a bool array of h's shape, rewritten and yielded at
     every step; else each step yields a new array.  A threshold of 2^53 or
@@ -158,13 +154,6 @@ def passed(h, thresholds: Sequence[int],
             yield np.greater_equal(h, np.uint64(t << 11), out=out)
 
 
-def _pick(h, thresholds: Sequence[int]) -> np.ndarray:
-    idx = np.zeros(np.shape(h), dtype=np.uint8 if len(thresholds) < 256 else np.uint16)
-    for above in passed(h, thresholds):
-        idx += above
-    return idx
-
-
 def spawn_seed(master_seed: int, *indices: int) -> int:
     """Derive a subordinate 64-bit seed from a master seed and indices.
 
@@ -174,10 +163,10 @@ def spawn_seed(master_seed: int, *indices: int) -> int:
     return int(hash_parts(master_seed, indices))
 
 
-# The scalar mirror of atoms(), for the lazy simulators' single sites.
+# The scalar mirror of passed, for the lazy simulators' single sites.
 
 def atom_one(thresholds: Sequence[int], seed: int, *parts: int) -> int:
-    """Scalar atom index equal to atoms(seed, parts, thresholds) elementwise."""
+    """Atom index of the draw keyed on (seed, parts), as passed counts it."""
     h = _finalize_int((seed + _GOLDEN_I) & _M64)
     for part in parts:
         h = _finalize_int(((h + _GOLDEN_I) & _M64) ^ _link(part))

@@ -17,6 +17,7 @@ no attached measure.
 from __future__ import annotations
 
 import io
+import math
 import re
 from typing import TextIO
 
@@ -24,11 +25,13 @@ import numpy as np
 
 from .env import EnvironmentGrid, Window
 from .errors import ValidationError
-from .models import ModelId
+from .models import ModelId, measure_for
 
 _HEADER_RE = re.compile(
-    r"^DRE 1 d=(?P<d>\d+) seed=(?P<seed>\d+) win=(?P<win>[-0-9:,]+) model=(?P<model>\S+)$"
+    r"^DRE 1 d=(?P<d>\d+) seed=(?P<seed>\d+) win=(?P<win>-?\d+:-?\d+(,-?\d+:-?\d+)*)"
+    r" model=(?P<model>\S+)$", re.ASCII
 )
+_ROW_RE = re.compile(r"[0-9a-fA-F]*")
 
 
 def _digits_per_site(d: int) -> int:
@@ -74,28 +77,25 @@ def read_snapshot(inp: TextIO) -> EnvironmentGrid:
         raise ValidationError(f"not a DRE snapshot header: {header!r}")
     d = int(m.group("d"))
     seed = int(m.group("seed"))
-    ranges = []
-    for part in m.group("win").split(","):
-        a, b = part.split(":")
-        ranges.append((int(a), int(b)))
+    ranges = [tuple(map(int, part.split(":"))) for part in m.group("win").split(",")]
     if len(ranges) != d:
         raise ValidationError("window ranges do not match dimension")
-    window = Window(tuple(a for a, _ in ranges), tuple(b for _, b in ranges))
+    window = Window(*zip(*ranges))
 
     model = None
     measure = None
     if m.group("model") != "raw":
         name, _, p = m.group("model").rpartition(":")
-        model = ModelId(name=name, p=float(p), d=d)
-        from .models import measure_for
-
+        try:
+            p = float(p)
+        except ValueError:
+            raise ValidationError(f"model p {p!r} is not a number") from None
+        model = ModelId(name=name, p=p, d=d)
         measure = measure_for(model)
 
     ndig = _digits_per_site(d)
     shape = window.shape
-    per_row = 1
-    for s in shape[:-1]:
-        per_row *= s
+    per_row = math.prod(shape[:-1])
     rows = []
     for _ in range(shape[-1]):
         line = inp.readline().rstrip("\n")
@@ -103,14 +103,14 @@ def read_snapshot(inp: TextIO) -> EnvironmentGrid:
             raise ValidationError(
                 f"snapshot row has {len(line)} digits, expected {per_row * ndig}"
             )
-        vals = np.empty(per_row, dtype=np.uint16)
-        for i in range(per_row):
-            m_val = 0
-            for k in range(ndig):
-                m_val |= int(line[i * ndig + k], 16) << (4 * k)
-            vals[i] = m_val
-        rows.append(vals.reshape(shape[:-1], order="F"))
+        if not _ROW_RE.fullmatch(line):
+            raise ValidationError(f"snapshot row has a digit that is not hex: {line!r}")
+        # a site's digits run lowest first
+        vals = [int(line[i:i + ndig][::-1], 16) for i in range(0, len(line), ndig)]
+        rows.append(np.array(vals, dtype=np.uint16).reshape(shape[:-1], order="F"))
     arr = np.stack(rows[::-1], axis=-1)
+    if (arr >> 2 * d).any():
+        raise ValidationError(f"snapshot masks set bits past the {2 * d} arrows of d={d}")
     env = EnvironmentGrid(window=window, arrows=arr, measure=measure,
                           model=model, seed=seed)
     if measure is not None:

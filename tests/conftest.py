@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dre import rng
 from dre.env import Window, sample_environment
 from dre.measure import SupportMeasure
 from dre.models import ModelId
@@ -31,3 +33,10 @@ def small_env():
 def raw_measure(*atoms):
     """Measure from (mask, prob) pairs, d=2."""
     return SupportMeasure(2, tuple(atoms))
+
+
+def count_passed(seed, parts, thresholds):
+    """Atom index of each draw keyed on (seed, parts): the number of
+    rng.passed planes its hash is in."""
+    h = rng.hash_parts(seed, parts)
+    return sum(rng.passed(h, thresholds), np.zeros(np.shape(h), dtype=np.int64))

@@ -125,6 +125,15 @@ def test_cluster_dump(tmp_path):
     assert out2.read_text() == out.read_text()
 
 
+def test_malformed_snapshot_exits_2(tmp_path, capsys):
+    snap = tmp_path / "env.dre"
+    save_snapshot(sample_environment(ModelId("NE-SW", 0.5), Window.centered(4), 7), str(snap))
+    head, row, rest = snap.read_text().split("\n", 2)
+    snap.write_text("\n".join([head, "z" + row[1:], rest]))  # a row of the right length
+    assert run_cli("cluster", "--in", str(snap), "--out", str(tmp_path / "out.txt")) == 2
+    assert "not hex" in capsys.readouterr().err
+
+
 def test_render_deterministic_with_legend(tmp_path):
     a = tmp_path / "a.pgm"
     b = tmp_path / "b.pgm"

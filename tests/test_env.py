@@ -12,7 +12,7 @@ from dre.errors import ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
 
-from conftest import MIXED_MEASURES
+from conftest import MIXED_MEASURES, count_passed
 from oracles import float_atoms, oracle_cluster_sets
 
 
@@ -78,8 +78,26 @@ def test_sparse_coordinate_grids_match_dense(model, seed, lo_x, hi_x, lo_y, hi_y
     assert np.array_equal(sample_masks(measure, window, seed), want)
     # the batched draw of the oriented sweeps: one seed per trial on a new axis
     seeds = rng.hash_parts(seed, (np.arange(3, dtype=np.int64),))[:, None, None]
-    assert np.array_equal(rng.atoms(seeds, sparse, measure.thresholds),
-                          rng.atoms(seeds, dense, measure.thresholds))
+    assert np.array_equal(count_passed(seeds, sparse, measure.thresholds),
+                          count_passed(seeds, dense, measure.thresholds))
+
+
+@pytest.mark.parametrize("measure, window", [
+    # atoms {+e1, +e2}, {+e3, -e1}, {+e2, -e2, -e3}: the last axis is finished past d=2
+    (SupportMeasure(3, ((0b000011, 0.4), (0b001100, 0.35), (0b110010, 0.25))),
+     Window.box((-3, 4), (-2, 5), (-5, 2))),
+    # 1024 equal atoms: the drawn masks pass 255
+    (SupportMeasure(5, tuple((m, 1 / 1024) for m in range(1024))), Window.centered(2, 5)),
+], ids=["d3 box", "d5 1024 atoms"])
+def test_sample_masks_match_float_atoms_in_every_dimension(measure, window):
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(window.lo, window.hi)]
+    dense = np.meshgrid(*axes, indexing="ij")
+    for seed in (0, 7, 2**63 + 5):
+        got = sample_masks(measure, window, seed)
+        assert got.dtype == np.uint16 and got.shape == window.shape
+        assert np.array_equal(got, measure.masks[float_atoms(measure.probs, seed, dense)])
+    if measure.d == 5:
+        assert got.max() > 255
 
 
 def test_support_soundness():

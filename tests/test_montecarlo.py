@@ -56,7 +56,7 @@ from dre.montecarlo import (
     write_records_jsonl,
 )
 
-from conftest import MIXED_MEASURES
+from conftest import MIXED_MEASURES, count_passed
 from oracles import float_atoms, otsp_reach_oracle
 
 OPEN_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -234,7 +234,7 @@ def test_packed_gates_match_atom_lookup(measure, n, seed, mode, origin):
                                                 masks.tolist(), _trial_columns(len(live), n),
                                                 backward, origin if k == 0 else None, above)]
         seeds = [rng.spawn_seed(seed, t) for t in live.tolist()]
-        arrows = masks[np.array([rng.atoms(s, (xs, sign * k), thresholds) for s in seeds])]
+        arrows = masks[np.array([count_passed(s, (xs, sign * k), thresholds) for s in seeds])]
         for plane, bit in zip(got, (BIT_E, BIT_N)):
             want = (arrows & bit) != 0
             if k == 0 and origin is not None:

@@ -6,26 +6,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dre import rng
+from dre.env import Window, sample_masks
 from dre.measure import SupportMeasure
 from dre.montecarlo import _site_draw
 
+from conftest import count_passed
 from oracles import float_atoms
 
+# the sites of WINDOW, as sample_masks keys them
+WINDOW = Window.centered(8)
 GRID = (np.arange(-8, 9, dtype=np.int64)[:, None], np.arange(-8, 9, dtype=np.int64)[None, :])
 SITES = 17 * 17
 THREE_ATOMS = rng.thresholds((0.25, 0.25, 0.5))
 
 
 def test_atoms_range_and_determinism():
-    a = rng.atoms(42, (np.arange(1000), np.arange(1000)), THREE_ATOMS)
+    a = count_passed(42, (np.arange(1000), np.arange(1000)), THREE_ATOMS)
     assert a.min() >= 0 and a.max() <= len(THREE_ATOMS)
-    b = rng.atoms(42, (np.arange(1000), np.arange(1000)), THREE_ATOMS)
+    b = count_passed(42, (np.arange(1000), np.arange(1000)), THREE_ATOMS)
     assert np.array_equal(a, b)
 
 
 def test_seed_changes_stream():
     x = np.arange(200)
-    assert not np.array_equal(rng.atoms(1, (x,), THREE_ATOMS), rng.atoms(2, (x,), THREE_ATOMS))
+    assert not np.array_equal(count_passed(1, (x,), THREE_ATOMS),
+                              count_passed(2, (x,), THREE_ATOMS))
 
 
 @given(
@@ -41,7 +46,7 @@ def test_scalar_matches_vector(seed, parts, cuts, shift):
     if shift is not None:  # a threshold on, or one above, this draw's top 53 bits
         thresholds.append((int(rng.hash_parts(seed, arrays)) >> 11) + shift)
     thresholds.sort()
-    assert rng.atom_one(thresholds, seed, *parts) == int(rng.atoms(seed, arrays, thresholds))
+    assert rng.atom_one(thresholds, seed, *parts) == int(count_passed(seed, arrays, thresholds))
 
 
 @pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (-1, 1)],
@@ -52,11 +57,11 @@ def test_row_draw_equals_full_grid_row(signs):
     seeds = rng.hash_parts(11, (np.arange(5, dtype=np.int64),))
     cols = sx * np.arange(70, dtype=np.int64)
     rows = sy * np.arange(70, dtype=np.int64)
-    grid = rng.atoms(seeds[:, None, None], (cols[:, None], rows[None, :]), THREE_ATOMS)
+    grid = count_passed(seeds[:, None, None], (cols[:, None], rows[None, :]), THREE_ATOMS)
     for k in (0, 1, 63, 64, 69):
-        row = rng.atoms(seeds[:, None], (cols, sy * k), THREE_ATOMS)
+        row = count_passed(seeds[:, None], (cols, sy * k), THREE_ATOMS)
         assert np.array_equal(row, grid[:, :, k])
-        assert np.array_equal(rng.atoms(seeds[[3, 1], None], (cols, sy * k), THREE_ATOMS),
+        assert np.array_equal(count_passed(seeds[[3, 1], None], (cols, sy * k), THREE_ATOMS),
                               grid[[3, 1], :, k])
     # the sweep's row draw: start hashes the (trial, column) prefix of a
     # batch, the sweep compacts it with the live trials, and finish completes
@@ -139,7 +144,7 @@ def test_chain_continues_from_a_prefix(seed, values, cut, layout, dtype):
     full = rng.hash_parts(seed, parts)
     for _ in range(2):  # the second draw sees what the first one left
         assert np.array_equal(rng.hash_from(state, b), full)
-    drawn = rng.atoms(seed, parts, THREE_ATOMS)
+    drawn = count_passed(seed, parts, THREE_ATOMS)
     scalars = [np.broadcast_to(part, np.shape(full)) for part in parts]
     for i in np.ndindex(np.shape(full)):
         key = [int(part[i]) for part in scalars]  # equal mod 2^64 to the int64 value
@@ -173,7 +178,7 @@ def test_spawn_seed_injective_sample():
 
 
 def test_rough_uniformity():
-    eighths = rng.atoms(3, (np.arange(200000),), rng.thresholds([0.125] * 8))
+    eighths = count_passed(3, (np.arange(200000),), rng.thresholds([0.125] * 8))
     assert abs(((eighths + 0.5) / 8).mean() - 0.5) < 0.005
     assert abs((eighths < 2).mean() - 0.25) < 0.01
 
@@ -191,7 +196,7 @@ def test_bernoulli_threshold_is_exact_at_hashed_cut(seed, j, side):
     p = _hashed_cut(seed, j)
     p = p if side == 0 else math.nextafter(p, side * math.inf)
     probs = (p, 1.0 - p)
-    assert np.array_equal(rng.atoms(seed, GRID, rng.thresholds(probs)),
+    assert np.array_equal(count_passed(seed, GRID, rng.thresholds(probs)),
                           float_atoms(probs, seed, GRID))
 
 
@@ -208,7 +213,7 @@ def test_raw_measure_atoms_match_float_reference(seed, j, side, weights, last):
     first = min(first, 1.0 - last)
     rest = 1.0 - last - first
     probs = [first] + [rest * w / sum(weights) for w in weights] + [last]
-    assert np.array_equal(rng.atoms(seed, GRID, rng.thresholds(probs)),
+    assert np.array_equal(count_passed(seed, GRID, rng.thresholds(probs)),
                           float_atoms(probs, seed, GRID))
 
 
@@ -217,13 +222,5 @@ def test_raw_measure_atoms_match_float_reference(seed, j, side, weights, last):
 def test_last_atom_after_a_sum_that_rounds_to_one(probs):
     measure = SupportMeasure(2, tuple(zip((0b0011, 0b1100, 0b0101), probs)))
     for seed in range(20):
-        got = rng.atoms(seed, GRID, measure.thresholds)
-        assert np.array_equal(got, float_atoms(measure.probs, seed, GRID))
-
-
-def test_many_atoms_use_a_wide_index():
-    # a d=5 measure can have 1024 atoms; the index must count past 255
-    probs = [1.0 / 1024] * 1024
-    got = rng.atoms(5, (np.arange(20000),), rng.thresholds(probs))
-    assert got.max() > 255
-    assert np.array_equal(got, float_atoms(probs, 5, (np.arange(20000),)))
+        got = sample_masks(measure, WINDOW, seed)
+        assert np.array_equal(got, measure.masks[float_atoms(measure.probs, seed, GRID)])

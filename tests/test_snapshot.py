@@ -72,6 +72,34 @@ def test_row_length_mismatch_rejected():
         read_snapshot(io.StringIO("\n".join([head, first_row + "0", rest])))
 
 
+@pytest.mark.parametrize("old, new", [
+    ("win=-2:2,-2:2", "win=-1:1:2,-2:2"),
+    ("win=-2:2,-2:2", "win=1-1:1,-2:2"),
+    ("win=-2:2,-2:2", "win=-2:2,,-2:2"),
+    ("NE-SW:0.5", "NE-SW:half"),
+    ("NE-SW:0.5", "NE-SW"),
+    ("\n3", "\ng"),
+], ids=["three ends", "non-integer end", "empty window part", "non-numeric p", "no p",
+        "non-hex digit"])
+def test_malformed_snapshot_rejected(old, new):
+    text = dumps(sample_environment(ModelId("NE-SW", 0.5), Window.centered(2), 1))
+    assert text.startswith("DRE 1 d=2 seed=1 win=-2:2,-2:2 model=NE-SW:0.5\n3")
+    with pytest.raises(ValidationError):
+        read_snapshot(io.StringIO(text.replace(old, new, 1)))
+
+
+def test_raw_masks_past_the_arrows_rejected():
+    from dre.measure import SupportMeasure
+
+    # d=3 has six arrows; two hex digits per site hold eight bits
+    m = SupportMeasure(3, ((0b000111, 0.5), (0b111000, 0.5)))
+    head, first_row, rest = dumps(sample_environment(m, Window.centered(1, 3), 5)).split("\n", 2)
+    assert head.endswith("model=raw")
+    read_snapshot(io.StringIO("\n".join([head, "f3" * 9, rest])))  # bits 0-5, low digit first
+    with pytest.raises(ValidationError):
+        read_snapshot(io.StringIO("\n".join([head, "ff" * 9, rest])))
+
+
 @given(seed=st.integers(0, 2**31), p=st.floats(0.05, 0.95))
 @settings(max_examples=20, deadline=None)
 def test_roundtrip_random(seed, p):
