@@ -122,5 +122,6 @@ def read_snapshot(inp: TextIO) -> EnvironmentGrid:
 
 
 def load_snapshot(path: str) -> EnvironmentGrid:
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte past ASCII reads as U+FFFD, which no part of the format accepts
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return read_snapshot(fh)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dre.env import Window, sample_environment
 from dre.errors import ValidationError
 from dre.models import ModelId
-from dre.snapshot import dumps, read_snapshot
+from dre.snapshot import dumps, load_snapshot, read_snapshot
 
 
 def _roundtrip(env):
@@ -86,6 +86,14 @@ def test_malformed_snapshot_rejected(old, new):
     assert text.startswith("DRE 1 d=2 seed=1 win=-2:2,-2:2 model=NE-SW:0.5\n3")
     with pytest.raises(ValidationError):
         read_snapshot(io.StringIO(text.replace(old, new, 1)))
+
+
+def test_non_ascii_snapshot_file_rejected(tmp_path):
+    path = tmp_path / "env.dre"
+    text = dumps(sample_environment(ModelId("NE-SW", 0.5), Window.centered(2), 1))
+    path.write_bytes(text.replace("\n3", "\n\xe9", 1).encode("latin-1"))  # one byte, 0xe9
+    with pytest.raises(ValidationError):
+        load_snapshot(str(path))
 
 
 def test_raw_masks_past_the_arrows_rejected():
