@@ -13,8 +13,7 @@ from dre.montecarlo import _site_draw
 from conftest import count_passed
 from oracles import float_atoms
 
-# the sites of WINDOW, as sample_masks keys them
-WINDOW = Window.centered(8)
+WINDOW = Window.centered(8)  # GRID keys its sites as sample_masks does
 GRID = (np.arange(-8, 9, dtype=np.int64)[:, None], np.arange(-8, 9, dtype=np.int64)[None, :])
 SITES = 17 * 17
 THREE_ATOMS = rng.thresholds((0.25, 0.25, 0.5))
