@@ -61,6 +61,8 @@ RENDER_INPUTS = [("NE-SW", 0.6, 5), ("EW-NS", 0.5, 2), ("SWE-N", 0.4, 7)]
 RENDER_ORIGINS = ((0, 0), (3, -7), (-30, 30))
 BFS_MODELS = [("NE-SW", 0.5), ("EW-NS", 0.5), ("SWE-N", 0.4), ("NSEW-.", 0.55),
               ("NE-.", 0.7)]
+# (p, verify_dual) of the census at R=100, margin 100
+CENSUS_RUNS = ((0.5, False), (0.9, True))
 # d=3 atoms {+e1, +e2}, {+e3, -e1}, {+e2, -e2, -e3}; bit i is +e(i+1), bit 3+i is -e(i+1)
 MEASURE_3D = SupportMeasure(3, ((0b000011, 0.4), (0b001100, 0.35), (0b110010, 0.25)))
 RUN_PLAN_MODELS = [("NSEW-.", 0.6), ("NE-.", 0.7)]
@@ -220,9 +222,12 @@ def _bisect(name) -> list[str]:
     return _bisect_lines(bisect_pc(name, 33, tol=0.02, trials_per_probe=100, master_seed=2))
 
 
-def _classify_shapes(name, p, radius=8, margin=None) -> list[str]:
-    c = classify_shapes(ModelId(name, p), radius, 10 if margin is None else 12,
-                        master_seed=3, verify_dual=True, margin=margin)
+def _classify_shapes(name, p, radius=8, margin=None, trials=None,
+                     verify_dual=True) -> list[str]:
+    if trials is None:
+        trials = 10 if margin is None else 12
+    c = classify_shapes(ModelId(name, p), radius, trials, master_seed=3,
+                        verify_dual=verify_dual, margin=margin)
     return [f"{sorted(c.counts.items())} {c.reaching} {c.blocked_above_monotone} "
             f"{c.blocked_above_verified}"]
 
@@ -299,6 +304,11 @@ def cases() -> dict:
     for p in (0.5, 0.9):
         out[f"classify_shapes/NE-SW/{p}/R20/margin20"] = (
             lambda p=p: _classify_shapes("NE-SW", p, 20, 20))
+    # the perfbench census's size and runs: 401-row windows, whose backward
+    # sets leave a one-window reach's starting row band and widen it many times
+    for p, dual in CENSUS_RUNS:
+        out[f"classify_shapes/NE-SW/{p}/R100/margin100/dual{int(dual)}"] = (
+            lambda p=p, dual=dual: _classify_shapes("NE-SW", p, 100, 100, 4, dual))
     for lattice, args in DUALITY_INPUTS.items():
         out[f"verify_duality/{lattice}"] = (
             lambda lattice=lattice, args=args: _verify_duality(lattice, *args))
