@@ -12,6 +12,10 @@ moves the set one site and then two sites along each direction in turn,
 the second jump through a "rung" plane of the sites whose neighbour
 along that direction has the same move, and it runs as a plan of ufunc
 calls on views built once per batch, so it allocates no temporary.
+A one-window reach steps only the band of rows its set can reach before
+the next check, and widens the band as the set nears its ends; a batch
+keeps the whole window, because a band over several trials is a strided
+view whose calls cost more than its skipped rows save.
 Backward reach is forward reach on the edge-reversed masks.  The packed
 engine is an exact mirror of clusters.forward_cluster / backward_cluster
 on d=2 grids and is cross-checked against them in the test suite.
@@ -45,6 +49,8 @@ _MOVE_BITS = np.array([BIT_E, BIT_N, BIT_W, BIT_S], dtype=np.uint8)
 # (montecarlo) settles its trials on the same cadence, at most every
 # CHECK_EVERY rows.
 CHECK_EVERY = 4
+# Rows a set can move north or south between two checks: three a step
+_BAND = 3 * CHECK_EVERY
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -246,7 +252,13 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     its set is partial.  Finished trials are compacted out of the batch.
 
     The two-site jumps of a step change how many steps a trial runs, not
-    its fixpoint.
+    its fixpoint.  A batch of one steps only the rows [lo, hi) that its set
+    can reach before the next check, on views of its arrays, so a census
+    window whose set stays in part of it runs short steps.  A batch keeps
+    every row: a band over B > 1 trials is a strided (B, rows) view, and
+    its calls cost about 2.5x more than calls on flat words, which is more
+    than the skipped rows save.  The band changes neither the steps nor
+    the checks, so no set or flag changes, partial sets included.
     """
     ix, iy = np.broadcast_arrays(ix, iy)
     if ix.ndim:
@@ -260,23 +272,38 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     live = np.arange(b)
     r = np.zeros((b, size), dtype=np.uint64)
     r[np.arange(b), iy * nw + ix // 64] = _ONE << (ix % 64).astype(np.uint64)
+    # The rows [lo, hi) that the steps sweep: every row for a batch.  One
+    # window starts within 2 * _BAND rows of its start, and a side that is
+    # not the window's edge widens by 2 * _BAND at a check that finds a set
+    # bit in its _BAND outermost rows, so no step reaches past the band.
+    lo, hi = (0, ny) if b != 1 else (max(iy.item() - 2 * _BAND, 0),
+                                     min(iy.item() + 2 * _BAND + 1, ny))
     while live.size:
-        t = np.empty_like(r)
-        prev = np.empty_like(r)
-        # views of this batch's arrays, so rebuilt after every compaction
-        plan = _plan(r.reshape(-1), planes.reshape(8, -1), t.reshape(-1),
-                     np.empty(r.size, dtype=np.uint64), nw)
+        t, prev, u = (np.empty_like(r) for _ in range(3))
+        band = None
         while True:
+            if band != (lo, hi):
+                # views of this batch's arrays over the band, so rebuilt
+                # after every compaction and every widening
+                band = (lo, hi)
+                cut = slice(lo * nw, hi * nw)
+                rb, tb, pb, eb = r[:, cut], t[:, cut], prev[:, cut], edge[cut]
+                plan = _plan(rb.reshape(-1), planes[:, :, cut].reshape(8, -1),
+                             tb.reshape(-1), u[:, cut].reshape(-1), nw)
             for _ in range(CHECK_EVERY - 1):
                 _step(plan)
-            np.copyto(prev, r)
+            np.copyto(pb, rb)
             _step(plan)
-            hit = np.bitwise_and(r, edge, out=t).any(axis=1)
-            done = ~np.bitwise_xor(r, prev, out=t).any(axis=1)
+            hit = np.bitwise_and(rb, eb, out=tb).any(axis=1)
+            done = ~np.bitwise_xor(rb, pb, out=tb).any(axis=1)
             if stop_at_edge:
                 done |= hit
             if done.any():
                 break
+            if lo > 0 and rb[:, :_BAND * nw].any():
+                lo = max(lo - 2 * _BAND, 0)
+            if hi < ny and rb[:, -_BAND * nw:].any():
+                hi = min(hi + 2 * _BAND, ny)
         sets[live[done]] = r[done]
         touched[live[done]] = hit[done]
         keep = ~done

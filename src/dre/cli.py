@@ -270,6 +270,11 @@ def _cmd_estimate(opts: _Options) -> int:
     radius = opts.get("radius", cast=int)
     trials = opts.get("trials", cast=int)
     if stat == REACH_OTSP:
+        # the statistic names its lattice; a --model may only name it again
+        name = opts.get("model", cast=str)
+        if name and name.strip().lower() != "otsp":
+            raise UsageError(f"--statistic {REACH_OTSP} runs on the otsp lattice, "
+                             f"not --model {name!r}")
         rec = otsp_reach_estimate(opts.get("p", cast=float), radius, trials, seed)
     else:
         model = opts.require_model()

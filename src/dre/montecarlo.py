@@ -799,6 +799,7 @@ def lu_walk_test(p: float, samples: int, master_seed: int = 0,
     """
     from .bounds import drift_formulas, lu_step_prob
 
+    require_p(p)
     _require_two(samples, "samples")
     if j_range < 0:
         raise ValidationError(f"need j_range >= 0, got {j_range}")
@@ -852,6 +853,7 @@ def seoa_excursion_test(p: float, samples: int, master_seed: int = 0) -> Excursi
     """
     from .bounds import drift_formulas
 
+    require_p(p)
     _require_two(samples, "samples")
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0x5E0A))
     starts_swe = gen.random(samples) < p
@@ -866,6 +868,7 @@ def w_walk_drift_test(p: float, samples: int, master_seed: int = 0) -> Excursion
     """Down-step column increments of the SE path in the orthant model."""
     from .bounds import drift_formulas
 
+    require_p(p)
     _require_two(samples, "samples")
     gen = np.random.default_rng(rng.spawn_seed(master_seed, 0xDE1F))
     dw = gen.geometric(1.0 - p, samples) - 1   # NE sites passed before the SW drop

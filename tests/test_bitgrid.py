@@ -206,6 +206,31 @@ def test_reach_batch_matches_naive_closure(nx, ny, batch, density, backward, see
     assert np.array_equal(early, touched)
 
 
+@given(nx=st.integers(1, 70), ny=st.integers(1, 300) | st.integers(150, 300),
+       density=st.floats(0.7, 1.0), backward=st.booleans(), seed=st.integers(0, 2**32),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_window_band_matches_a_batch(nx, ny, density, backward, seed, data):
+    # A batch of one steps only its row band, which widens as its set nears
+    # the band's ends; a batch of two copies steps every row.  Tall windows
+    # and dense arrows make the band widen many times, north and south.
+    ix = data.draw(st.integers(0, nx - 1), label="ix")
+    iy = data.draw(st.one_of(st.sampled_from([0, ny - 1]), st.integers(0, ny - 1)), label="iy")
+    arrows = _random_arrows(np.random.default_rng(seed), 1, nx, ny, density)[0]
+    moves = move_masks(arrows)[:, None]
+    if backward:
+        moves = reversed_moves(moves)
+    edge = edge_mask(nx, ny)
+    for stop_at_edge in (False, True):
+        one, one_hit = reach_batch(moves, ix, iy, edge, stop_at_edge)
+        two, two_hit = reach_batch(np.concatenate([moves, moves], axis=1), ix, iy, edge,
+                                   stop_at_edge)
+        assert np.array_equal(one[0], two[0]) and np.array_equal(one[0], two[1])
+        assert one_hit[0] == two_hit[0] == two_hit[1]
+        if not stop_at_edge:
+            assert np.array_equal(one, _packed(_naive_closure(arrows, ix, iy, backward)[None]))
+
+
 def _naive_step(reached, arrows):
     """One kernel step on (nx, ny) bool: per E, N, W, S, one site, then two
     sites from the sites whose neighbour along the move has it too."""

@@ -91,6 +91,26 @@ def test_classify_usage_errors_leave_no_file(capsys, tmp_path):
     assert "margin" in capsys.readouterr().err
 
 
+OTSP_ESTIMATE = ("estimate", "--p", "0.7", "--radius", "5", "--trials", "2",
+                 "--statistic", "reach_otsp")
+
+
+@pytest.mark.parametrize("model", ["bogus", "NE-SW", "NE-.", "osp"])
+def test_estimate_reach_otsp_rejects_other_models(capsys, tmp_path, model):
+    out = tmp_path / "est.csv"
+    assert run_cli(*OTSP_ESTIMATE, "--model", model, "--out", str(out)) == 2
+    assert not out.exists()
+    assert "otsp" in capsys.readouterr().err
+
+
+def test_estimate_reach_otsp_takes_otsp_or_no_model(tmp_path):
+    # the name resolves as bisect reads it: stripped, in any case
+    out = tmp_path / "est.csv"
+    for same in ([], ["--model", "otsp"], ["--model", " OTSP "]):
+        assert run_cli(*OTSP_ESTIMATE, *same, "--out", str(out)) == 0, same
+        assert out.read_text().splitlines()[1].startswith("otsp,0.7,5,2,reach_otsp,"), same
+
+
 def test_estimate_csv(tmp_path):
     out = tmp_path / "est.csv"
     assert run_cli("estimate", "--model", "osp", "--p", "0.75", "--radius", "20",

@@ -610,6 +610,14 @@ def test_p_outside_unit_interval_is_rejected(p):
         theta_minus_curve(p, [5], 20)
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("law", [lu_walk_test, seoa_excursion_test, w_walk_drift_test])
+def test_walk_laws_reject_p_outside_unit_interval(law, p):
+    # a ValidationError, not numpy's error from a geometric draw at p
+    with pytest.raises(ValidationError, match="strictly in"):
+        law(p, 10)
+
+
 @pytest.mark.parametrize("radius, trials", [(0, 20), (-3, 20), (5, 0)])
 def test_radius_and_trials_are_validated(radius, trials):
     for run in (lambda: TrialPlan(ModelId("NE-.", 0.5), radius, trials, 0),
