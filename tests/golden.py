@@ -202,6 +202,15 @@ def _coalescence() -> list[str]:
             f"{sorted(stats.diff_step_freq.items())} {stats.diff_steps}"]
 
 
+# starts on different anti-diagonals, in both orders, so one path walks
+# alone up to the other's level before the two step together
+COALESCENCE_STARTS = (((0, 0), (3, 1)), ((5, 2), (0, 0)))
+
+
+def _coalescence_levelled(x, y) -> list[str]:
+    return [repr(coalescence_stats(0.5, x, y, trials=40, max_levels=60, master_seed=6))]
+
+
 def _record_lines(recs) -> list[str]:
     return [f"{r.model} {r.p!r} {r.radius} {r.trials} {r.statistic} {r.estimate!r} {r.se!r}"
             for r in recs]
@@ -323,6 +332,9 @@ def cases() -> dict:
         out[f"quadrant_path/{name}/{p}"] = lambda name=name, p=p: _quadrant_paths(name, p)
     out["seoa_swoa_path/SWE-N/0.6"] = _on_average_paths
     out["coalescence_stats/0.5"] = _coalescence
+    for x, y in COALESCENCE_STARTS:
+        out["coalescence_stats/0.5/{}-{}".format(x, y).replace(" ", "")] = (
+            lambda x=x, y=y: _coalescence_levelled(x, y))
     out["otsp_reach_estimate/0.6"] = lambda: _record_lines(
         [otsp_reach_estimate(0.6, 20, 100, 4), otsp_reach_estimate(0.6, 20, 100, 4, True)])
     out["otsp_reach_estimate/0.8/R200"] = lambda: _record_lines(
@@ -341,6 +353,10 @@ def cases() -> dict:
     out["seoa_excursion_test/0.6"] = lambda: [repr(seoa_excursion_test(0.6, 200, 4))]
     out["w_walk_drift_test/0.5"] = lambda: [repr(w_walk_drift_test(0.5, 200, 4))]
     out["wn_crossing_test/0.5"] = lambda: [repr(wn_crossing_test(0.5, 30, 40, 5, 4))]
+    # no trial crosses at p=0.3, and the lower edge's scans right are long
+    out["wn_crossing_test/0.3"] = lambda: [repr(wn_crossing_test(0.3, 30, 40, 5, 4))]
+    out["wn_crossing_test/0.5/gap1/j0"] = lambda: [repr(
+        wn_crossing_test(0.5, 30, 40, start_gap=1, master_seed=4, j_max=0))]
     out["dre_gen/SWE-N/0.4/R6/s8"] = _dre_gen
     return out
 
