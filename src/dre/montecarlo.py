@@ -987,6 +987,8 @@ def m_size_stats(model: ModelId, radii: Sequence[int], trials: int,
     ring (not of its two factors).
     """
     measure = measure_for(model)
+    if measure.d != 2:
+        raise DimensionError("the Monte Carlo engine runs on d=2 windows")
     _require_radii(radii, trials)
     rows = []
     for radius in radii:
@@ -1094,61 +1096,61 @@ def wn_crossing_test(p: float, trials: int, levels: int, start_gap: int = 10,
     advances +j with probability p^j (1-p); the edge follows the
     lower-edge walk.  Crossing is the first level where the SE column is
     at or right of the edge, so the SE column starts start_gap >= 1 columns
-    left of it; w_cells lists the steps j = 0..j_max, j_max >= 0.
+    left of it; w_cells lists the steps j = 0..j_max, j_max >= 0.  The
+    trials that have not crossed climb each level together, site (level,
+    col) of trial t keyed on (master_seed, t, level, col).
     """
     require_p(p)
     _require_run(levels, trials)
     if start_gap < 1 or j_max < 0:
         raise ValidationError(f"need start_gap >= 1 and j_max >= 0, got {start_gap}, {j_max}")
-    crossings = 0
-    dw_counts: dict[int, int] = {}
+    thresholds = rng.thresholds((p, 1.0 - p))
+
+    def ne(row: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        (sw,) = rng.passed(rng.hash_from(row, (cols,)), thresholds)  # one plane: p < 1
+        return ~sw
+
+    # the trials still walking: key state, SE column and lower edge
+    state = rng.hash_parts(master_seed, (np.arange(trials),))
+    w = np.full(trials, -start_gap, dtype=np.int64)
+    l = np.zeros(trials, dtype=np.int64)
+    dw_counts = np.zeros(j_max + 1, dtype=np.int64)
     dw_total = 0
     dw_sum = 0
-    thresholds = rng.thresholds((p, 1.0 - p))
-    atom = rng.atom_one
-    for t in range(trials):
-        w = -start_gap
-        l = 0
-        crossed = False
-        for level in range(1, levels + 1):
-            row: dict[int, bool] = {}
-
-            def is_ne(col: int, _t=t, _lvl=level, _row=row) -> bool:
-                v = _row.get(col)
-                if v is None:
-                    v = atom(thresholds, master_seed, _t, _lvl, col) == 0
-                    _row[col] = v
-                return v
-
-            # SE path: walk right through NE sites, drop at the first SW site
-            col = w
-            while is_ne(col):
-                col += 1
-            dw = col - w
-            w = col
-            dw_counts[dw] = dw_counts.get(dw, 0) + 1
-            dw_sum += dw
-            dw_total += 1
-            # lower edge: extend left through NE sites, else scan right
-            if is_ne(l):
-                col = l
-                while is_ne(col - 1):
-                    col -= 1
-                l = col
-            else:
-                col = l + 1
-                while not is_ne(col):
-                    col += 1
-                l = col
-            if w >= l:
-                crossed = True
-                break
-        crossings += crossed
+    for level in range(1, levels + 1):
+        if not state.size:
+            break
+        row = rng.hash_from(state, (level,))
+        # SE path: walk right through NE sites, drop at the first SW site
+        col = w.copy()
+        run = np.arange(col.size)
+        while run.size:
+            run = run[ne(row[run], col[run])]
+            col[run] += 1
+        dw = col - w
+        w = col
+        dw_counts += np.bincount(dw, minlength=j_max + 1)[:j_max + 1]
+        dw_sum += int(dw.sum())
+        dw_total += dw.size
+        # lower edge: extend left through NE sites, else scan right
+        left = ne(row, l)
+        run = np.flatnonzero(left)
+        while run.size:
+            run = run[ne(row[run], l[run] - 1)]
+            l[run] -= 1
+        run = np.flatnonzero(~left)
+        l[run] += 1
+        while run.size:
+            run = run[~ne(row[run], l[run])]
+            l[run] += 1
+        walking = w < l
+        state, w, l = state[walking], w[walking], l[walking]
+    crossings = trials - state.size
     from .bounds import w_step_prob
 
     cells = []
-    for j in range(j_max + 1):
-        freq = dw_counts.get(j, 0) / dw_total
+    for j, count in enumerate(dw_counts.tolist()):
+        freq = count / dw_total
         prob = w_step_prob(j, p)
         cells.append({"j": j, "freq": freq, "prob": prob,
                       "z": _z(freq, prob, dw_total)})

@@ -18,7 +18,6 @@ the top of the sums cannot lose it.  Bernoulli(p) is atom 0 of (p, 1 - p).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -32,9 +31,9 @@ _S31 = np.uint64(31)
 _M64 = (1 << 64) - 1
 
 # The same constants as plain ints.  A step on single integers runs in
-# Python ints, where numpy's per-call overhead would dominate: the lazy
-# row-by-row simulators draw single sites millions of times, and a sweep
-# row has one link.  Must stay bit-identical to the array steps.
+# Python ints, where numpy's per-call overhead would dominate: spawn_seed
+# and every scalar seed start a chain there, and each of the sweep's rows
+# is one link.  Must stay bit-identical to the array steps.
 _GOLDEN_I = int(_GOLDEN)
 _MUL1_I = int(_MUL1)
 _MUL2_I = int(_MUL2)
@@ -162,12 +161,3 @@ def spawn_seed(master_seed: int, *indices: int) -> int:
     """
     return int(hash_parts(master_seed, indices))
 
-
-# The scalar mirror of passed, for the lazy simulators' single sites.
-
-def atom_one(thresholds: Sequence[int], seed: int, *parts: int) -> int:
-    """Atom index of the draw keyed on (seed, parts), as passed counts it."""
-    h = _finalize_int((seed + _GOLDEN_I) & _M64)
-    for part in parts:
-        h = _finalize_int(((h + _GOLDEN_I) & _M64) ^ _link(part))
-    return bisect_right(thresholds, h >> 11)  # thresholds never decrease

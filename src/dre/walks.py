@@ -22,6 +22,7 @@ path and leg steps on one loop, _walk.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -235,7 +236,8 @@ def coalescence_stats(
     The up-or-right model has a single arrow per site (up with probability
     p), so each start has one path.  Sites are drawn lazily, keyed on
     (master_seed, trial, site), so the two paths live in one environment
-    and coalesce permanently once they meet.  The first-coordinate
+    and coalesce permanently once they meet; the trials whose paths are
+    still apart step together.  The first-coordinate
     difference moves +1 or -1 with probability p(1-p) each while the paths
     are apart; its empirical step law is returned.
     """
@@ -245,40 +247,42 @@ def coalescence_stats(
     if not all(len(s) == 2 and all(isinstance(c, (int, np.integer)) for c in s) for s in (x, y)):
         raise ValidationError(f"starts must be 2-D integer sites, got {x!r}, {y!r}")
     thresholds = rng.thresholds((p, 1.0 - p))
-    met = 0
-    meeting_levels: dict[int, int] = {}
-    diff_counts = {-1: 0, 0: 0, 1: 0}
-    diff_steps = 0
+    state = rng.hash_parts(master_seed, (np.arange(trials),))
+    # each trial's two paths, as (trial, coordinate) arrays
+    a = np.tile(np.array(x, dtype=np.int64), (trials, 1))
+    b = np.tile(np.array(y, dtype=np.int64), (trials, 1))
 
-    def step(trial: int, site: Site) -> Site:
-        if rng.atom_one(thresholds, master_seed, trial, site[0], site[1]) == 0:
-            return (site[0], site[1] + 1)
-        return (site[0] + 1, site[1])
+    def step(run: np.ndarray, path: np.ndarray) -> None:
+        """Move the run's trials' sites on path one step: up on atom 0, else right."""
+        (right,) = rng.passed(rng.hash_from(state[run], (path[run, 0], path[run, 1])),
+                              thresholds)  # one plane: p < 1
+        path[run, 0] += right
+        path[run, 1] += ~right
 
-    for t in range(trials):
-        a, b = tuple(x), tuple(y)
-        if a == b:
-            met += 1
-            meeting_levels[0] = meeting_levels.get(0, 0) + 1
-            continue
-        # bring both to a common anti-diagonal level
-        while a[0] + a[1] < b[0] + b[1]:
-            a = step(t, a)
-        while b[0] + b[1] < a[0] + a[1]:
-            b = step(t, b)
-        for level in range(max_levels):
-            if a == b:
-                met += 1
-                meeting_levels[level] = meeting_levels.get(level, 0) + 1
-                break
-            d0 = a[0] - b[0]
-            a = step(t, a)
-            b = step(t, b)
-            delta = (a[0] - b[0]) - d0
-            diff_counts[delta] += 1
-            diff_steps += 1
+    # bring both to a common anti-diagonal level: every trial takes the same
+    # number of steps, since each step raises the level by one
+    run = np.arange(trials)
+    gap = int(sum(y)) - int(sum(x))
+    for _ in range(abs(gap)):
+        step(run, a if gap > 0 else b)
+    met_at = np.full(trials, -1)
+    diff_counts = np.zeros(3, dtype=np.int64)
+    for level in range(max_levels):
+        same = (a[run] == b[run]).all(axis=1)
+        met_at[run[same]] = level
+        run = run[~same]
+        if not run.size:
+            break
+        d0 = a[run, 0] - b[run, 0]
+        step(run, a)
+        step(run, b)
+        diff_counts += np.bincount(a[run, 0] - b[run, 0] - d0 + 1, minlength=3)
+    # first met in trial order, as the levels' insertion order
+    meeting_levels = dict(Counter(met_at[met_at >= 0].tolist()))
+    met = sum(meeting_levels.values())
+    diff_steps = int(diff_counts.sum())
     freq = {k: (v / diff_steps if diff_steps else float("nan"))
-            for k, v in diff_counts.items()}
+            for k, v in zip((-1, 0, 1), diff_counts.tolist())}
     return CoalescenceStats(trials, met, meeting_levels, freq, diff_steps)
 
 

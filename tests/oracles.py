@@ -6,12 +6,14 @@ scan of a backward cluster's census, a breadth-first search that skips
 forbidden sites by predicate, a site-by-site search of the
 oriented triangular lattice, a direct recursive self-avoiding-walk
 count, a brute-force witness search, a move-by-move walk of a blocking
-function's contour, and a vertex-by-vertex scan of that contour.  Nothing here shares code with
+function's contour, a vertex-by-vertex scan of that contour, and the lazy
+walks one trial and one site at a time.  Nothing here shares code with
 the package beyond the site hash that defines the environments.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -264,6 +266,82 @@ def otsp_reach_oracle(p: float, radius: int, trials: int, master_seed: int,
                     stack.append(nxt)
         out.append(any(x == -radius or y == radius for x, y in seen))
     return out
+
+
+def _ne_site(p: float, seed: int, t: int, a: int, b: int) -> bool:
+    """Is the draw keyed on (seed, t, a, b) atom 0 of (p, 1 - p)?"""
+    return int(hash_parts(seed, (t, a, b))) >> 11 < math.ceil(p * 2.0**53)
+
+
+def wn_crossing_oracle(p: float, trials: int, levels: int, start_gap: int,
+                       master_seed: int) -> tuple[int, dict, int]:
+    """(crossings, count of each SE step dw, sum of the steps), one trial at a time.
+
+    Site (level, col) of trial t is NE when the draw keyed on (master_seed,
+    t, level, col) is atom 0 of (p, 1 - p).  At each level the SE column
+    walks right through NE sites and stops on the first SW one; the lower
+    edge extends left through NE sites when its own site is NE, else moves
+    to the first NE site on its right.  A trial stops at the first level
+    where the SE column is at or right of the edge.
+    """
+    crossings = 0
+    counts: dict[int, int] = {}
+    total = 0
+    for t in range(trials):
+        w, edge = -start_gap, 0
+        for level in range(1, levels + 1):
+            col = w
+            while _ne_site(p, master_seed, t, level, col):
+                col += 1
+            counts[col - w] = counts.get(col - w, 0) + 1
+            total += col - w
+            w = col
+            if _ne_site(p, master_seed, t, level, edge):
+                while _ne_site(p, master_seed, t, level, edge - 1):
+                    edge -= 1
+            else:
+                edge += 1
+                while not _ne_site(p, master_seed, t, level, edge):
+                    edge += 1
+            if w >= edge:
+                crossings += 1
+                break
+    return crossings, counts, total
+
+
+def coalescence_oracle(p: float, x: tuple, y: tuple, trials: int, max_levels: int,
+                       master_seed: int) -> tuple:
+    """coalescence_stats' fields, one trial and one step at a time.
+
+    Site (a, b) of trial t steps up when the draw keyed on (master_seed, t,
+    a, b) is atom 0 of (p, 1 - p), else right.  The path on the lower
+    anti-diagonal walks alone to the other's; then both step together,
+    until they meet or max_levels steps have been taken.
+    """
+    def step(t, site):
+        a, b = site
+        return (a, b + 1) if _ne_site(p, master_seed, t, a, b) else (a + 1, b)
+
+    met = 0
+    levels: dict[int, int] = {}
+    diffs = {-1: 0, 0: 0, 1: 0}
+    for t in range(trials):
+        a, b = tuple(x), tuple(y)
+        while sum(a) < sum(b):
+            a = step(t, a)
+        while sum(b) < sum(a):
+            b = step(t, b)
+        for level in range(max_levels):
+            if a == b:
+                met += 1
+                levels[level] = levels.get(level, 0) + 1
+                break
+            d0 = a[0] - b[0]
+            a, b = step(t, a), step(t, b)
+            diffs[a[0] - b[0] - d0] += 1
+    steps = sum(diffs.values())
+    freq = {k: (v / steps if steps else float("nan")) for k, v in diffs.items()}
+    return trials, met, levels, freq, steps
 
 
 def naive_saw_count(n: int) -> int:

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from dre import montecarlo, rng
 from dre.bitgrid import move_masks
+from dre.bounds import w_step_prob
 from dre.clusters import backward_cluster, forward_cluster
 from dre.directions import BIT_E, BIT_N, NE_MASK, parse_token
 from dre.env import EnvironmentGrid, Window, sample_environment, sample_masks
-from dre.errors import ValidationError
+from dre.errors import DimensionError, ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
 from dre.montecarlo import (
@@ -28,6 +29,7 @@ from dre.montecarlo import (
     REACH_OTSP,
     SIZE_M,
     TrialPlan,
+    WnCrossingReport,
     _is_ne_oriented,
     _oriented_reach_trials,
     _packed_chunks,
@@ -38,6 +40,7 @@ from dre.montecarlo import (
     _statistic_values,
     _trial_columns,
     _up_or_right_hash,
+    _z,
     bisect_pc,
     check_theta_identity,
     classify_shapes,
@@ -57,7 +60,8 @@ from dre.montecarlo import (
 )
 
 from conftest import MIXED_MEASURES, count_passed
-from oracles import float_atoms, otsp_reach_oracle
+from dre.walks import CoalescenceStats, coalescence_stats
+from oracles import coalescence_oracle, float_atoms, otsp_reach_oracle, wn_crossing_oracle
 
 OPEN_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
@@ -708,6 +712,35 @@ def test_wn_crossing_rates():
     assert hi.crossing_rate > lo.crossing_rate
     assert hi.crossing_rate >= 0.95
     assert all(abs(c["z"]) <= 4.0 for c in hi.w_cells if c["prob"] > 1e-4)
+
+
+SITE = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@given(p=st.floats(0.05, 0.97), trials=st.integers(1, 12), levels=st.integers(1, 30),
+       start_gap=st.integers(1, 12), j_max=st.integers(0, 8),
+       seed=st.integers(-(2**63), 2**64 - 1), x=SITE, y=SITE)
+@settings(max_examples=60, deadline=None)
+def test_lazy_walks_match_scalar_reference(p, trials, levels, start_gap, j_max, seed, x, y):
+    # both walks step all their trials together; each report must be the
+    # one the per-trial, per-site loops give, dict order included
+    crossings, counts, dw_sum = wn_crossing_oracle(p, trials, levels, start_gap, seed)
+    total = sum(counts.values())
+    cells = []
+    for j in range(j_max + 1):
+        freq, prob = counts.get(j, 0) / total, w_step_prob(j, p)
+        cells.append({"j": j, "freq": freq, "prob": prob, "z": _z(freq, prob, total)})
+    want = WnCrossingReport(p, trials, levels, start_gap, crossings / trials, tuple(cells),
+                            dw_sum / total)
+    assert repr(wn_crossing_test(p, trials, levels, start_gap, seed, j_max)) == repr(want)
+    want = CoalescenceStats(*coalescence_oracle(p, x, y, trials, levels, seed))
+    assert repr(coalescence_stats(p, x, y, trials, levels, seed)) == repr(want)
+
+
+def test_m_size_stats_rejects_other_dimensions():
+    # the communicating set is measured on a d=2 window only
+    with pytest.raises(DimensionError):
+        m_size_stats(ModelId("orthant", 0.5, 3), [3], 2)
 
 
 def test_otsp_estimates_extremes():
