@@ -16,9 +16,11 @@ A one-window reach steps only the band of rows its set can reach before
 the next check, and widens the band as the set nears its ends; a batch
 keeps the whole window, because a band over several trials is a strided
 view whose calls cost more than its skipped rows save.
-Backward reach is forward reach on the edge-reversed masks.  The packed
-engine is an exact mirror of clusters.forward_cluster / backward_cluster
-on d=2 grids and is cross-checked against them in the test suite.
+Backward reach is forward reach on the edge-reversed masks, and the
+communicating set is a backward reach whose moves land only in the
+forward set (mutual_stats).  The packed engine is an exact mirror of
+clusters.forward_cluster / backward_cluster on d=2 grids and is
+cross-checked against them in the test suite.
 
 Layout: bit ix of row iy is the site (lo_x + ix, lo_y + iy).  Move masks
 are stacked (4, ..., ny, nwords) in E, N, W, S order.
@@ -87,8 +89,9 @@ def move_masks(arrows: np.ndarray) -> np.ndarray:
 
     It serves arrow arrays: the census's environments, the cycle checks of
     walks.detect_gigantic_m, render.membership_shades, PackedGrid (only the
-    benchmark's adapter) and the tests.  The Monte Carlo trials build their
-    masks from the hash with atom_moves, which drops the same arrows.
+    benchmark's adapter, for sweep-bisect's cross-check) and the tests.
+    The Monte Carlo trials build their masks from the hash with atom_moves,
+    which drops the same arrows.
     """
     if arrows.ndim != 2:
         raise DimensionError("packed reachability requires d=2")
@@ -183,12 +186,17 @@ def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int) -> None:
         f(a, b, out)
 
 
-def reversed_moves(moves: np.ndarray) -> np.ndarray:
+def reversed_moves(moves: np.ndarray, within: np.ndarray | None = None) -> np.ndarray:
     """Move masks of the edge-reversed grids; forward reach there is backward reach here.
 
     A site has the opposite of move k when the site one step back along k
-    has move k: W' = E moved east, S' = N moved north, and so on.
+    has move k: W' = E moved east, S' = N moved north, and so on.  With
+    within, a (B, ny, nwords) stack of sets, a reversed move is kept only
+    where it lands in its trial's set: move k is masked by within before
+    it is moved.
     """
+    if within is not None:
+        moves = moves & within
     src = moves.reshape(4, -1)
     out = np.zeros(moves.shape, dtype=np.uint64)
     for k in range(4):
@@ -311,24 +319,33 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     return sets.reshape(b, ny, nw), touched
 
 
-def mutual_stats(moves: np.ndarray, ix: int, iy: int,
-                 edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sizes, edge contact) of a batch's communicating sets.
+def mutual_stats(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
+                 stop_at_edge: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
+    """(sizes, edge contact) of a batch's communicating sets M = C ∩ B.
 
-    The forward and backward fixpoints run as one batch of 2B.
+    A forward fixpoint gives C.  A path from a site of M back to the origin
+    stays in C, since each of its sites is reached from the origin through
+    that site, so a backward reach whose moves land only in C ends on
+    exactly M.  With stop_at_edge only the flags are computed (sizes is
+    None): a trial whose C misses the edge ring has an M that misses it
+    too and skips the backward reach, and the others stop it soon after
+    their first edge contact.
     """
-    b = moves.shape[1]
-    sets, _ = reach_batch(np.concatenate([moves, reversed_moves(moves)], axis=1),
-                          ix, iy, edge)
-    m = sets[:b] & sets[b:]
-    return np.bitwise_count(m).sum(axis=(1, 2)), (m & edge).any(axis=(1, 2))
+    c, touched = reach_batch(moves, ix, iy, edge)
+    if stop_at_edge:
+        moves, c = moves[:, touched], c[touched]
+    m, hit = reach_batch(reversed_moves(moves, within=c), ix, iy, edge, stop_at_edge)
+    if stop_at_edge:
+        touched[touched] = hit
+        return None, touched
+    return np.bitwise_count(m).sum(axis=(1, 2)), hit
 
 
 @dataclass
 class PackedGrid:
     """Move masks of one environment, packed for fast reachability.
 
-    Only the benchmark's adapter: perfbench's reach-generic cross-check and
+    Only the benchmark's adapter: perfbench's sweep-bisect cross-check and
     its tracer name it.  The package calls reach_batch directly.
     """
 

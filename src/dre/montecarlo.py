@@ -454,8 +454,9 @@ def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_see
                 moves = reversed_moves(moves)
             values.append(reach_batch(moves, radius, radius, edge, stop_at_edge=True)[1])
         else:
-            sizes, touched = mutual_stats(moves, radius, radius, edge)
-            values.append(touched if statistic == REACH_M else sizes)
+            reach = statistic == REACH_M
+            sizes, touched = mutual_stats(moves, radius, radius, edge, stop_at_edge=reach)
+            values.append(touched if reach else sizes)
     return np.concatenate(values).astype(np.float64)
 
 
@@ -1041,8 +1042,11 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     from . import bounds as bounds_mod
     from .env import subgrid
 
+    measure = measure_for(model)
+    if measure.d != 2:
+        raise DimensionError("the Monte Carlo engine runs on d=2 windows")
     _require_run(radius, trials)
-    lattice = bounds_mod.dual_lattice(measure_for(model))
+    lattice = bounds_mod.dual_lattice(measure)
     if verify_dual and lattice is None:
         raise ValidationError("only NE-SW and SWE-N carry a blocking duality to verify")
     if margin is None:

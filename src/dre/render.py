@@ -40,7 +40,8 @@ def membership_shades(env: EnvironmentGrid, origin: Site) -> tuple[np.ndarray, d
     if env.d != 2:
         raise DimensionError("rendering requires d=2")
     _check_origin(env, origin)
-    # the forward and backward fixpoints run as one batch of two, as in mutual_stats
+    # the shades need both full sets, so the forward and backward fixpoints
+    # run as one batch of two
     moves = move_masks(env.arrows)[:, None]
     ix, iy = env.window.index(origin)
     sets, _ = reach_batch(np.concatenate([moves, reversed_moves(moves)], axis=1), ix, iy,

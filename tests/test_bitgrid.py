@@ -97,6 +97,26 @@ def test_reach_stats_kinds():
     assert touched == any(env.window.on_edge(s) for s in ref.sites)
 
 
+@given(model=st.sampled_from(MIXED_MEASURES), seed=st.integers(0, 2**32),
+       batch=st.integers(1, 4), nx=st.integers(3, 70), ny=st.integers(3, 12),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mutual_stats_matches_communicating_cluster(model, seed, batch, nx, ny, data):
+    # M is reached backward inside C; any origin, the edge ring included
+    ox, oy = data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1))
+    window = Window.box((0, nx - 1), (0, ny - 1))
+    envs = [sample_environment(model, window, seed + k) for k in range(batch)]
+    moves = np.stack([move_masks(env.arrows) for env in envs], axis=1)
+    edge = edge_mask(nx, ny)
+    sizes, touched = mutual_stats(moves, ox, oy, edge)
+    no_sizes, reach = mutual_stats(moves, ox, oy, edge, stop_at_edge=True)
+    refs = [communicating_cluster(env, (ox, oy)) for env in envs]
+    assert sizes.tolist() == [len(ref.sites) for ref in refs]
+    assert touched.tolist() == [ref.touches_boundary for ref in refs]
+    assert no_sizes is None
+    assert np.array_equal(reach, touched)
+
+
 def test_stop_at_edge_agrees_on_touch():
     for seed in range(10):
         env = sample_environment(ModelId("NE-.", 0.8), Window.centered(10), seed)

@@ -743,6 +743,12 @@ def test_m_size_stats_rejects_other_dimensions():
         m_size_stats(ModelId("orthant", 0.5, 3), [3], 2)
 
 
+def test_classify_shapes_rejects_other_dimensions():
+    # the census classifies d=2 windows only, as run_plan and m_size_stats do
+    with pytest.raises(DimensionError):
+        classify_shapes(ModelId("orthant", 0.5, 3), 3, 2)
+
+
 def test_otsp_estimates_extremes():
     low = otsp_reach_estimate(0.25, 30, 200, 12)
     high = otsp_reach_estimate(0.92, 30, 200, 12, origin_open=True)
