@@ -441,7 +441,7 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
 
 def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_seed: int,
                    statistic: str, origin: Optional[int] = None) -> np.ndarray:
-    """Named statistic of every trial, one reach_batch call per chunk.
+    """Named statistic of every trial, one chunk of packed windows at a time.
 
     origin, when given, replaces the origin's draw.
     """
