@@ -186,17 +186,12 @@ def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int) -> None:
         f(a, b, out)
 
 
-def reversed_moves(moves: np.ndarray, within: np.ndarray | None = None) -> np.ndarray:
+def reversed_moves(moves: np.ndarray) -> np.ndarray:
     """Move masks of the edge-reversed grids; forward reach there is backward reach here.
 
     A site has the opposite of move k when the site one step back along k
-    has move k: W' = E moved east, S' = N moved north, and so on.  With
-    within, a (B, ny, nwords) stack of sets, a reversed move is kept only
-    where it lands in its trial's set: move k is masked by within before
-    it is moved.
+    has move k: W' = E moved east, S' = N moved north, and so on.
     """
-    if within is not None:
-        moves = moves & within
     src = moves.reshape(4, -1)
     out = np.zeros(moves.shape, dtype=np.uint64)
     for k in range(4):
@@ -319,26 +314,19 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     return sets.reshape(b, ny, nw), touched
 
 
-def mutual_stats(moves: np.ndarray, ix: int, iy: int, edge: np.ndarray,
-                 stop_at_edge: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
+def mutual_stats(moves: np.ndarray, ix: int, iy: int,
+                 edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sizes, edge contact) of a batch's communicating sets M = C ∩ B.
 
     A forward fixpoint gives C.  A path from a site of M back to the origin
     stays in C, since each of its sites is reached from the origin through
     that site, so a backward reach whose moves land only in C ends on
-    exactly M.  With stop_at_edge only the flags are computed (sizes is
-    None): a trial whose C misses the edge ring has an M that misses it
-    too and skips the backward reach, and the others stop it soon after
-    their first edge contact.
+    exactly M: masking the moves by C before reversing them keeps a
+    reversed move only where it lands in C.
     """
-    c, touched = reach_batch(moves, ix, iy, edge)
-    if stop_at_edge:
-        moves, c = moves[:, touched], c[touched]
-    m, hit = reach_batch(reversed_moves(moves, within=c), ix, iy, edge, stop_at_edge)
-    if stop_at_edge:
-        touched[touched] = hit
-        return None, touched
-    return np.bitwise_count(m).sum(axis=(1, 2)), hit
+    c, _ = reach_batch(moves, ix, iy, edge)
+    m, touched = reach_batch(reversed_moves(moves & c), ix, iy, edge)
+    return np.bitwise_count(m).sum(axis=(1, 2)), touched
 
 
 @dataclass

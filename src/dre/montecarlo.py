@@ -454,9 +454,8 @@ def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_see
                 moves = reversed_moves(moves)
             values.append(reach_batch(moves, radius, radius, edge, stop_at_edge=True)[1])
         else:
-            reach = statistic == REACH_M
-            sizes, touched = mutual_stats(moves, radius, radius, edge, stop_at_edge=reach)
-            values.append(touched if reach else sizes)
+            sizes, touched = mutual_stats(moves, radius, radius, edge)
+            values.append(touched if statistic == REACH_M else sizes)
     return np.concatenate(values).astype(np.float64)
 
 
