@@ -3,15 +3,18 @@
 Frontier BFS over a 200x200 window is too slow in Python for tens of
 thousands of Monte Carlo trials, so reachable sets are propagated as
 uint64 bit rows instead.  One kernel, reach_batch, runs the forward
-fixpoint of a whole batch of windows at once: a step is 28 in-place
-shift/and/or calls over the batch's (B, ny, nwords) words, so numpy's
-per-call overhead is paid once per step, not once per trial.
+fixpoint of a whole batch of windows at once: a step is 20 or 28
+in-place shift/and/or calls over the batch's (B, ny, nwords) words, so
+numpy's per-call overhead is paid once per step, not once per trial.
 Numpy calls on windows this small cost about the same whatever their
 size, so the kernel's time is its number of steps and calls: a step
 moves the set one site and then two sites along each direction in turn,
 the second jump through a "rung" plane of the sites whose neighbour
 along that direction has the same move, and it runs as a plan of ufunc
 calls on views built once per batch, so it allocates no temporary.
+Only the step that tests for the fixpoint carries bits across a
+64-column word edge (28 calls); the light steps between tests leave
+those eight calls out.
 A one-window reach steps only the band of rows its set can reach before
 the next check, and widens the band as the set nears its ends; a batch
 keeps the whole window, because a band over several trials is a strided
@@ -45,11 +48,12 @@ _MOVE_BITS = np.array([BIT_E, BIT_N, BIT_W, BIT_S], dtype=np.uint8)
 # idempotent and edge contact is monotone, so testing less often changes
 # neither the sets nor the flags, only how many spare steps a trial runs.
 # A step moves the set up to three sites along each direction (one site,
-# then a two-site jump) at twice the numpy calls of a one-site step.  A
-# 401x401 NE-SW backward fixpoint (seed 0) then takes 212 steps instead of
-# 492 at p=0.5, and 80 instead of 220 at p=0.9.  The oriented row sweep
-# (montecarlo) settles its trials on the same cadence, at most every
-# CHECK_EVERY rows.
+# then a two-site jump) at twice the numpy calls of a one-site step, and
+# all but the tested step skip the moves across a word edge.  A 401x401
+# NE-SW backward fixpoint (seed 0) then takes 216 steps (4752 calls)
+# instead of 492 one-site steps at p=0.5, and 80 (1760) instead of 220 at
+# p=0.9.  The oriented row sweep (montecarlo) settles its trials on the
+# same cadence, at most every CHECK_EVERY rows.
 CHECK_EVERY = 4
 # Rows a set can move north or south between two checks: three a step
 _BAND = 3 * CHECK_EVERY
@@ -153,9 +157,11 @@ def _drop_leaving(moves: np.ndarray, nx: int) -> np.ndarray:
 
 
 def _move_calls(dst: np.ndarray, src: np.ndarray, u: np.ndarray, k: int, nw: int,
-                n: int) -> list[tuple]:
+                n: int) -> tuple[list[tuple], list[tuple]]:
     """The (ufunc, a, b, out) calls of dst |= src moved n (1 or 2) sites along
     move k (E, N, W, S), on flat word runs; u is scratch of src's size.
+    Returned as (within, carries): the moves that stay inside a word, then
+    the E or W carries across a word edge (none for N and S).
 
     A row is nw consecutive words.  Callers move only bits whose whole jump
     stays in the window (see _drop_leaving and _planes), so nothing crosses a
@@ -163,17 +169,17 @@ def _move_calls(dst: np.ndarray, src: np.ndarray, u: np.ndarray, k: int, nw: int
     """
     sh, carry = _SHIFTS[n]
     if k == 0:
-        return [(np.left_shift, src, sh, u), (np.bitwise_or, dst, u, dst),
-                (np.right_shift, src[:-1], carry, u[1:]),
-                (np.bitwise_or, dst[1:], u[1:], dst[1:])]
+        return ([(np.left_shift, src, sh, u), (np.bitwise_or, dst, u, dst)],
+                [(np.right_shift, src[:-1], carry, u[1:]),
+                 (np.bitwise_or, dst[1:], u[1:], dst[1:])])
     if k == 2:
-        return [(np.right_shift, src, sh, u), (np.bitwise_or, dst, u, dst),
-                (np.left_shift, src[1:], carry, u[:-1]),
-                (np.bitwise_or, dst[:-1], u[:-1], dst[:-1])]
+        return ([(np.right_shift, src, sh, u), (np.bitwise_or, dst, u, dst)],
+                [(np.left_shift, src[1:], carry, u[:-1]),
+                 (np.bitwise_or, dst[:-1], u[:-1], dst[:-1])])
     m = n * nw
     if k == 1:
-        return [(np.bitwise_or, dst[m:], src[:-m], dst[m:])]
-    return [(np.bitwise_or, dst[:-m], src[m:], dst[:-m])]
+        return [(np.bitwise_or, dst[m:], src[:-m], dst[m:])], []
+    return [(np.bitwise_or, dst[:-m], src[m:], dst[:-m])], []
 
 
 def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int) -> None:
@@ -182,7 +188,8 @@ def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int) -> None:
     It runs the calls itself, not through _step, so that every _step call
     is a growth step of reach_batch.
     """
-    for f, a, b, out in _move_calls(dst, src, np.empty_like(src), k, nw, 1):
+    within, carries = _move_calls(dst, src, np.empty_like(src), k, nw, 1)
+    for f, a, b, out in within + carries:
         f(a, b, out)
 
 
@@ -219,20 +226,23 @@ def _planes(moves: np.ndarray) -> np.ndarray:
 
 
 def _plan(r: np.ndarray, planes: np.ndarray, t: np.ndarray, u: np.ndarray,
-          nw: int) -> list[tuple]:
-    """The 28 (ufunc, a, b, out) calls of one in-place growth step of the flat batch r.
+          nw: int) -> tuple[list[tuple], list[tuple]]:
+    """The (ufunc, a, b, out) calls of one in-place growth step of the flat
+    batch r, as (light, full): 20 calls without the E and W carries across
+    a word edge, and the full step's 28.
 
     planes is (8, r.size): the four move masks and then their four rungs;
     t and u are scratch of r's size.  For each of E, N, W, S in turn the
     set moves one site along its moves, then two sites from its rungs;
     each call reads what the ones before it added.
     """
-    plan = []
+    light, full = [], []
     for k in range(4):
         for n, plane in ((1, planes[k]), (2, planes[4 + k])):
-            plan.append((np.bitwise_and, r, plane, t))
-            plan += _move_calls(r, t, u, k, nw, n)
-    return plan
+            within, carries = _move_calls(r, t, u, k, nw, n)
+            light += [(np.bitwise_and, r, plane, t)] + within
+            full += [(np.bitwise_and, r, plane, t)] + within + carries
+    return light, full
 
 
 def _step(plan: list[tuple]) -> None:
@@ -255,8 +265,11 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     its set is partial.  Finished trials are compacted out of the batch.
 
     The two-site jumps of a step change how many steps a trial runs, not
-    its fixpoint.  A batch of one steps only the rows [lo, hi) that its set
-    can reach before the next check, on views of its arrays, so a census
+    its fixpoint.  Neither do the light steps run between checks (see
+    _plan): they move bits only along real arrows, and the checked step
+    is a full one, so a set it leaves unchanged is closed under every
+    move.  A batch of one steps only the rows [lo, hi) that its set can
+    reach before the next check, on views of its arrays, so a census
     window whose set stays in part of it runs short steps.  A batch keeps
     every row: a band over B > 1 trials is a strided (B, rows) view, and
     its calls cost about 2.5x more than calls on flat words, which is more
@@ -291,12 +304,12 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
                 band = (lo, hi)
                 cut = slice(lo * nw, hi * nw)
                 rb, tb, pb, eb = r[:, cut], t[:, cut], prev[:, cut], edge[cut]
-                plan = _plan(rb.reshape(-1), planes[:, :, cut].reshape(8, -1),
-                             tb.reshape(-1), u[:, cut].reshape(-1), nw)
+                light, full = _plan(rb.reshape(-1), planes[:, :, cut].reshape(8, -1),
+                                    tb.reshape(-1), u[:, cut].reshape(-1), nw)
             for _ in range(CHECK_EVERY - 1):
-                _step(plan)
+                _step(light)
             np.copyto(pb, rb)
-            _step(plan)
+            _step(full)
             hit = np.bitwise_and(rb, eb, out=tb).any(axis=1)
             done = ~np.bitwise_xor(rb, pb, out=tb).any(axis=1)
             if stop_at_edge:

@@ -260,12 +260,15 @@ def _naive_step(reached, arrows):
     return g
 
 
-def _one_step(arrows, reached):
-    """The packed kernel's step on a (B, nx, ny) batch, as (B, ny, nwords) words."""
+def _one_step(arrows, reached, light=False):
+    """The packed kernel's full (or light) step on a (B, nx, ny) batch, as
+    (B, ny, nwords) words."""
     moves = np.stack([move_masks(a) for a in arrows], axis=1)
     r = _packed(reached)
-    _step(_plan(r.reshape(-1), _planes(moves).reshape(8, -1), np.empty(r.size, np.uint64),
-                np.empty(r.size, np.uint64), r.shape[-1]))
+    light_plan, full_plan = _plan(r.reshape(-1), _planes(moves).reshape(8, -1),
+                                  np.empty(r.size, np.uint64), np.empty(r.size, np.uint64),
+                                  r.shape[-1])
+    _step(light_plan if light else full_plan)
     return r
 
 
@@ -278,6 +281,24 @@ def test_step_moves_one_site_then_jumps_two(nx, ny, density, seed):
     reached = rng.random((3, nx, ny)) < 0.1
     naive = np.stack([_naive_step(g, a) for g, a in zip(reached, arrows)])
     assert np.array_equal(_one_step(arrows, reached), _packed(naive))
+
+
+@given(nx=st.sampled_from([63, 64, 65, 129]), ny=st.sampled_from([1, 2, 3, 5]),
+       density=st.floats(0.3, 1.0), seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_light_step_leaves_out_the_moves_across_a_word_edge(nx, ny, density, seed):
+    rng = np.random.default_rng(seed)
+    arrows = _random_arrows(rng, 3, nx, ny, density)
+    reached = rng.random((3, nx, ny)) < 0.1
+    # every move, one site or a jump, that crosses a word edge uses an E
+    # arrow on a word's last column or a W arrow on a word's first
+    inside = arrows.copy()
+    inside[:, 63::64] &= ~np.uint16(BIT_E)
+    inside[:, ::64] &= ~np.uint16(BIT_W)
+    naive = np.stack([_naive_step(g, a) for g, a in zip(reached, inside)])
+    light = _one_step(arrows, reached, light=True)
+    assert np.array_equal(light, _packed(naive))
+    assert np.array_equal(light & _one_step(arrows, reached), light)
 
 
 def test_step_jumps_across_a_word_edge():
@@ -309,8 +330,8 @@ def test_step_allocates_no_array():
     r = np.zeros(moves.shape[1:], dtype=np.uint64)
     r[:, 100, 1] = 1
     flat = r.reshape(-1)
-    plan = _plan(flat, _planes(moves).reshape(8, -1), np.empty_like(flat),
-                 np.empty_like(flat), r.shape[-1])
+    _, plan = _plan(flat, _planes(moves).reshape(8, -1), np.empty_like(flat),
+                    np.empty_like(flat), r.shape[-1])
     tracemalloc.start()
     try:
         _step(plan)
