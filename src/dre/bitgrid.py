@@ -240,8 +240,9 @@ def _plan(r: np.ndarray, planes: np.ndarray, t: np.ndarray, u: np.ndarray,
     for k in range(4):
         for n, plane in ((1, planes[k]), (2, planes[4 + k])):
             within, carries = _move_calls(r, t, u, k, nw, n)
-            light += [(np.bitwise_and, r, plane, t)] + within
-            full += [(np.bitwise_and, r, plane, t)] + within + carries
+            calls = [(np.bitwise_and, r, plane, t)] + within
+            light += calls
+            full += calls + carries
     return light, full
 
 
