@@ -26,8 +26,9 @@ import numpy as np
 from dre.bounds import FSOSP, OTSP, verify_duality
 from dre.cli import main as dre_main
 from dre.clusters import (BACKWARD, FORWARD, UPPER, BlockingFunction, _bfs_run, _bfs_table,
-                          backward_cluster, bfs_parents, communicating_cluster,
-                          dn_trajectory, forward_cluster, interval_chain)
+                          backward_cluster, bfs_parents, classify_b_shape,
+                          communicating_cluster, dn_trajectory, forward_cluster,
+                          interval_chain)
 from dre.env import Window, sample_environment
 from dre.measure import SupportMeasure
 from dre.models import ModelId
@@ -63,6 +64,9 @@ BFS_MODELS = [("NE-SW", 0.5), ("EW-NS", 0.5), ("SWE-N", 0.4), ("NSEW-.", 0.55),
               ("NE-.", 0.7)]
 # (p, verify_dual) of the census at R=100, margin 100
 CENSUS_RUNS = ((0.5, False), (0.9, True))
+# seeds of the one-window reports on NE-SW at R=30, margin 30: at p=0.5
+# FullWindow and Finite, at p=0.9 BlockedAbove
+B_SHAPE_SEEDS = range(6)
 # d=3 atoms {+e1, +e2}, {+e3, -e1}, {+e2, -e2, -e3}; bit i is +e(i+1), bit 3+i is -e(i+1)
 MEASURE_3D = SupportMeasure(3, ((0b000011, 0.4), (0b001100, 0.35), (0b110010, 0.25)))
 RUN_PLAN_MODELS = [("NSEW-.", 0.6), ("NE-.", 0.7)]
@@ -241,6 +245,16 @@ def _classify_shapes(name, p, radius=8, margin=None, trials=None,
             f"{c.blocked_above_verified}"]
 
 
+def _b_shape_reports(name, p, radius, margin) -> list[str]:
+    inner = Window.centered(radius)
+    lines = []
+    for seed in B_SHAPE_SEEDS:
+        env = sample_environment(ModelId(name, p), Window.centered(radius + margin), seed)
+        rep = classify_b_shape(env, (0, 0), inner=inner)
+        lines += rep.record_lines() + [repr(rep.complement_intervals)]
+    return lines
+
+
 def _verify_duality(lattice, name, p, lo, hi) -> list[str]:
     window = Window.box((-4, 4), (-3, 5))
     lines = []
@@ -318,6 +332,9 @@ def cases() -> dict:
     for p, dual in CENSUS_RUNS:
         out[f"classify_shapes/NE-SW/{p}/R100/margin100/dual{int(dual)}"] = (
             lambda p=p, dual=dual: _classify_shapes("NE-SW", p, 100, 100, 4, dual))
+    for p in (0.5, 0.9):
+        out[f"classify_b_shape/NE-SW/{p}/R30/margin30"] = (
+            lambda p=p: _b_shape_reports("NE-SW", p, 30, 30))
     for lattice, args in DUALITY_INPUTS.items():
         out[f"verify_duality/{lattice}"] = (
             lambda lattice=lattice, args=args: _verify_duality(lattice, *args))
