@@ -19,6 +19,8 @@ A one-window reach steps only the band of rows its set can reach before
 the next check, and widens the band as the set nears its ends; a batch
 keeps the whole window, because a band over several trials is a strided
 view whose calls cost more than its skipped rows save.
+A reach given a goal mask stops a trial once its set holds the goal,
+as the census does once it holds its inner window.
 Backward reach is forward reach on the edge-reversed masks, and the
 communicating set is a backward reach whose moves land only in the
 forward set (mutual_stats).  The packed engine is an exact mirror of
@@ -253,7 +255,8 @@ def _step(plan: list[tuple]) -> None:
 
 
 def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
-                edge: np.ndarray, stop_at_edge: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                edge: np.ndarray, stop_at_edge: bool = False,
+                goal: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Forward fixpoints from site (ix, iy) on a batch of packed windows.
 
     moves is a (4, B, ny, nwords) stack from move_masks or atom_moves, or from
@@ -263,7 +266,11 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     Returns (sets, touched): the (B, ny, nwords) reachable sets and
     whether each meets the edge ring.  With stop_at_edge a trial stops
     soon after its first edge contact; only its flag is then defined, and
-    its set is partial.  Finished trials are compacted out of the batch.
+    its set is partial.  goal is an optional (ny, nwords) mask: a trial
+    stops at the first check where its set holds every goal site.  A set
+    only grows and stays inside the fixpoint, so its goal sites are then
+    final; its set off the goal and its flag are left undefined.  Finished
+    trials are compacted out of the batch.
 
     The two-site jumps of a step change how many steps a trial runs, not
     its fixpoint.  Neither do the light steps run between checks (see
@@ -275,7 +282,11 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     every row: a band over B > 1 trials is a strided (B, rows) view, and
     its calls cost about 2.5x more than calls on flat words, which is more
     than the skipped rows save.  The band changes neither the steps nor
-    the checks, so no set or flag changes, partial sets included.
+    the checks, so no set or flag changes, partial sets included.  Rows
+    outside the band hold no set bit, so the goal is tested only at
+    checks where the band spans every goal row, and a reach whose band
+    never does pays nothing for it.  The edge flag is computed at every
+    check only with stop_at_edge, and otherwise once, as trials finish.
     """
     ix, iy = np.broadcast_arrays(ix, iy)
     if ix.ndim:
@@ -284,6 +295,8 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     size = ny * nw
     planes = _planes(moves)
     edge = edge.reshape(size)
+    if goal is not None:
+        off_goal = ~goal.reshape(size)
     sets = np.empty((b, size), dtype=np.uint64)
     touched = np.empty(b, dtype=bool)
     live = np.arange(b)
@@ -307,20 +320,28 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
                 rb, tb, pb, eb = r[:, cut], t[:, cut], prev[:, cut], edge[cut]
                 light, full = _plan(rb.reshape(-1), planes[:, :, cut].reshape(8, -1),
                                     tb.reshape(-1), u[:, cut].reshape(-1), nw)
+                spans = goal is not None and not (goal[:lo].any() or goal[hi:].any())
+                if spans:
+                    ob = off_goal[cut]
             for _ in range(CHECK_EVERY - 1):
                 _step(light)
             np.copyto(pb, rb)
             _step(full)
-            hit = np.bitwise_and(rb, eb, out=tb).any(axis=1)
             done = ~np.bitwise_xor(rb, pb, out=tb).any(axis=1)
             if stop_at_edge:
+                hit = np.bitwise_and(rb, eb, out=tb).any(axis=1)
                 done |= hit
+            if spans:
+                # covered: no goal bit is missing from the set
+                done |= ~np.invert(np.bitwise_or(rb, ob, out=tb), out=tb).any(axis=1)
             if done.any():
                 break
             if lo > 0 and rb[:, :_BAND * nw].any():
                 lo = max(lo - 2 * _BAND, 0)
             if hi < ny and rb[:, -_BAND * nw:].any():
                 hi = min(hi + 2 * _BAND, ny)
+        if not stop_at_edge:
+            hit = np.bitwise_and(rb, eb, out=tb).any(axis=1)
         sets[live[done]] = r[done]
         touched[live[done]] = hit[done]
         keep = ~done

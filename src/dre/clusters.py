@@ -23,7 +23,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .bitgrid import edge_mask, move_masks, reach_batch, reversed_moves, unpack_words
+from .bitgrid import (edge_mask, move_masks, pack_rows, reach_batch, reversed_moves,
+                      unpack_words)
 from .directions import BIT_W, EW_MASK, N_MASK, NE_MASK, all_directions
 from .env import EnvironmentGrid, Site, Window, subgrid
 from .errors import ConsistencyError, DimensionError, ValidationError
@@ -270,11 +271,15 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
     function.  Anything else is Indeterminate; near-critical windows
     legitimately end up there.
 
-    When inner is given, membership is computed on the whole sampled grid
-    but the classification reads only the inner window.  Paths may then
-    route through the margin, which removes the spurious complement dust
-    that window truncation deposits along the edges; statistical users
-    should sample with a margin and classify the core.
+    When inner is given, paths run through the whole sampled grid but the
+    classification reads membership only on the inner window.  Paths may
+    then route through the margin, which removes the spurious complement
+    dust that window truncation deposits along the edges; statistical
+    users should sample with a margin and classify the core.  The
+    backward reach stops once it holds the whole inner window (see
+    reach_batch's goal), so a FullWindow report never fills the margin;
+    every field of the report is read from the inner window, where the
+    stopped set is exact.
     """
     _require_2d(env)
     _check_origin(env, x)
@@ -288,12 +293,17 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
         if not inner.contains(x):
             raise ValidationError("origin must lie in the inner window")
 
-    sets, _ = reach_batch(reversed_moves(move_masks(env.arrows)[:, None]),
-                          x[0] - window.lo[0], x[1] - window.lo[1], edge_mask(*window.shape))
-    in_b_full = unpack_words(sets[0], window.shape[0])
     sl = tuple(slice(a - oa, b - oa + 1)
                for a, b, oa in zip(inner.lo, inner.hi, window.lo))
-    in_b = in_b_full[sl]
+    # the inner window, packed: one row of its columns on each of its rows
+    row = np.zeros(window.shape[0], dtype=bool)
+    row[sl[0]] = True
+    edge = edge_mask(*window.shape)
+    goal = np.zeros_like(edge)
+    goal[sl[1]] = pack_rows(row)
+    sets, _ = reach_batch(reversed_moves(move_masks(env.arrows)[:, None]),
+                          x[0] - window.lo[0], x[1] - window.lo[1], edge, goal=goal)
+    in_b = unpack_words(sets[0], window.shape[0])[sl]
 
     (x0, y0), (x1, y1) = inner.lo, inner.hi
     edge = np.zeros_like(in_b)

@@ -248,6 +248,65 @@ def test_one_window_band_matches_a_batch(nx, ny, density, backward, seed, data):
             assert np.array_equal(one, _packed(_naive_closure(arrows, ix, iy, backward)[None]))
 
 
+@given(nx=st.sampled_from([63, 64, 65, 129]), ny=st.sampled_from([1, 2, 5, 40, 70]),
+       batch=st.integers(1, 4), density=st.floats(0.3, 1.0), backward=st.booleans(),
+       boxed=st.booleans(), stop_at_edge=st.booleans(), seed=st.integers(0, 2**32),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_goal_stop_keeps_the_goal_exact(nx, ny, batch, density, backward, boxed,
+                                        stop_at_edge, seed, data):
+    # A trial may stop once its set holds the goal; on the goal it must
+    # then hold the fixpoint, and off it no site outside the fixpoint.  A
+    # one-window band may not span the goal's rows; a batch has no band.
+    ix = data.draw(st.integers(0, nx - 1), label="ix")
+    iy = data.draw(st.integers(0, ny - 1), label="iy")
+    rng = np.random.default_rng(seed)
+    arrows = _random_arrows(rng, batch, nx, ny, density)
+    goal = np.zeros((nx, ny), dtype=bool)
+    if boxed:
+        x0, x1 = sorted(data.draw(st.lists(st.integers(0, nx - 1), min_size=2, max_size=2)))
+        y0, y1 = sorted(data.draw(st.lists(st.integers(0, ny - 1), min_size=2, max_size=2)))
+        goal[x0:x1 + 1, y0:y1 + 1] = True
+    else:
+        # the start too: held from the first check, when far goal rows
+        # still lie outside a one-window band
+        goal[rng.integers(0, nx, 6), rng.integers(0, ny, 6)] = goal[ix, iy] = True
+    moves = np.stack([move_masks(a) for a in arrows], axis=1)
+    if backward:
+        moves = reversed_moves(moves)
+    edge = edge_mask(nx, ny)
+    packed_goal = _packed(goal[None])[0]
+    sets, touched = reach_batch(moves, ix, iy, edge, stop_at_edge, goal=packed_goal)
+    naive = np.stack([_naive_closure(a, ix, iy, backward) for a in arrows])
+    fixpoints = _packed(naive)
+    ring = np.zeros((nx, ny), dtype=bool)
+    ring[[0, -1]] = ring[:, [0, -1]] = True
+    assert np.array_equal(sets & fixpoints, sets)
+    for k in range(batch):
+        if not (stop_at_edge and (naive[k] & ring).any()):
+            # no edge stop can come first: the goal sites are final
+            assert np.array_equal(sets[k] & packed_goal, fixpoints[k] & packed_goal)
+        if (goal & ~naive[k]).any():
+            # the goal is never covered: the trial runs as without it
+            assert touched[k] == (naive[k] & ring).any()
+            if not stop_at_edge:
+                assert np.array_equal(sets[k], fixpoints[k])
+
+
+def test_goal_rows_outside_the_band_keep_a_trial_running():
+    # an N run up column 0 of a 100-row window, from the bottom row: the
+    # goal's start site is held at once, but its top site lies far outside
+    # the one-window band, whose rows hold no set bit; the trial must run on
+    nx, ny = 3, 100
+    arrows = np.zeros((nx, ny), dtype=np.uint16)
+    arrows[0] = BIT_N
+    goal = np.zeros((1, nx, ny), dtype=bool)
+    goal[0, 0, [0, ny - 1]] = True
+    sets, _ = reach_batch(move_masks(arrows)[:, None], 0, 0, edge_mask(nx, ny),
+                          goal=_packed(goal)[0])
+    assert np.array_equal(sets, _packed(_naive_closure(arrows, 0, 0, False)[None]))
+
+
 def _naive_step(reached, arrows):
     """One kernel step on (nx, ny) bool: per E, N, W, S, one site, then two
     sites from the sites whose neighbour along the move has it too."""

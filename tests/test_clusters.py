@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dre import bitgrid
+from dre.bitgrid import _step, edge_mask, move_masks, reach_batch, reversed_moves
 from dre.clusters import (
     BACKWARD,
     BLOCKED_ABOVE,
@@ -14,6 +16,7 @@ from dre.clusters import (
     FULL_WINDOW,
     INDETERMINATE,
     BlockingFunction,
+    BShapeReport,
     _bfs_run,
     _bfs_table,
     backward_cluster,
@@ -361,6 +364,55 @@ def test_census_columns_hand_made(flip):
                                         (1, None, None, True), (2, -3, 3, True))
     assert rep.shape == (BLOCKED_BELOW if flip else BLOCKED_ABOVE)
     assert rep.blocking.values == ((4, -2, -3, -3, 4) if flip else (-4, 2, 3, 3, -4))
+
+
+def _bfs_report(env, origin, inner):
+    """The B-shape report of origin on inner, from the BFS backward cluster."""
+    sites = {s for s in backward_cluster(env, origin).sites if inner.contains(s)}
+    intervals, upper, lower = census_columns(sites, inner.lo, inner.hi)
+    (x0, y0), (x1, y1) = inner.lo, inner.hi
+    touched = any(inner.on_edge(s) for s in sites)
+    blocking, shape = None, INDETERMINATE
+    if not touched:
+        shape = FINITE
+    elif all((x, y) in sites for x in range(x0 + 1, x1) for y in range(y0 + 1, y1)):
+        shape = FULL_WINDOW
+    else:
+        nonempty = [iv for iv in intervals if iv[1] is not None]
+        for kind, side, values, end, y in ((BLOCKED_ABOVE, "upper", upper, 2, y1),
+                                           (BLOCKED_BELOW, "lower", lower, 1, y0)):
+            if all(iv[end] == y for iv in nonempty):
+                w = BlockingFunction.from_values(side, (x0, x1), list(values))
+                if oracle_verify_blocking(subgrid(env, inner), w)[0]:
+                    blocking, shape = w, kind
+                    break
+    return BShapeReport(shape, origin, blocking, intervals, touched, len(sites), inner)
+
+
+def test_census_stop_on_the_inner_window_is_exact(monkeypatch):
+    # NE-SW at p=0.5, R=30, margin 30: most backward sets fill the inner
+    # window long before the sampled one, and the reach stops there
+    inner = Window.centered(30)
+    shapes = []
+    for seed in range(8):
+        env = sample_environment(ModelId("NE-SW", 0.5), Window.centered(60), seed)
+        rep = classify_b_shape(env, (0, 0), inner=inner)
+        assert rep == _bfs_report(env, (0, 0), inner)
+        shapes.append(rep.shape)
+    assert FULL_WINDOW in shapes and FINITE in shapes
+    env = sample_environment(ModelId("NE-SW", 0.5), Window.centered(60),
+                             shapes.index(FULL_WINDOW))
+    steps = [0]
+
+    def counted(plan):
+        steps[0] += 1
+        _step(plan)
+
+    monkeypatch.setattr(bitgrid, "_step", counted)
+    classify_b_shape(env, (0, 0), inner=inner)
+    stopped, steps[0] = steps[0], 0
+    reach_batch(reversed_moves(move_masks(env.arrows)[:, None]), 60, 60, edge_mask(121, 121))
+    assert 0 < stopped < steps[0]
 
 
 def test_classify_inner_window_validation():
