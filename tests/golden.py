@@ -327,6 +327,11 @@ def cases() -> dict:
     for p in (0.5, 0.9):
         out[f"classify_shapes/NE-SW/{p}/R20/margin20"] = (
             lambda p=p: _classify_shapes("NE-SW", p, 20, 20))
+    # margin 0: the inner window is the sampled one, whose moves drop the
+    # arrows that leave it, while the dual verifier must still see them
+    for name, p in (("NE-SW", 0.9), ("SWE-N", 0.5)):
+        out[f"classify_shapes/{name}/{p}/R8/margin0"] = (
+            lambda name=name, p=p: _classify_shapes(name, p, 8, 0))
     # the perfbench census's size and runs: 401-row windows, whose backward
     # sets leave a one-window reach's starting row band and widen it many times
     for p, dual in CENSUS_RUNS:
