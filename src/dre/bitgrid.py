@@ -20,7 +20,9 @@ the next check, and widens the band as the set nears its ends; a batch
 keeps the whole window, because a band over several trials is a strided
 view whose calls cost more than its skipped rows save.
 A reach given a goal mask stops a trial once its set holds the goal,
-as the census does once it holds its inner window.
+as the census does once it holds its inner window.  The checks of one
+live trial, every census reach among them, are flat word counts and
+Python bools rather than per-trial reductions.
 Backward reach is forward reach on the edge-reversed masks, and the
 communicating set is a backward reach whose moves land only in the
 forward set (mutual_stats).  The packed engine is an exact mirror of
@@ -93,11 +95,11 @@ def move_masks(arrows: np.ndarray) -> np.ndarray:
     """(nx, ny) arrow masks -> (4, ny, nwords) packed E, N, W, S move masks,
     without the arrows that leave the window (see _drop_leaving).
 
-    It serves arrow arrays: the census's environments, the cycle checks of
-    walks.detect_gigantic_m, render.membership_shades, PackedGrid (only the
-    benchmark's adapter, for sweep-bisect's cross-check) and the tests.
-    The Monte Carlo trials build their masks from the hash with atom_moves,
-    which drops the same arrows.
+    It serves arrow arrays: clusters.classify_b_shape's grids, the cycle
+    checks of walks.detect_gigantic_m, render.membership_shades, PackedGrid
+    (only the benchmark's adapter, for sweep-bisect's cross-check) and the
+    tests.  The Monte Carlo trials and the census build their masks from
+    the hash with atom_moves, which drops the same arrows.
     """
     if arrows.ndim != 2:
         raise DimensionError("packed reachability requires d=2")
@@ -158,30 +160,34 @@ def _drop_leaving(moves: np.ndarray, nx: int) -> np.ndarray:
     return moves
 
 
+def _carry_views(dst: np.ndarray, src: np.ndarray, u: np.ndarray, k: int) -> tuple:
+    """The views of src, u and dst that an E (k = 0) or W (k = 2) carry across a
+    word edge reads and writes: it reads a word and writes the next one
+    along the move."""
+    return (src[:-1], u[1:], dst[1:]) if k == 0 else (src[1:], u[:-1], dst[:-1])
+
+
 def _move_calls(dst: np.ndarray, src: np.ndarray, u: np.ndarray, k: int, nw: int,
-                n: int) -> tuple[list[tuple], list[tuple]]:
+                n: int, carry_views: tuple | None = None) -> tuple[list[tuple], list[tuple]]:
     """The (ufunc, a, b, out) calls of dst |= src moved n (1 or 2) sites along
     move k (E, N, W, S), on flat word runs; u is scratch of src's size.
     Returned as (within, carries): the moves that stay inside a word, then
-    the E or W carries across a word edge (none for N and S).
+    the E or W carries across a word edge (none for N and S), on
+    carry_views when given (see _carry_views).
 
     A row is nw consecutive words.  Callers move only bits whose whole jump
     stays in the window (see _drop_leaving and _planes), so nothing crosses a
     row or trial boundary.
     """
     sh, carry = _SHIFTS[n]
-    if k == 0:
-        return ([(np.left_shift, src, sh, u), (np.bitwise_or, dst, u, dst)],
-                [(np.right_shift, src[:-1], carry, u[1:]),
-                 (np.bitwise_or, dst[1:], u[1:], dst[1:])])
-    if k == 2:
-        return ([(np.right_shift, src, sh, u), (np.bitwise_or, dst, u, dst)],
-                [(np.left_shift, src[1:], carry, u[:-1]),
-                 (np.bitwise_or, dst[:-1], u[:-1], dst[:-1])])
-    m = n * nw
-    if k == 1:
-        return [(np.bitwise_or, dst[m:], src[:-m], dst[m:])], []
-    return [(np.bitwise_or, dst[:-m], src[m:], dst[:-m])], []
+    if k == 1 or k == 3:
+        m = n * nw
+        d, s = (dst[m:], src[:-m]) if k == 1 else (dst[:-m], src[m:])
+        return [(np.bitwise_or, d, s, d)], []
+    s, uc, d = carry_views or _carry_views(dst, src, u, k)
+    shift, back = (np.left_shift, np.right_shift) if k == 0 else (np.right_shift, np.left_shift)
+    return ([(shift, src, sh, u), (np.bitwise_or, dst, u, dst)],
+            [(back, s, carry, uc), (np.bitwise_or, d, uc, d)])
 
 
 def _or_move(dst: np.ndarray, src: np.ndarray, k: int, nw: int) -> None:
@@ -239,9 +245,12 @@ def _plan(r: np.ndarray, planes: np.ndarray, t: np.ndarray, u: np.ndarray,
     each call reads what the ones before it added.
     """
     light, full = [], []
+    # each view of r, t and u once: the E and W jumps of both lengths share
+    # their carry views
+    carry_views = {k: _carry_views(r, t, u, k) for k in (0, 2)}
     for k in range(4):
         for n, plane in ((1, planes[k]), (2, planes[4 + k])):
-            within, carries = _move_calls(r, t, u, k, nw, n)
+            within, carries = _move_calls(r, t, u, k, nw, n, carry_views.get(k))
             calls = [(np.bitwise_and, r, plane, t)] + within
             light += calls
             full += calls + carries
@@ -285,8 +294,11 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
     the checks, so no set or flag changes, partial sets included.  Rows
     outside the band hold no set bit, so the goal is tested only at
     checks where the band spans every goal row, and a reach whose band
-    never does pays nothing for it.  The edge flag is computed at every
-    check only with stop_at_edge, and otherwise once, as trials finish.
+    never does pays nothing for it.  A trial's edge flag is read once, as
+    it finishes; only with stop_at_edge does every check test edge contact.
+    A check on one live trial (a one-window reach, or a batch compacted to
+    one trial) counts flat words with np.count_nonzero and tests Python
+    bools, about a third of the cost of per-trial .any(axis=1) reductions.
     """
     ix, iy = np.broadcast_arrays(ix, iy)
     if ix.ndim:
@@ -310,6 +322,7 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
                                      min(iy.item() + 2 * _BAND + 1, ny))
     while live.size:
         t, prev, u = (np.empty_like(r) for _ in range(3))
+        flat = live.size == 1
         band = None
         while True:
             if band != (lo, hi):
@@ -327,23 +340,29 @@ def reach_batch(moves: np.ndarray, ix: int | np.ndarray, iy: int | np.ndarray,
                 _step(light)
             np.copyto(pb, rb)
             _step(full)
-            done = ~np.bitwise_xor(rb, pb, out=tb).any(axis=1)
-            if stop_at_edge:
-                hit = np.bitwise_and(rb, eb, out=tb).any(axis=1)
-                done |= hit
-            if spans:
-                # covered: no goal bit is missing from the set
-                done |= ~np.invert(np.bitwise_or(rb, ob, out=tb), out=tb).any(axis=1)
-            if done.any():
-                break
-            if lo > 0 and rb[:, :_BAND * nw].any():
+            # done: unchanged, at the edge (with stop_at_edge), or covering
+            # the goal, where no goal bit is missing from the set
+            if flat:
+                if (not np.count_nonzero(np.bitwise_xor(rb, pb, out=tb))
+                        or stop_at_edge and np.count_nonzero(np.bitwise_and(rb, eb, out=tb))
+                        or spans and not np.count_nonzero(
+                            np.invert(np.bitwise_or(rb, ob, out=tb), out=tb))):
+                    done = np.ones(1, dtype=bool)
+                    break
+            else:
+                done = ~np.bitwise_xor(rb, pb, out=tb).any(axis=1)
+                if stop_at_edge:
+                    done |= np.bitwise_and(rb, eb, out=tb).any(axis=1)
+                if spans:
+                    done |= ~np.invert(np.bitwise_or(rb, ob, out=tb), out=tb).any(axis=1)
+                if done.any():
+                    break
+            if lo > 0 and np.count_nonzero(rb[:, :_BAND * nw]):
                 lo = max(lo - 2 * _BAND, 0)
-            if hi < ny and rb[:, -_BAND * nw:].any():
+            if hi < ny and np.count_nonzero(rb[:, -_BAND * nw:]):
                 hi = min(hi + 2 * _BAND, ny)
-        if not stop_at_edge:
-            hit = np.bitwise_and(rb, eb, out=tb).any(axis=1)
         sets[live[done]] = r[done]
-        touched[live[done]] = hit[done]
+        touched[live[done]] = np.bitwise_and(rb, eb, out=tb).any(axis=1)[done]
         keep = ~done
         live, r, planes = live[keep], r[keep], planes[:, keep]
     return sets.reshape(b, ny, nw), touched

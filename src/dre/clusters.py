@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from operator import add
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -275,11 +276,14 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
     classification reads membership only on the inner window.  Paths may
     then route through the margin, which removes the spurious complement
     dust that window truncation deposits along the edges; statistical
-    users should sample with a margin and classify the core.  The
-    backward reach stops once it holds the whole inner window (see
-    reach_batch's goal), so a FullWindow report never fills the margin;
-    every field of the report is read from the inner window, where the
-    stopped set is exact.
+    users should sample with a margin and classify the core.
+
+    It runs in two halves, which the census calls on its own draws:
+    b_shape_reach, the backward reach on the sampled grid's packed moves,
+    and b_shape_read, which unpacks only the inner window's rows and reads
+    every field of the report there.  The reach stops once its set holds
+    the whole inner window (see reach_batch's goal), so a FullWindow report
+    never fills the margin; the stopped set is exact on the inner window.
     """
     _require_2d(env)
     _check_origin(env, x)
@@ -292,18 +296,42 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
             raise ValidationError("inner window must sit inside the sampled window")
         if not inner.contains(x):
             raise ValidationError("origin must lie in the inner window")
+    b_set = b_shape_reach(move_masks(env.arrows), window, x, inner)
+    return b_shape_read(b_set, window, x, inner,
+                        cache(lambda: env if inner is window else subgrid(env, inner)))
 
-    sl = tuple(slice(a - oa, b - oa + 1)
-               for a, b, oa in zip(inner.lo, inner.hi, window.lo))
-    # the inner window, packed: one row of its columns on each of its rows
+
+def b_shape_reach(moves: np.ndarray, window: Window, x: Site, inner: Window) -> np.ndarray:
+    """The reach half of classify_b_shape: the packed (ny, nwords) backward
+    set of x on a window's (4, ny, nwords) move masks (from move_masks or
+    atom_moves), exact on the inner window.
+
+    The reach's goal is the inner window, packed as one row of its columns
+    on each of its rows, so it stops once its set holds all of it.
+    """
+    cols, rows = _inner_slices(window, inner)
     row = np.zeros(window.shape[0], dtype=bool)
-    row[sl[0]] = True
+    row[cols] = True
     edge = edge_mask(*window.shape)
     goal = np.zeros_like(edge)
-    goal[sl[1]] = pack_rows(row)
-    sets, _ = reach_batch(reversed_moves(move_masks(env.arrows)[:, None]),
-                          x[0] - window.lo[0], x[1] - window.lo[1], edge, goal=goal)
-    in_b = unpack_words(sets[0], window.shape[0])[sl]
+    goal[rows] = pack_rows(row)
+    sets, _ = reach_batch(reversed_moves(moves[:, None]), x[0] - window.lo[0],
+                          x[1] - window.lo[1], edge, goal=goal)
+    return sets[0]
+
+
+def b_shape_read(b_set: np.ndarray, window: Window, x: Site, inner: Window,
+                 inner_env: Callable[[], EnvironmentGrid]) -> BShapeReport:
+    """The read half of classify_b_shape: the report of a packed backward set
+    from b_shape_reach, read on the inner window, whose rows alone are
+    unpacked.
+
+    inner_env gives the inner window's grid, with every arrow of its sites,
+    those that leave it included.  It is called only when a blocking
+    function is checked, so a cached function builds the grid at most once.
+    """
+    cols, rows = _inner_slices(window, inner)
+    in_b = unpack_words(b_set[rows], window.shape[0])[cols]
 
     (x0, y0), (x1, y1) = inner.lo, inner.hi
     edge = np.zeros_like(in_b)
@@ -320,7 +348,6 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
         for ix in range(x1 - x0 + 1))
 
     cluster_size = int(in_b.sum())
-    inner_env = env if inner is window else subgrid(env, inner)
 
     def make(shape, blocking):
         return BShapeReport(shape, x, blocking, intervals, touched,
@@ -339,7 +366,7 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
         filled, _, top = _column_ends(in_b)
         values = [t + y0 if f else y0 - 1 for f, t in zip(filled, top)]
         w = BlockingFunction.from_values(UPPER, (x0, x1), values)
-        ok, _ = verify_blocking_function(inner_env, w)
+        ok, _ = verify_blocking_function(inner_env(), w)
         if ok:
             return make(BLOCKED_ABOVE, w)
 
@@ -347,11 +374,17 @@ def classify_b_shape(env: EnvironmentGrid, x: Site,
         filled, bottom, _ = _column_ends(in_b)
         values = [b + y0 if f else y1 + 1 for f, b in zip(filled, bottom)]
         w = BlockingFunction.from_values(LOWER, (x0, x1), values)
-        ok, _ = verify_blocking_function(inner_env, w)
+        ok, _ = verify_blocking_function(inner_env(), w)
         if ok:
             return make(BLOCKED_BELOW, w)
 
     return make(INDETERMINATE, None)
+
+
+def _inner_slices(window: Window, inner: Window) -> tuple[slice, slice]:
+    """The (column, row) slices of a window's arrays that hold inner."""
+    return tuple(slice(a - oa, b - oa + 1)
+                 for a, b, oa in zip(inner.lo, inner.hi, window.lo))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,9 +37,11 @@ import numpy as np
 from . import rng
 from .bitgrid import (CHECK_EVERY, atom_moves, atom_plane, edge_mask, mutual_stats,
                       pack_rows, reach_batch, reversed_moves)
-from .clusters import classify_b_shape
+# the census runs classify_b_shape's two halves, not classify_b_shape; it
+# stays importable here, where perfbench's tracer wraps it
+from .clusters import b_shape_reach, b_shape_read, classify_b_shape
 from .directions import BIT_E, BIT_N, BIT_S, BIT_W, NE_MASK
-from .env import Window, sample_environment
+from .env import EnvironmentGrid, Window, masks_from_hash
 from .errors import DimensionError, ValidationError
 from .measure import SupportMeasure
 from .models import ModelId, canonical_name, measure_for, require_p
@@ -421,7 +424,6 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
     start, finish = _site_draw(master_seed, trials,
                                np.arange(window.lo[0], window.hi[0] + 1, dtype=np.int64))
     above = np.empty((ny, nx), dtype=bool)
-    thresholds, masks = measure.thresholds, measure.masks
     if origin is not None:
         word, bit = divmod(-window.lo[0], 64)
         iy, site = -window.lo[1], np.uint64(1 << bit)
@@ -430,13 +432,22 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
         prefixes = start(np.arange(lo, min(lo + REACH_CHUNK, trials)))
         moves = np.empty((4, len(prefixes), ny, -(-nx // 64)), dtype=np.uint64)
         for i in range(len(prefixes)):
-            h = finish(prefixes[i:i + 1], ys, 0, nx)[:, 0]
-            atom_moves([pack_rows(p) for p in rng.passed(h, thresholds, above)], masks, nx,
-                       moves[:, i])
+            _hash_moves(measure, finish(prefixes[i:i + 1], ys, 0, nx)[:, 0], above,
+                        moves[:, i])
             if origin is not None:
                 cell = moves[:, i, iy, word]
                 moves[:, i, iy, word] = np.where(origin_has, cell | site, cell & ~site)
         yield moves
+
+
+def _hash_moves(measure: SupportMeasure, h: np.ndarray, above: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """The (4, ny, nwords) packed moves of the window whose (ny, nx) row-order
+    hashes are h, written into out: each threshold's plane of the sites at
+    or past it, in the (ny, nx) bool scratch above, is packed as it is
+    compared, and atom_moves builds the moves from those words."""
+    return atom_moves([pack_rows(p) for p in rng.passed(h, measure.thresholds, above)],
+                      measure.masks, h.shape[1], out)
 
 
 def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_seed: int,
@@ -1037,9 +1048,14 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     With verify_dual, BlockedAbove reports are additionally pushed through
     the boundary-sequence verifier of the matching dual lattice; a model
     with no dual lattice is rejected.
+
+    Each realization is classify_b_shape on sample_environment(model,
+    outer window, spawn_seed(master_seed, t)), run in its two halves on
+    the same draws: the window is hashed in row order and packed straight
+    into moves, as _packed_chunks does, and the inner window's arrows are
+    built from the same hashes only when a blocking function is checked.
     """
     from . import bounds as bounds_mod
-    from .env import subgrid
 
     measure = measure_for(model)
     if measure.d != 2:
@@ -1054,13 +1070,25 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
         raise ValidationError(f"need margin >= 0, got {margin}")
     inner = Window.centered(radius, 2)
     outer = Window.centered(radius + margin, 2)
+    n = outer.shape[0]
+    coords = np.arange(-radius - margin, radius + margin + 1, dtype=np.int64)
+    start, finish = _site_draw(master_seed, trials, coords)
+    above = np.empty((n, n), dtype=bool)
+    moves = np.empty((4, n, -(-n // 64)), dtype=np.uint64)
+    # the inner window's (row, column) block of the row-order hashes
+    core = (slice(margin, n - margin),) * 2
     counts: dict[str, int] = {}
     reaching = 0
     mono = 0
     verified = 0
     for t in range(trials):
-        env = sample_environment(model, outer, rng.spawn_seed(master_seed, t))
-        report = classify_b_shape(env, (0, 0), inner=inner)
+        h = finish(start(np.array([t])), coords[:, None, None], 0, n)[:, 0]
+        b_set = b_shape_reach(_hash_moves(measure, h, above, moves), outer, (0, 0), inner)
+        # the inner window's grid, built at most once, when a blocking
+        # function is checked
+        grid = cache(lambda h=h: EnvironmentGrid(inner, masks_from_hash(measure, h[core].T),
+                                                 measure, model))
+        report = b_shape_read(b_set, outer, (0, 0), inner, grid)
         counts[report.shape] = counts.get(report.shape, 0) + 1
         if report.touches_boundary:
             reaching += 1
@@ -1068,8 +1096,7 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
             if report.blocking.monotone_decreasing:
                 mono += 1
             if verify_dual:
-                ok, _ = bounds_mod.verify_duality(subgrid(env, inner),
-                                                  report.blocking, lattice)
+                ok, _ = bounds_mod.verify_duality(grid(), report.blocking, lattice)
                 verified += bool(ok)
     return ShapeCensus(model.name, model.p, radius, trials, counts, reaching,
                        mono, verified)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dre import bitgrid
 from dre.bitgrid import (
     PackedGrid,
     _plan,
@@ -305,6 +306,53 @@ def test_goal_rows_outside_the_band_keep_a_trial_running():
     sets, _ = reach_batch(move_masks(arrows)[:, None], 0, 0, edge_mask(nx, ny),
                           goal=_packed(goal)[0])
     assert np.array_equal(sets, _packed(_naive_closure(arrows, 0, 0, False)[None]))
+
+
+def test_a_batch_left_with_one_trial_checks_it_alone(monkeypatch):
+    # Three N runs up column 2 of a 100-row window, from row 10: none, 20
+    # rows, and 70 rows, then E to the edge column 4 and N up it to the
+    # top.  The trials finish at different checks, so the last one runs its
+    # checks alone, on flat counts; it must stop where a batch of one
+    # stops, soon after meeting the edge or on covering the goal.
+    nx, ny, ix, iy = 5, 100, 2, 10
+    arrows = np.zeros((3, nx, ny), dtype=np.uint16)
+    arrows[1, ix, iy:iy + 20] = BIT_N
+    arrows[2, ix, iy:80] = BIT_N
+    arrows[2, ix:4, 80] = BIT_E
+    arrows[2, 4, 80:] = BIT_N
+    moves = np.stack([move_masks(a) for a in arrows], axis=1)
+    edge = edge_mask(nx, ny)
+    goal = np.zeros((1, nx, ny), dtype=bool)
+    goal[0, ix, iy:60] = True
+    goal = _packed(goal)[0]
+    steps = [0]
+
+    def counted(plan):
+        steps[0] += 1
+        _step(plan)
+
+    monkeypatch.setattr(bitgrid, "_step", counted)
+    results = []
+    for options in ({"stop_at_edge": True}, {"goal": goal}):
+        sets, touched = reach_batch(moves, ix, iy, edge, **options)
+        results.append((sets, touched))
+        ran = []
+        for k in range(3):
+            steps[0] = 0
+            one, one_touched = reach_batch(moves[:, k:k + 1], ix, iy, edge, **options)
+            ran.append(steps[0])
+            covered = "goal" in options and np.array_equal(one[0] & goal, goal)
+            if covered:
+                # off the goal the set is undefined, and so is the flag
+                assert np.array_equal(sets[k] & goal, one[0] & goal)
+            else:
+                assert np.array_equal(sets[k], one[0]) and touched[k] == one_touched[0]
+        assert ran[0] < ran[1] < ran[2]
+    # the long run stops at the edge short of the top row in the first
+    # case, and on the goal, before its set meets the edge, in the second
+    (partial, at_edge), (on_goal, touched) = results
+    assert at_edge.tolist() == [False, False, True] and touched.tolist()[:2] == [False, False]
+    assert not partial[2, -1].any() and not (on_goal[2] & edge).any()
 
 
 def _naive_step(reached, arrows):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from dre import montecarlo, rng
 from dre.bitgrid import move_masks
-from dre.bounds import w_step_prob
-from dre.clusters import backward_cluster, forward_cluster
+from dre.bounds import dual_lattice, verify_duality, w_step_prob
+from dre.clusters import backward_cluster, classify_b_shape, forward_cluster
 from dre.directions import BIT_E, BIT_N, NE_MASK, parse_token
-from dre.env import EnvironmentGrid, Window, sample_environment, sample_masks
+from dre.env import EnvironmentGrid, Window, sample_environment, sample_masks, subgrid
 from dre.errors import DimensionError, ValidationError
 from dre.measure import SupportMeasure
 from dre.models import ModelId, measure_for
@@ -704,6 +704,31 @@ def test_classify_shapes_census():
     assert blocked >= 25
     assert census.blocked_above_verified == blocked
     assert census.blocked_above_monotone == blocked
+
+
+@pytest.mark.parametrize("name,p", [("NE-SW", 0.5), ("NE-SW", 0.9), ("SWE-N", 0.5)])
+@pytest.mark.parametrize("radius", [5, 12])
+@pytest.mark.parametrize("margin", [0, 1, 7])
+def test_census_equals_per_environment_classification(name, p, radius, margin):
+    # the census draws each window straight into packed moves and builds
+    # the inner arrows from its own hashes; a loop over sampled grids must
+    # count the same, the dual verdicts included
+    model, trials, seed = ModelId(name, p), 3, 5
+    inner, outer = Window.centered(radius), Window.centered(radius + margin)
+    lattice = dual_lattice(measure_for(model))
+    counts, reaching, mono, verified = {}, 0, 0, 0
+    for t in range(trials):
+        env = sample_environment(model, outer, rng.spawn_seed(seed, t))
+        report = classify_b_shape(env, (0, 0), inner)
+        counts[report.shape] = counts.get(report.shape, 0) + 1
+        reaching += report.touches_boundary
+        if report.shape == "BlockedAbove":
+            mono += report.blocking.monotone_decreasing
+            verified += verify_duality(subgrid(env, inner), report.blocking, lattice)[0]
+    census = classify_shapes(model, radius, trials, master_seed=seed, verify_dual=True,
+                             margin=margin)
+    assert (census.counts, census.reaching, census.blocked_above_monotone,
+            census.blocked_above_verified) == (counts, reaching, mono, verified)
 
 
 def test_wn_crossing_rates():
