@@ -424,6 +424,7 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
     start, finish = _site_draw(master_seed, trials,
                                np.arange(window.lo[0], window.hi[0] + 1, dtype=np.int64))
     above = np.empty((ny, nx), dtype=bool)
+    atoms = measure.thresholds, measure.masks
     if origin is not None:
         word, bit = divmod(-window.lo[0], 64)
         iy, site = -window.lo[1], np.uint64(1 << bit)
@@ -432,22 +433,22 @@ def _packed_chunks(measure: SupportMeasure, window: Window, master_seed: int,
         prefixes = start(np.arange(lo, min(lo + REACH_CHUNK, trials)))
         moves = np.empty((4, len(prefixes), ny, -(-nx // 64)), dtype=np.uint64)
         for i in range(len(prefixes)):
-            _hash_moves(measure, finish(prefixes[i:i + 1], ys, 0, nx)[:, 0], above,
-                        moves[:, i])
+            _hash_moves(atoms, finish(prefixes[i:i + 1], ys, 0, nx)[:, 0], above, moves[:, i])
             if origin is not None:
                 cell = moves[:, i, iy, word]
                 moves[:, i, iy, word] = np.where(origin_has, cell | site, cell & ~site)
         yield moves
 
 
-def _hash_moves(measure: SupportMeasure, h: np.ndarray, above: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
+def _hash_moves(atoms: tuple, h: np.ndarray, above: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The (4, ny, nwords) packed moves of the window whose (ny, nx) row-order
-    hashes are h, written into out: each threshold's plane of the sites at
-    or past it, in the (ny, nx) bool scratch above, is packed as it is
-    compared, and atom_moves builds the moves from those words."""
-    return atom_moves([pack_rows(p) for p in rng.passed(h, measure.thresholds, above)],
-                      measure.masks, h.shape[1], out)
+    hashes are h, written into out; atoms is a measure's (thresholds, masks),
+    which the measure computes at every access.  Each threshold's plane of
+    the sites at or past it, in the (ny, nx) bool scratch above, is packed as
+    it is compared, and atom_moves builds the moves from those words."""
+    thresholds, masks = atoms
+    return atom_moves([pack_rows(p) for p in rng.passed(h, thresholds, above)], masks,
+                      h.shape[1], out)
 
 
 def _packed_values(measure: SupportMeasure, radius: int, trials: int, master_seed: int,
@@ -1073,7 +1074,7 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     n = outer.shape[0]
     coords = np.arange(-radius - margin, radius + margin + 1, dtype=np.int64)
     start, finish = _site_draw(master_seed, trials, coords)
-    above = np.empty((n, n), dtype=bool)
+    atoms, above = (measure.thresholds, measure.masks), np.empty((n, n), dtype=bool)
     moves = np.empty((4, n, -(-n // 64)), dtype=np.uint64)
     # the inner window's (row, column) block of the row-order hashes
     core = (slice(margin, n - margin),) * 2
@@ -1083,7 +1084,7 @@ def classify_shapes(model: ModelId, radius: int, trials: int,
     verified = 0
     for t in range(trials):
         h = finish(start(np.array([t])), coords[:, None, None], 0, n)[:, 0]
-        b_set = b_shape_reach(_hash_moves(measure, h, above, moves), outer, (0, 0), inner)
+        b_set = b_shape_reach(_hash_moves(atoms, h, above, moves), outer, (0, 0), inner)
         # the inner window's grid, built at most once, when a blocking
         # function is checked
         grid = cache(lambda h=h: EnvironmentGrid(inner, masks_from_hash(measure, h[core].T),
